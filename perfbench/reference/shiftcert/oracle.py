@@ -1,0 +1,417 @@
+"""Independent floating-point verification on finite truncations.
+
+The oracle builds the dense (2N+1)x(2N+1) compression of the shift, forms
+the self-commutator by explicit dense products (never from the diagonal
+formula -- the point is independence from the symbolic engine), takes the
+thresholded PSD root and Moore-Penrose root-inverse, and probes the two
+halves of the near-subnormality criterion empirically: invariance of the
+numerical null space, and boundedness of the conjugated operator across
+growing truncations.
+
+Interior means |n| <= N - 2 throughout: the first and last basis vectors
+lose a neighbour to the truncation, so edge rows of the commutator are
+artifacts of the compression, not of the operator.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Sequence, Union
+
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from .classifier import Certificate, Verdict, VerdictClass
+from .shiftcalc import commutator_diagonal, transformed_weights
+from .weights import WeightSpec, validate
+
+WeightRule = Callable[[int], float]
+WeightSource = Union[WeightSpec, WeightRule]
+
+
+class NotPSDError(ValueError):
+    """The matrix is not positive semidefinite within tolerance."""
+
+
+def as_weight_rule(source: WeightSource) -> WeightRule:
+    """Adapt a weight description (or a raw index->float rule) to a rule.
+
+    Raw callables exist for stress experiments with weight laws outside the
+    exact file format; the classifier never sees them.
+    """
+    if isinstance(source, WeightSpec):
+        return source.value_float
+    return source
+
+
+def default_tolerance(spec: WeightSpec) -> float:
+    """Null-space threshold: 1e-9 relative to the squared modulus scale."""
+    report = validate(spec)
+    if report.sup_bound is None:
+        raise ValueError("tolerance needs a validated weight description")
+    return 1e-9 * max(1.0, float(report.sup_bound) ** 2)
+
+
+@dataclass(frozen=True)
+class Truncation:
+    """Dense compression of the shift to span{e_-N, ..., e_N}.
+
+    Basis index n lives at matrix row/column n + N. The matrix carries
+    |beta_n| at the subdiagonal slot (row n+1+N, column n+N) for
+    -N <= n <= N-1 and zeros elsewhere.
+    """
+
+    half_width: int
+    matrix: np.ndarray
+    tol: float
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.half_width + 1
+
+    def row_of(self, n: int) -> int:
+        return n + self.half_width
+
+    def interior(self) -> range:
+        """Basis indices unaffected by the missing neighbours."""
+        return range(-self.half_width + 2, self.half_width - 1)
+
+
+def build_truncation(source: WeightSource, half_width: int, tol: float) -> Truncation:
+    if half_width < 2:
+        raise ValueError("half width must be at least 2")
+    rule = as_weight_rule(source)
+    dim = 2 * half_width + 1
+    mat = np.zeros((dim, dim))
+    for n in range(-half_width, half_width):
+        mat[n + 1 + half_width, n + half_width] = rule(n)
+    return Truncation(half_width, mat, tol)
+
+
+def commutator(t: Truncation) -> np.ndarray:
+    """Q = T*T - TT* by explicit dense products."""
+    tm = t.matrix
+    return tm.T @ tm - tm @ tm.T
+
+
+def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
+    """Zero the slot of basis index +N before spectral work.
+
+    The column of e_N is empty in the compression (its image e_{N+1} is cut
+    off), so the last diagonal slot of Q is spuriously negative for any
+    hyponormal spec. Masking that single row/column keeps the PSD check
+    meaningful; interior entries are untouched.
+    """
+    masked = q.copy()
+    edge = t.row_of(t.half_width)
+    masked[edge, :] = 0.0
+    masked[:, edge] = 0.0
+    return masked
+
+
+def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Apply f to the spectrum of symmetric PSD q, thresholding at tol.
+
+    Uses an entrywise fast path when q is exactly diagonal (true for every
+    shift commutator: the dense products of a subdiagonal matrix are
+    diagonal); falls back to a full eigendecomposition otherwise, so the
+    contract covers general symmetric PSD input.
+    """
+    if q.shape[0] != q.shape[1]:
+        raise ValueError("matrix must be square")
+    scale = float(np.abs(q).max(initial=1.0))
+    if not np.allclose(q, q.T, atol=max(tol, 1e-12 * scale), rtol=0.0):
+        raise ValueError("matrix must be symmetric")
+    off = q - np.diag(np.diagonal(q))
+    if not off.any():
+        d = np.diagonal(q).copy()
+        if d.min(initial=0.0) < -tol:
+            raise NotPSDError(
+                f"diagonal entry {d.min():g} below -tol at index {int(d.argmin())}"
+            )
+        out = np.zeros_like(d)
+        keep = d > tol
+        out[keep] = f(d[keep])
+        return np.diag(out)
+    vals, vecs = np.linalg.eigh(0.5 * (q + q.T))
+    if vals.min(initial=0.0) < -tol:
+        raise NotPSDError(f"eigenvalue {vals.min():g} below -tol")
+    out = np.zeros_like(vals)
+    keep = vals > tol
+    out[keep] = f(vals[keep])
+    return (vecs * out) @ vecs.T
+
+
+def pinv_root(q: np.ndarray, tol: float) -> np.ndarray:
+    """Moore-Penrose inverse of the PSD square root: spectrum -> d^(-1/2),
+    with eigenvalues at or below tol sent to zero."""
+    return _spectral_apply(q, tol, lambda d: 1.0 / np.sqrt(d))
+
+
+def psd_root(q: np.ndarray, tol: float) -> np.ndarray:
+    """PSD square root with the same eigenvalue threshold."""
+    return _spectral_apply(q, tol, np.sqrt)
+
+
+def transformed_shift(t: Truncation, q: np.ndarray, tol: float) -> np.ndarray:
+    """root(Q) T pinv_root(Q): the conjugated shift whose subdiagonal must
+    reproduce the transformed weights (root-inverse acts on the source side,
+    matching the weight law b_n * sqrt(d_{n+1} / d_n))."""
+    masked = mask_truncation_edge(t, q)
+    return psd_root(masked, tol) @ t.matrix @ pinv_root(masked, tol)
+
+
+def invariance_violations(
+    t: Truncation, q: np.ndarray, tol: float
+) -> list[tuple[int, float]]:
+    """Null-space invariance probe.
+
+    For every interior basis index n with |Q[n][n]| <= tol (numerically in
+    the null space), measure ||Q (T e_n)||; magnitudes above sqrt(tol) are
+    violations: the shift maps a null vector out of the null space.
+    """
+    out: list[tuple[int, float]] = []
+    threshold = math.sqrt(tol)
+    for n in t.interior():
+        i = t.row_of(n)
+        if abs(q[i, i]) <= tol:
+            image = q @ t.matrix[:, i]
+            magnitude = float(np.linalg.norm(image))
+            if magnitude > threshold:
+                out.append((n, magnitude))
+    return out
+
+
+def largest_singular_value(
+    s: np.ndarray,
+    rel_tol: float = 1e-9,
+    window: int = 200,
+    max_iter: int = 150_000,
+    seed: int = 7,
+) -> float:
+    """Largest singular value by power iteration on S^T S.
+
+    The conjugated shift is effectively bidiagonal, so each step costs
+    O(dim) after extracting the sparse structure (S^T S is assembled once
+    as a sparse product). Iteration stops when the Rayleigh estimate
+    changes by less than rel_tol over a window of steps; spectra whose top
+    clusters (transformed weights approaching their limit) converge like
+    1/iterations, so the iteration cap bounds the residual error well
+    below the tolerances any caller asserts.
+    """
+    a = csr_matrix(s)
+    gram = (a.T @ a).tocsr()
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(s.shape[1])
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return 0.0
+    v /= norm
+    estimate = 0.0
+    reference = -1.0
+    for it in range(1, max_iter + 1):
+        w = gram @ v
+        norm = float(math.sqrt(w @ w))
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        estimate = norm  # ||S^T S v|| -> top eigenvalue of S^T S
+        if it % window == 0:
+            if reference >= 0.0 and abs(estimate - reference) <= rel_tol * estimate:
+                break
+            reference = estimate
+    return math.sqrt(estimate)
+
+
+def norm_sweep(
+    source: WeightSource, half_widths: Sequence[int], tol: float
+) -> list[tuple[int, float]]:
+    """Estimate ||root(Q) T pinv_root(Q)|| across truncation sizes.
+
+    The trace is evidence for the plateau-vs-growth diagnostic; the
+    symbolic certificate, not the trace, is the proof.
+    """
+    trace: list[tuple[int, float]] = []
+    for half_width in half_widths:
+        t = build_truncation(source, half_width, tol)
+        q = commutator(t)
+        s = transformed_shift(t, q, tol)
+        trace.append((half_width, largest_singular_value(s)))
+    return trace
+
+
+@dataclass(frozen=True)
+class TruncationReport:
+    half_width: int
+    tol: float
+    q_diag_residual: float
+    q_offdiag_residual: float
+    q_diag_max: float
+    gamma_residual: float | None
+    flat_zero_max: float | None
+    psd_failure_index: int | None
+    invariance_violations: tuple[tuple[int, float], ...]
+    norm_trace: tuple[tuple[int, float], ...] = field(default=())
+    insufficient_interior: bool = False
+
+
+def _needed_interior(cert: Certificate) -> int:
+    spec_indices = [0]
+    for value in (
+        cert.witness,
+        cert.first_equality,
+        cert.flat_pair_index,
+        cert.left_run_end,
+        cert.flat_from,
+    ):
+        if value is not None:
+            spec_indices.append(abs(value))
+    return max(spec_indices) + 2
+
+
+def truncation_report(
+    spec: WeightSpec,
+    verdict: Verdict,
+    half_width: int,
+    tol: float | None = None,
+    sweep: Sequence[int] | None = None,
+) -> TruncationReport:
+    """Cross-validate the symbolic engine on one truncation.
+
+    Residuals compare the dense-product commutator and conjugated shift
+    against the exact diagonal and transformed weights; the comparison is
+    the only place symbolic values enter (how Q and S are formed is not).
+    """
+    if tol is None:
+        tol = default_tolerance(spec)
+    t = build_truncation(spec, half_width, tol)
+    q = commutator(t)
+    diag = commutator_diagonal(spec)
+    tw = transformed_weights(spec, diag)
+
+    window_span = max(abs(spec.window_start), abs(spec.window_end + 1))
+    insufficient = (half_width - 2) < max(
+        _needed_interior(verdict.certificate), window_span + 2
+    )
+
+    q_diag_residual = 0.0
+    q_diag_max = 0.0
+    for n in t.interior():
+        i = t.row_of(n)
+        q_diag_max = max(q_diag_max, abs(float(q[i, i])))
+        q_diag_residual = max(
+            q_diag_residual, abs(float(q[i, i]) - float(diag.entry(n)))
+        )
+    off = q - np.diag(np.diagonal(q))
+    lo = t.row_of(t.interior().start)
+    hi = t.row_of(t.interior().stop - 1)
+    q_offdiag_residual = float(np.abs(off[lo : hi + 1, lo : hi + 1]).max(initial=0.0))
+
+    gamma_residual: float | None = None
+    flat_zero_max: float | None = None
+    psd_failure_index: int | None = None
+    try:
+        s = transformed_shift(t, q, tol)
+    except NotPSDError:
+        interior_diag = [(float(q[t.row_of(n), t.row_of(n)]), n) for n in t.interior()]
+        worst, where = min(interior_diag)
+        psd_failure_index = where if worst < -tol else None
+        s = None
+    if s is not None:
+        gamma_residual = 0.0
+        for n in t.interior():
+            if n + 1 > t.interior().stop - 1:
+                continue
+            entry = float(s[t.row_of(n + 1), t.row_of(n)])
+            g_sq = tw.value_sq(n)
+            if g_sq is None:
+                continue
+            gamma_residual = max(gamma_residual, abs(entry - math.sqrt(float(g_sq))))
+            if tw.flat_from is not None and n >= tw.flat_from:
+                flat = abs(entry)
+                flat_zero_max = flat if flat_zero_max is None else max(flat_zero_max, flat)
+
+    violations = tuple(invariance_violations(t, q, tol))
+    # No transformed operator, no norm trace: the PSD failure already
+    # witnesses the violated hyponormality.
+    trace = tuple(norm_sweep(spec, sweep, tol)) if sweep and s is not None else ()
+
+    return TruncationReport(
+        half_width=half_width,
+        tol=tol,
+        q_diag_residual=q_diag_residual,
+        q_offdiag_residual=q_offdiag_residual,
+        q_diag_max=q_diag_max,
+        gamma_residual=gamma_residual,
+        flat_zero_max=flat_zero_max,
+        psd_failure_index=psd_failure_index,
+        invariance_violations=violations,
+        norm_trace=trace,
+        insufficient_interior=insufficient,
+    )
+
+
+GROWTH_RATIO = 1.5  # quadrupling the truncation must not grow the norm this much
+
+
+def _growth_detected(trace: Sequence[tuple[int, float]]) -> bool:
+    for i, (n_small, v_small) in enumerate(trace):
+        for n_big, v_big in trace[i + 1 :]:
+            if n_big >= 4 * n_small and v_small > 0.0 and v_big / v_small > GROWTH_RATIO:
+                return True
+    return False
+
+
+def concordance(verdict: Verdict, report: TruncationReport) -> tuple[str, list[str]]:
+    """Compare the symbolic verdict with the oracle's empirical findings.
+
+    Returns ("agrees" | "disagrees" | "not-claimed", notes). No concordance
+    is claimed when the truncation is too small to contain the structurally
+    interesting indices in its interior.
+    """
+    notes: list[str] = []
+    if report.insufficient_interior:
+        notes.append("insufficient interior: truncation too small for a concordance claim")
+        return "not-claimed", notes
+
+    klass = verdict.klass
+    violations = report.invariance_violations
+    if klass == VerdictClass.NOT_HYPONORMAL:
+        ok = report.psd_failure_index is not None
+        notes.append(
+            "negative commutator diagonal observed"
+            if ok
+            else "expected a negative commutator diagonal entry; none found"
+        )
+    elif klass == VerdictClass.NORMAL:
+        ok = not violations and report.q_diag_max <= math.sqrt(report.tol)
+        notes.append(
+            "commutator numerically zero and null space invariant"
+            if ok
+            else "expected a vanishing commutator with no violations"
+        )
+    elif klass == VerdictClass.NEAR_SUBNORMAL:
+        grows = _growth_detected(report.norm_trace)
+        ok = not violations and not grows and report.psd_failure_index is None
+        if violations:
+            notes.append(f"unexpected invariance violations: {violations[:3]}")
+        if grows:
+            notes.append("unexpected norm growth across the sweep")
+        if ok:
+            notes.append("null space invariant; norm trace shows no growth")
+    elif klass == VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL:
+        grows = _growth_detected(report.norm_trace)
+        ok = bool(violations) or grows
+        notes.append(
+            f"invariance violations at {[n for n, _ in violations[:5]]}"
+            if violations
+            else (
+                "norm growth across the sweep"
+                if grows
+                else "expected an invariance violation or norm growth; found neither"
+            )
+        )
+    else:
+        return "not-claimed", ["verdict undecided; oracle offers no check"]
+    return ("agrees" if ok else "disagrees"), notes

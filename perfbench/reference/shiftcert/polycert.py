@@ -1,0 +1,495 @@
+"""Exact univariate polynomial and rational-function arithmetic over the
+rationals, with decidable sign and supremum analysis on integer rays.
+
+The key primitive is :func:`sign_on_ray`: it classifies the sign of a
+rational function at *every* integer on a half-line ``n <= a`` or ``n >= a``.
+The classification is exact and finite: outside a Cauchy root-free bound the
+sign equals the asymptotic sign from the leading coefficients, and the
+remaining segment is short enough to evaluate exhaustively in exact
+arithmetic.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+from typing import Iterable, Union
+
+Scalar = Union[int, Fraction]
+
+
+class PoleOnRay(ValueError):
+    """A rational function has an integer pole on the queried ray."""
+
+    def __init__(self, index: int):
+        super().__init__(f"denominator vanishes at integer n = {index}")
+        self.index = index
+
+
+def _frac(x: Scalar) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """Dense univariate polynomial, ascending coefficients, trailing nonzero.
+
+    The zero polynomial is the empty coefficient tuple and has degree -1.
+    """
+
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(*coeffs: Scalar) -> "Polynomial":
+        cs = [_frac(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return Polynomial(tuple(cs))
+
+    @staticmethod
+    def zero() -> "Polynomial":
+        return Polynomial(())
+
+    @staticmethod
+    def constant(c: Scalar) -> "Polynomial":
+        return Polynomial.of(c)
+
+    @staticmethod
+    def variable() -> "Polynomial":
+        """The polynomial p(n) = n."""
+        return Polynomial.of(0, 1)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self) -> Fraction:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            a[i] += c
+        return Polynomial.of(*a)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if self.is_zero or other.is_zero:
+            return Polynomial.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Polynomial.of(*out)
+
+    def scale(self, c: Scalar) -> "Polynomial":
+        c = _frac(c)
+        if c == 0:
+            return Polynomial.zero()
+        return Polynomial(tuple(a * c for a in self.coeffs))
+
+    def __call__(self, x: Scalar) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def compose_shift(self, delta: int) -> "Polynomial":
+        """Return q with q(n) = p(n + delta)."""
+        if delta == 0 or self.is_zero:
+            return self
+        # Horner in the shifted variable: p(n+delta) built highest term first.
+        acc = Polynomial.zero()
+        shift = Polynomial.of(delta, 1)
+        for c in reversed(self.coeffs):
+            acc = acc * shift + Polynomial.constant(c)
+        return acc
+
+    def derivative(self) -> "Polynomial":
+        if self.degree < 1:
+            return Polynomial.zero()
+        return Polynomial.of(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
+
+    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q: list[Fraction] = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
+        rem = list(self.coeffs)
+        d = other.degree
+        lead = other.leading
+        while len(rem) - 1 >= d and rem:
+            k = len(rem) - 1 - d
+            factor = rem[-1] / lead
+            q[k] = factor
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= factor * c
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return Polynomial.of(*q), Polynomial.of(*rem)
+
+    def monic(self) -> "Polynomial":
+        if self.is_zero:
+            return self
+        return self.scale(1 / self.leading)
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor over Q[n] (Euclid)."""
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return a.monic() if not a.is_zero else a
+
+
+def integer_root_free_bound(p: Polynomial) -> int:
+    """Smallest canonical integer B with no real roots of p beyond |x| > B.
+
+    Cauchy bound: every real root x satisfies |x| < 1 + max|c_i| / |c_lead|,
+    so beyond B the sign of p equals the sign of its leading term (adjusted
+    for direction). Constants get B = 1 (no roots at all).
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has roots everywhere")
+    if p.degree == 0:
+        return 1
+    lead = abs(p.leading)
+    biggest = max(abs(c) for c in p.coeffs[:-1])
+    return math.ceil(1 + biggest / lead)
+
+
+def asymptotic_sign(p: Polynomial, direction: int) -> int:
+    """Sign of p(n) for n far out toward +inf (direction=+1) or -inf (-1)."""
+    if p.is_zero:
+        return 0
+    s = 1 if p.leading > 0 else -1
+    if direction < 0 and p.degree % 2 == 1:
+        s = -s
+    return s
+
+
+def _negate_variable(p: Polynomial) -> Polynomial:
+    return Polynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.coeffs)))
+
+
+def _no_roots_beyond(p: Polynomial, m: int, direction: int) -> bool:
+    """Certify that p has no real roots x with direction*x > m (Descartes).
+
+    Substituting x = direction * (m + t) reduces the claim to "no positive
+    roots of q(t)"; zero sign changes among q's coefficients certify that
+    exactly.
+    """
+    q = p.compose_shift(direction * m)
+    if direction < 0:
+        q = _negate_variable(q)
+    has_positive = any(c > 0 for c in q.coeffs)
+    has_negative = any(c < 0 for c in q.coeffs)
+    return not (has_positive and has_negative)
+
+
+def ray_root_free_cutoff(p: Polynomial, direction: int, start: int = 32) -> int:
+    """A certified M with no real roots of p beyond M in one direction.
+
+    The Cauchy bound can be enormous when a derived polynomial's leading
+    coefficient is accidentally tiny, so this searches upward by doubling
+    with an exact Descartes certificate at each candidate. The Cauchy bound
+    itself always certifies (all derivatives keep their asymptotic sign
+    beyond it, by Gauss-Lucas), so the search terminates there at worst.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has roots everywhere")
+    cauchy = integer_root_free_bound(p)
+    m = min(start, cauchy)
+    while m < cauchy:
+        if _no_roots_beyond(p, m, direction):
+            return m
+        m *= 2
+    return cauchy
+
+
+@dataclass(frozen=True)
+class Ray:
+    """All integers n <= bound ("le") or n >= bound ("ge")."""
+
+    kind: str  # "le" | "ge"
+    bound: int
+
+    @staticmethod
+    def le(a: int) -> "Ray":
+        return Ray("le", a)
+
+    @staticmethod
+    def ge(a: int) -> "Ray":
+        return Ray("ge", a)
+
+    @property
+    def direction(self) -> int:
+        return -1 if self.kind == "le" else 1
+
+    def contains(self, n: int) -> bool:
+        return n <= self.bound if self.kind == "le" else n >= self.bound
+
+    def segment_to(self, cutoff: int) -> range:
+        """Integers of the ray between the endpoint and |n| <= cutoff."""
+        if self.kind == "le":
+            lo, hi = -cutoff, min(self.bound, cutoff)
+        else:
+            lo, hi = max(self.bound, -cutoff), cutoff
+        if lo > hi:
+            return range(0)
+        return range(lo, hi + 1)
+
+    def beyond(self, cutoff: int) -> int:
+        """A witness integer on the ray strictly beyond the cutoff."""
+        if self.kind == "le":
+            return min(self.bound, -cutoff - 1)
+        return max(self.bound, cutoff + 1)
+
+
+class SignKind(Enum):
+    STRICTLY_POSITIVE = "strictly-positive"
+    STRICTLY_NEGATIVE = "strictly-negative"
+    IDENTICALLY_ZERO = "identically-zero"
+    HAS_ZEROS = "has-zeros"  # finitely many zeros, all nonzero values one sign
+    MIXED = "mixed"
+
+
+@dataclass(frozen=True)
+class RaySign:
+    kind: SignKind
+    zeros: tuple[int, ...] = ()
+    positive_witness: int | None = None
+    negative_witness: int | None = None
+
+    @property
+    def nonnegative(self) -> bool:
+        return self.kind in (
+            SignKind.STRICTLY_POSITIVE,
+            SignKind.IDENTICALLY_ZERO,
+        ) or (self.kind == SignKind.HAS_ZEROS and self.negative_witness is None)
+
+
+@dataclass(frozen=True)
+class Limit:
+    """Limit of a rational function at +inf or -inf."""
+
+    kind: str  # "finite" | "infinite"
+    value: Fraction | None = None
+    sign: int | None = None
+
+    @property
+    def is_finite(self) -> bool:
+        return self.kind == "finite"
+
+    @staticmethod
+    def finite(v: Scalar) -> "Limit":
+        return Limit("finite", _frac(v))
+
+    @staticmethod
+    def infinite(sign: int) -> "Limit":
+        return Limit("infinite", None, sign)
+
+
+@dataclass(frozen=True)
+class RationalFunction:
+    """Reduced ratio of polynomials with a monic denominator.
+
+    Reduction by the polynomial GCD plus the monic normalization make the
+    representation canonical, so structural equality means functional
+    equality.
+    """
+
+    num: Polynomial
+    den: Polynomial
+
+    @staticmethod
+    def ratio(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero:
+            return RationalFunction(Polynomial.zero(), Polynomial.constant(1))
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num = num.divmod(g)[0]
+            den = den.divmod(g)[0]
+        lead = den.leading
+        return RationalFunction(num.scale(1 / lead), den.scale(1 / lead))
+
+    @staticmethod
+    def of(num: Iterable[Scalar], den: Iterable[Scalar] = (1,)) -> "RationalFunction":
+        return RationalFunction.ratio(Polynomial.of(*num), Polynomial.of(*den))
+
+    @staticmethod
+    def constant(c: Scalar) -> "RationalFunction":
+        return RationalFunction.of([c])
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def constant_value(self) -> Fraction | None:
+        """The constant this function equals, or None if non-constant."""
+        if self.num.is_zero:
+            return Fraction(0)
+        if self.num.degree == 0 and self.den.degree == 0:
+            return self.num.coeffs[0] / self.den.coeffs[0]
+        return None
+
+    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        return RationalFunction.ratio(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    def __neg__(self) -> "RationalFunction":
+        return RationalFunction(-self.num, self.den)
+
+    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        return self + (-other)
+
+    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        return RationalFunction.ratio(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        return RationalFunction.ratio(self.num * other.den, self.den * other.num)
+
+    def scale(self, c: Scalar) -> "RationalFunction":
+        return RationalFunction.ratio(self.num.scale(c), self.den)
+
+    def shift(self, delta: int) -> "RationalFunction":
+        """Return g with g(n) = f(n + delta)."""
+        return RationalFunction.ratio(
+            self.num.compose_shift(delta), self.den.compose_shift(delta)
+        )
+
+    def __call__(self, n: Scalar) -> Fraction:
+        d = self.den(n)
+        if d == 0:
+            raise ZeroDivisionError(f"pole at n = {n}")
+        return self.num(n) / d
+
+    def derivative_numerator(self) -> Polynomial:
+        """Numerator of f'; its sign is the sign of f' off the poles."""
+        return self.num.derivative() * self.den - self.num * self.den.derivative()
+
+
+def limit_at_infinity(f: RationalFunction, direction: int) -> Limit:
+    """Limit of f(n) as n -> +inf (direction=+1) or -inf (direction=-1)."""
+    if f.num.is_zero:
+        return Limit.finite(0)
+    dn, dd = f.num.degree, f.den.degree
+    if dn < dd:
+        return Limit.finite(0)
+    if dn == dd:
+        return Limit.finite(f.num.leading / f.den.leading)
+    sign = asymptotic_sign(f.num, direction) * asymptotic_sign(f.den, direction)
+    return Limit.infinite(sign)
+
+
+def _check_poles(f: RationalFunction, ray: Ray) -> None:
+    if f.den.degree == 0:
+        return
+    cutoff = max(ray_root_free_cutoff(f.den, ray.direction), abs(ray.bound))
+    for n in ray.segment_to(cutoff):
+        if f.den(n) == 0:
+            raise PoleOnRay(n)
+
+
+def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
+    """Exact sign classification of {f(n) : n integer on the ray}.
+
+    Beyond the larger Cauchy bound of numerator and denominator the sign is
+    the asymptotic sign; the finitely many remaining integers are evaluated
+    exactly. Raises :class:`PoleOnRay` if the denominator vanishes at an
+    integer of the ray.
+    """
+    _check_poles(f, ray)
+    if f.num.is_zero:
+        return RaySign(SignKind.IDENTICALLY_ZERO)
+
+    cutoff = max(
+        ray_root_free_cutoff(f.num, ray.direction),
+        ray_root_free_cutoff(f.den, ray.direction),
+        abs(ray.bound),
+    )
+    zeros: list[int] = []
+    pos: int | None = None
+    neg: int | None = None
+    for n in ray.segment_to(cutoff):
+        v = f(n)
+        if v == 0:
+            zeros.append(n)
+        elif v > 0:
+            pos = pos if pos is not None else n
+        else:
+            neg = neg if neg is not None else n
+    tail_sign = asymptotic_sign(f.num, ray.direction) * asymptotic_sign(
+        f.den, ray.direction
+    )
+    far = ray.beyond(cutoff)
+    if tail_sign > 0 and pos is None:
+        pos = far
+    elif tail_sign < 0 and neg is None:
+        neg = far
+
+    zeros.sort()
+    if pos is not None and neg is not None:
+        return RaySign(SignKind.MIXED, tuple(zeros), pos, neg)
+    if zeros:
+        return RaySign(SignKind.HAS_ZEROS, tuple(zeros), pos, neg)
+    if pos is not None:
+        return RaySign(SignKind.STRICTLY_POSITIVE, (), pos, None)
+    return RaySign(SignKind.STRICTLY_NEGATIVE, (), None, neg)
+
+
+def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction | None:
+    """Exact supremum of f over the integers of the ray (None = +infinity).
+
+    Uses the root-free bounds of f and of f' (the function is monotone once
+    past every critical point), so the supremum is either attained on the
+    finite evaluated segment or equals the limit at infinity.
+    """
+    _check_poles(f, ray)
+    if f.num.is_zero:
+        return Fraction(0)
+    lim = limit_at_infinity(f, ray.direction)
+    if not lim.is_finite and lim.sign is not None and lim.sign > 0:
+        return None
+
+    cutoff = max(
+        ray_root_free_cutoff(f.num, ray.direction),
+        ray_root_free_cutoff(f.den, ray.direction),
+        abs(ray.bound),
+    )
+    dnum = f.derivative_numerator()
+    if not dnum.is_zero:
+        cutoff = max(cutoff, ray_root_free_cutoff(dnum, ray.direction))
+
+    best: Fraction | None = None
+    for n in ray.segment_to(cutoff):
+        v = f(n)
+        if best is None or v > best:
+            best = v
+    if lim.is_finite:
+        assert lim.value is not None
+        if best is None or lim.value > best:
+            best = lim.value
+    # lim = -infinity: f decreases monotonically beyond the cutoff, so the
+    # evaluated segment already contains the supremum.
+    return best

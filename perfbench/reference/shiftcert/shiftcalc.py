@@ -1,0 +1,284 @@
+"""Self-commutator diagonal and transformed weights of a bilateral shift.
+
+For a shift with moduli |beta_n| the self-commutator is diagonal with
+entries d_n = |beta_n|^2 - |beta_{n-1}|^2. Where d_n > 0 the conjugated
+shift root(Q) T pinv_root(Q) is again a weighted shift; its squared weights
+
+    g_n = |beta_n|^2 * d_{n+1} / d_n
+
+drive every boundedness question, so the whole symbolic pipeline stays in
+exact rational arithmetic (square roots only ever appear in the
+floating-point oracle).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .polycert import (
+    Limit,
+    RationalFunction,
+    limit_at_infinity,
+    ray_root_free_cutoff,
+)
+from .weights import ConstantTail, RationalTail, WeightSpec, tail_constant_value
+
+
+class NotHyponormalAtIndex(ValueError):
+    """d_n < 0: the shift is not hyponormal, witnessed at this index."""
+
+    def __init__(self, index: int, value: Fraction):
+        super().__init__(f"commutator diagonal is negative at n = {index}: {value}")
+        self.index = index
+        self.value = value
+
+
+def _squared_difference_form(fn: RationalFunction) -> RationalFunction:
+    """f(n)^2 - f(n-1)^2 as a rational function."""
+    return fn * fn - fn.shift(-1) * fn.shift(-1)
+
+
+@dataclass(frozen=True)
+class CommutatorDiagonal:
+    """Exact diagonal d_n, pointwise plus symbolic tail forms.
+
+    ``left_form`` is valid for n <= window_start - 1 and ``right_form`` for
+    n >= window_end + 2; the seam values cover every index where the two
+    neighbouring moduli come from different regions.
+    """
+
+    spec: WeightSpec
+    left_form: RationalFunction
+    right_form: RationalFunction
+    seam_start: int
+    seam_values: tuple[Fraction, ...]
+
+    def entry(self, n: int) -> Fraction:
+        """d_n = |beta_n|^2 - |beta_{n-1}|^2, exactly."""
+        a = self.spec.value(n)
+        b = self.spec.value(n - 1)
+        return a * a - b * b
+
+    @property
+    def seam_end(self) -> int:
+        return self.seam_start + len(self.seam_values) - 1
+
+
+def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
+    def tail_form(tail) -> RationalFunction:
+        if isinstance(tail, ConstantTail):
+            return RationalFunction.constant(0)
+        return _squared_difference_form(tail.fn)
+
+    first = spec.window_start
+    last = spec.window_end + 1
+    seams = []
+    for n in range(first, last + 1):
+        a = spec.value(n)
+        b = spec.value(n - 1)
+        seams.append(a * a - b * b)
+    return CommutatorDiagonal(
+        spec=spec,
+        left_form=tail_form(spec.left_tail),
+        right_form=tail_form(spec.right_tail),
+        seam_start=first,
+        seam_values=tuple(seams),
+    )
+
+
+@dataclass(frozen=True)
+class PinvRootEntry:
+    """Diagonal entry of the M-P inverse of root(Q), kept under the root.
+
+    ``operand`` is d_n itself: the actual entry is d_n^(-1/2) when positive,
+    and 0 on the null space (M-P convention). Nothing downstream ever needs
+    the root to materialize.
+    """
+
+    kind: str  # "zero" | "reciprocal-root"
+    operand: Fraction | None = None
+
+
+def pinv_root_entry(q: CommutatorDiagonal, n: int) -> PinvRootEntry:
+    d = q.entry(n)
+    if d < 0:
+        raise NotHyponormalAtIndex(n, d)
+    if d == 0:
+        return PinvRootEntry("zero")
+    return PinvRootEntry("reciprocal-root", d)
+
+
+@dataclass(frozen=True)
+class TransformedWeights:
+    """Squared transformed weights g_n, pointwise plus symbolic tail forms.
+
+    ``value_sq(n)`` returns None exactly where d_n = 0 but d_{n+1} > 0: there
+    the conjugated operator annihilates e_n while the commutator does not
+    vanish one step later, which is the invariance obstruction the
+    classifier reports. Where d_n = d_{n+1} = 0 the transformed weight is 0
+    (the operator annihilates e_n and stays inside the null space).
+
+    A tail form of None means the transformed weights vanish identically on
+    that side; ``flat_from`` is the smallest index m with g_n = 0 for every
+    n >= m (None when the right side never flattens).
+    """
+
+    spec: WeightSpec
+    diag: CommutatorDiagonal
+    left_form: RationalFunction | None
+    right_form: RationalFunction | None
+    left_limit_sq: Limit
+    right_limit_sq: Limit
+    flat_from: int | None
+
+    def value_sq(self, n: int) -> Fraction | None:
+        d = self.diag.entry(n)
+        d_next = self.diag.entry(n + 1)
+        if d < 0 or d_next < 0:
+            idx = n if d < 0 else n + 1
+            raise NotHyponormalAtIndex(idx, min(d, d_next))
+        if d > 0:
+            b = self.spec.value(n)
+            return b * b * d_next / d
+        if d_next == 0:
+            return Fraction(0)
+        return None
+
+
+def _gamma_form(beta: RationalFunction, d_form: RationalFunction) -> RationalFunction:
+    return beta * beta * d_form.shift(1) / d_form
+
+
+def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
+    """Smallest m with d_n = 0 for all n > m, when the right side flattens."""
+    if tail_constant_value(spec.right_tail) is None:
+        return None
+    nonzero_seams = [
+        diag.seam_start + i for i, v in enumerate(diag.seam_values) if v != 0
+    ]
+    if nonzero_seams:
+        return max(nonzero_seams)
+    if isinstance(spec.left_tail, RationalTail) and not diag.left_form.is_zero:
+        # Walk down from the window until the left form is nonzero; the form
+        # has finitely many zeros, all within its root-free cutoff.
+        n = spec.window_start - 1
+        floor = -max(
+            ray_root_free_cutoff(diag.left_form.num, -1), abs(n)
+        ) - 1
+        while n >= floor:
+            if diag.left_form(n) != 0:
+                return n
+            n -= 1
+    # Globally normal: every d_n vanishes.
+    return spec.window_start
+
+
+def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> TransformedWeights:
+    """Assemble g_n^2 pointwise and symbolically, with both tail limits."""
+    left_form: RationalFunction | None = None
+    if isinstance(spec.left_tail, RationalTail) and not diag.left_form.is_zero:
+        left_form = _gamma_form(spec.left_tail.fn, diag.left_form)
+        left_limit = limit_at_infinity(left_form, -1)
+    else:
+        left_limit = Limit.finite(0)
+
+    flat_from = _flat_from(spec, diag)
+    right_form: RationalFunction | None = None
+    if flat_from is None:
+        assert isinstance(spec.right_tail, RationalTail)
+        right_form = _gamma_form(spec.right_tail.fn, diag.right_form)
+        right_limit = limit_at_infinity(right_form, 1)
+    else:
+        right_limit = Limit.finite(0)
+
+    return TransformedWeights(
+        spec=spec,
+        diag=diag,
+        left_form=left_form,
+        right_form=right_form,
+        left_limit_sq=left_limit,
+        right_limit_sq=right_limit,
+        flat_from=flat_from,
+    )
+
+
+@dataclass(frozen=True)
+class RayBound:
+    bounded: bool
+    sup_sq: Fraction | None  # exact upper bound on g_n^2 over the ray
+
+
+def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> RayBound:
+    """Decide boundedness of {g_n : n <= upto} and certify an exact bound.
+
+    Requires d_n > 0 for every n <= upto (the caller certifies strict
+    increase on that ray first). On the deep tail g^2 is a pole-free
+    rational function, so bounded is equivalent to a finite limit; the
+    returned bound is the max of the limit and the exact maxima on the
+    finite segment past all critical points.
+    """
+    form = tw.left_form
+    if form is None:
+        raise ValueError("left ray is flat; boundedness requires d_n > 0 below upto")
+    if not tw.left_limit_sq.is_finite:
+        return RayBound(False, None)
+
+    cutoff = max(
+        ray_root_free_cutoff(form.num, -1),
+        ray_root_free_cutoff(form.den, -1),
+    )
+    dnum = form.derivative_numerator()
+    if not dnum.is_zero:
+        cutoff = max(cutoff, ray_root_free_cutoff(dnum, -1))
+    start = min(-cutoff, upto, tw.spec.window_start - 2)
+
+    best = tw.left_limit_sq.value
+    assert best is not None
+    for n in range(start, upto + 1):
+        v = tw.value_sq(n)
+        if v is None:
+            raise ValueError(f"transformed weight undefined at n = {n}")
+        if v > best:
+            best = v
+    return RayBound(True, best)
+
+
+def sup_sq_global(tw: TransformedWeights) -> Fraction | None:
+    """Exact supremum of g_n^2 over every index where it is defined.
+
+    Returns None when either tail limit is infinite (unbounded transform).
+    Indices where g is undefined (the invariance-obstruction spots) are
+    skipped; they carry no weight value.
+    """
+    if not (tw.left_limit_sq.is_finite and tw.right_limit_sq.is_finite):
+        return None
+
+    spec = tw.spec
+    lo = spec.window_start - 2
+    hi = spec.window_end + 2
+    for form, direction in ((tw.left_form, -1), (tw.right_form, 1)):
+        if form is None:
+            continue
+        cutoff = max(
+            ray_root_free_cutoff(form.num, direction),
+            ray_root_free_cutoff(form.den, direction),
+        )
+        dnum = form.derivative_numerator()
+        if not dnum.is_zero:
+            cutoff = max(cutoff, ray_root_free_cutoff(dnum, direction))
+        if direction < 0:
+            lo = min(lo, -cutoff)
+        else:
+            hi = max(hi, cutoff)
+
+    best = Fraction(0)
+    for n in range(lo, hi + 1):
+        v = tw.value_sq(n)
+        if v is not None and v > best:
+            best = v
+    for lim in (tw.left_limit_sq, tw.right_limit_sq):
+        assert lim.value is not None
+        if lim.value > best:
+            best = lim.value
+    return best

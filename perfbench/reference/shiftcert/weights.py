@@ -1,0 +1,203 @@
+"""Bi-infinite weight-modulus sequences from a finite description.
+
+A :class:`WeightSpec` tiles the integers into three regions: an explicit
+window of positive rationals and two closed-form tails (a positive constant,
+or a rational function with a finite limit). Everything downstream -- the
+self-commutator diagonal, the transformed weights, the classification
+certificates -- evaluates these moduli exactly.
+
+Weights are stored as moduli: every criterion used here depends only on
+|beta_n|, and a bilateral shift is unitarily equivalent to the shift with
+nonnegative weights.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Union
+
+from .polycert import (
+    PoleOnRay,
+    RationalFunction,
+    Ray,
+    SignKind,
+    sign_on_ray,
+    sup_on_ray,
+)
+
+MAX_TAIL_DEGREE = 16
+
+
+@dataclass(frozen=True)
+class ConstantTail:
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class RationalTail:
+    fn: RationalFunction
+
+
+TailSpec = Union[ConstantTail, RationalTail]
+
+
+@dataclass(frozen=True)
+class WeightSpec:
+    """Moduli |beta_n|: window on [window_start, window_end], tails outside."""
+
+    window_start: int
+    window_values: tuple[Fraction, ...]
+    left_tail: TailSpec
+    right_tail: TailSpec
+
+    @property
+    def window_end(self) -> int:
+        return self.window_start + len(self.window_values) - 1
+
+    def value(self, n: int) -> Fraction:
+        """Exact modulus |beta_n|."""
+        if self.window_start <= n <= self.window_end:
+            return self.window_values[n - self.window_start]
+        tail = self.left_tail if n < self.window_start else self.right_tail
+        if isinstance(tail, ConstantTail):
+            return tail.value
+        return tail.fn(n)
+
+    def value_float(self, n: int) -> float:
+        """Nearest binary64 to the exact modulus."""
+        return float(self.value(n))
+
+
+def tail_constant_value(tail: TailSpec) -> Fraction | None:
+    """The constant a tail equals everywhere, or None if genuinely varying."""
+    if isinstance(tail, ConstantTail):
+        return tail.value
+    return tail.fn.constant_value()
+
+
+def left_ray(spec: WeightSpec) -> Ray:
+    return Ray.le(spec.window_start - 1)
+
+
+def right_ray(spec: WeightSpec) -> Ray:
+    return Ray.ge(spec.window_end + 1)
+
+
+@dataclass(frozen=True)
+class Violation:
+    code: str
+    detail: str
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    violations: tuple[Violation, ...]
+    sup_bound: Fraction | None  # certified exact upper bound on sup |beta_n|
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def _validate_tail(tail: TailSpec, ray: Ray, side: str) -> tuple[list[Violation], Fraction | None]:
+    violations: list[Violation] = []
+    if isinstance(tail, ConstantTail):
+        if tail.value <= 0:
+            violations.append(
+                Violation("nonpositive-tail", f"{side} tail constant {tail.value} is not positive")
+            )
+            return violations, None
+        return violations, tail.value
+
+    fn = tail.fn
+    if fn.num.degree > MAX_TAIL_DEGREE or fn.den.degree > MAX_TAIL_DEGREE:
+        violations.append(
+            Violation("degree-cap", f"{side} tail degree exceeds {MAX_TAIL_DEGREE}")
+        )
+        return violations, None
+    if fn.num.degree > fn.den.degree:
+        violations.append(
+            Violation(
+                "unbounded-tail",
+                f"{side} tail deg(num) > deg(den): the modulus sequence is unbounded",
+            )
+        )
+        return violations, None
+    try:
+        sign = sign_on_ray(fn, ray)
+    except PoleOnRay as exc:
+        violations.append(
+            Violation("tail-pole", f"{side} tail denominator vanishes at n = {exc.index}")
+        )
+        return violations, None
+    if sign.kind != SignKind.STRICTLY_POSITIVE:
+        if sign.zeros:
+            where = f"zero weight at n = {sign.zeros[0]}"
+        elif sign.negative_witness is not None:
+            where = f"negative value at n = {sign.negative_witness}"
+        else:
+            where = "not strictly positive"
+        violations.append(Violation("nonpositive-tail", f"{side} tail: {where}"))
+        return violations, None
+    sup = sup_on_ray(fn, ray)
+    assert sup is not None  # deg num <= deg den guarantees a finite limit
+    return violations, sup
+
+
+def validate(spec: WeightSpec) -> ValidationReport:
+    """Check well-formedness and certify a global bound on the moduli.
+
+    Violations are data, not exceptions: the report lists every problem
+    found (zero or negative weights, poles on a tail's domain, unbounded
+    tails, degree overruns).
+    """
+    violations: list[Violation] = []
+    sups: list[Fraction] = []
+
+    if not spec.window_values:
+        violations.append(Violation("empty-window", "window must hold at least one value"))
+    for i, v in enumerate(spec.window_values):
+        if v == 0:
+            violations.append(
+                Violation("zero-weight", f"zero weight at n = {spec.window_start + i}")
+            )
+        elif v < 0:
+            violations.append(
+                Violation(
+                    "nonpositive-weight",
+                    f"negative modulus {v} at n = {spec.window_start + i}",
+                )
+            )
+        else:
+            sups.append(v)
+
+    for tail, ray, side in (
+        (spec.left_tail, left_ray(spec), "left"),
+        (spec.right_tail, right_ray(spec), "right"),
+    ):
+        tail_violations, sup = _validate_tail(tail, ray, side)
+        violations.extend(tail_violations)
+        if sup is not None:
+            sups.append(sup)
+
+    sup_bound = max(sups) if not violations and sups else None
+    return ValidationReport(tuple(violations), sup_bound)
+
+
+def scale_spec(spec: WeightSpec, c: Fraction) -> WeightSpec:
+    """The spec with every modulus multiplied by c > 0."""
+    if c <= 0:
+        raise ValueError("scaling factor must be positive")
+
+    def scale_tail(tail: TailSpec) -> TailSpec:
+        if isinstance(tail, ConstantTail):
+            return ConstantTail(tail.value * c)
+        return RationalTail(tail.fn.scale(c))
+
+    return WeightSpec(
+        window_start=spec.window_start,
+        window_values=tuple(v * c for v in spec.window_values),
+        left_tail=scale_tail(spec.left_tail),
+        right_tail=scale_tail(spec.right_tail),
+    )
