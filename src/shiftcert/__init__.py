@@ -34,11 +34,9 @@ from .polycert import (
 from .shiftcalc import (
     CommutatorDiagonal,
     NotHyponormalAtIndex,
-    PinvRootEntry,
     TransformedWeights,
     bounded_on_left_ray,
     commutator_diagonal,
-    pinv_root_entry,
     sup_sq_global,
     transformed_weights,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "InvalidSpec",
     "Limit",
     "NotHyponormalAtIndex",
-    "PinvRootEntry",
     "PoleOnRay",
     "Polynomial",
     "RationalFunction",
@@ -86,7 +83,6 @@ __all__ = [
     "integer_root_free_bound",
     "limit_at_infinity",
     "load_spec",
-    "pinv_root_entry",
     "replay",
     "scale_spec",
     "sign_on_ray",

@@ -18,12 +18,14 @@ checks; :func:`replay` recomputes all of it from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 
 from .polycert import (
     Limit,
+    RationalFunction,
     Ray,
     SignKind,
     asymptotic_sign,
@@ -39,9 +41,11 @@ from .shiftcalc import (
 )
 from .weights import (
     RationalTail,
+    TailSpec,
     ValidationReport,
     WeightSpec,
     left_ray,
+    right_ray,
     tail_constant_value,
     validate,
 )
@@ -71,7 +75,6 @@ class VerdictClass(Enum):
     NORMAL = "normal"
     NEAR_SUBNORMAL = "near-subnormal"
     HYPONORMAL_NOT_NEAR_SUBNORMAL = "hyponormal-not-near-subnormal"
-    UNDECIDED = "undecided"  # defensive only; unreachable for supported tails
 
 
 class Criterion(Enum):
@@ -142,54 +145,57 @@ class Verdict:
 
 @dataclass(frozen=True)
 class HyponormalityCheck:
+    """Outcome of :func:`check_hyponormal`, with the diagonal it was built on.
+
+    ``equal_pairs`` lists, ascending, every equal pair outside a constant
+    left tail; a constant right tail contributes only its first pair. It
+    is empty when the shift is not hyponormal.
+    """
+
     hyponormal: bool
     witness: int | None  # violating pair, smallest |n|, ties toward negative
     profile: StructureProfile | None
+    diag: CommutatorDiagonal
+    equal_pairs: tuple[int, ...]
 
 
 def _witness_key(n: int) -> tuple[int, int]:
     return (abs(n), 0 if n < 0 else 1)
 
 
-def _left_tail_violation(diag: CommutatorDiagonal) -> int | None:
-    """Best (smallest-|n|) violating pair inside the left tail, if any."""
-    spec = diag.spec
-    edge = spec.window_start - 1  # d-form domain: z <= edge
-    form = diag.left_form
-    cutoff = max(
-        ray_root_free_cutoff(form.num, -1),
-        ray_root_free_cutoff(form.den, -1),
-        abs(edge),
-    )
-    candidates = [z - 1 for z in range(-cutoff, edge + 1) if form(z) < 0]
-    far_negative = (
-        asymptotic_sign(form.num, -1) * asymptotic_sign(form.den, -1) < 0
-    )
-    if far_negative:
-        candidates.append(min(edge, -cutoff - 1) - 1)
-    if not candidates:
-        return None
+def _tail_violation(form: RationalFunction, ray: Ray) -> int:
+    """Best (smallest-|n|) violating pair on a d-form's ray.
+
+    Only called once sign analysis found a negative value on the ray, so
+    there is at least one candidate.
+    """
+    cutoff = ray_root_free_cutoff(ray, form.num, form.den)
+    candidates = [z - 1 for z in ray.segment_to(cutoff) if form(z) < 0]
+    d = ray.direction
+    if asymptotic_sign(form.num, d) * asymptotic_sign(form.den, d) < 0:
+        candidates.append(ray.beyond(cutoff) - 1)
     return min(candidates, key=_witness_key)
 
 
-def _right_tail_violation(diag: CommutatorDiagonal) -> int | None:
-    spec = diag.spec
-    edge = spec.window_end + 2  # d-form domain: z >= edge
-    form = diag.right_form
-    if form.is_zero:
-        return None
-    cutoff = max(
-        ray_root_free_cutoff(form.num, 1),
-        ray_root_free_cutoff(form.den, 1),
-        abs(edge),
-    )
-    candidates = [z - 1 for z in range(edge, cutoff + 1) if form(z) < 0]
-    far_positive = asymptotic_sign(form.num, 1) * asymptotic_sign(form.den, 1) < 0
-    if far_positive:
-        candidates.append(max(edge, cutoff + 1) - 1)
-    if not candidates:
-        return None
-    return min(candidates, key=_witness_key)
+def _tail_structure(
+    spec: WeightSpec, tail: TailSpec, form: RationalFunction, ray: Ray
+) -> tuple[Shape, Fraction | None, tuple[int, ...] | None, int | None]:
+    """Shape, constant value, equal pairs and violating pair of one tail.
+
+    ``form`` is the tail's d-form and ``ray`` its domain. The equal pairs
+    are None for a constant tail (every deep pair is equal).
+    """
+    const = tail_constant_value(tail)
+    if const is not None:
+        return Shape.CONSTANT, const, None, None
+    sgn = sign_on_ray(form, ray)
+    if sgn.kind == SignKind.IDENTICALLY_ZERO:
+        # d-form identically zero forces a constant-valued tail; only
+        # reachable defensively since constant forms reduce earlier.
+        return Shape.CONSTANT, spec.value(ray.bound), None, None
+    if sgn.nonnegative:
+        return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
+    return Shape.STRICT_INCREASE, None, (), _tail_violation(form, ray)
 
 
 def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
@@ -201,103 +207,54 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     toward negative).
     """
     diag = commutator_diagonal(spec)
-    violations: list[int] = []
-
-    left_const = tail_constant_value(spec.left_tail)
-    left_equalities: tuple[int, ...] = ()
-    if left_const is not None:
-        left_shape, left_value = Shape.CONSTANT, left_const
-    else:
-        sgn = sign_on_ray(diag.left_form, left_ray(spec))
-        if sgn.kind == SignKind.STRICTLY_POSITIVE:
-            left_shape, left_value = Shape.STRICT_INCREASE, None
-        elif sgn.kind == SignKind.HAS_ZEROS and sgn.negative_witness is None:
-            left_shape, left_value = Shape.STRICT_INCREASE, None
-            left_equalities = tuple(z - 1 for z in sgn.zeros)
-        elif sgn.kind == SignKind.IDENTICALLY_ZERO:
-            # d-form identically zero forces a constant-valued tail; only
-            # reachable defensively since constant forms reduce earlier.
-            left_shape = Shape.CONSTANT
-            left_value = spec.value(spec.window_start - 1)
-        else:
-            w = _left_tail_violation(diag)
-            assert w is not None
-            violations.append(w)
-            left_shape, left_value = Shape.STRICT_INCREASE, None
-
-    relations: list[Relation] = []
-    for i, d in enumerate(diag.seam_values):
-        pair = diag.seam_start + i - 1
-        if d < 0:
-            violations.append(pair)
-            relations.append(Relation.LT)  # placeholder; spec is rejected
-        elif d == 0:
-            relations.append(Relation.EQ)
-        else:
-            relations.append(Relation.LT)
-
-    right_const = tail_constant_value(spec.right_tail)
-    right_equalities: tuple[int, ...] | None = ()
-    if right_const is not None:
-        right_shape, right_value = Shape.CONSTANT, right_const
-        right_equalities = None
-    else:
-        sgn = sign_on_ray(diag.right_form, Ray.ge(spec.window_end + 2))
-        if sgn.kind == SignKind.STRICTLY_POSITIVE:
-            right_shape, right_value = Shape.STRICT_INCREASE, None
-        elif sgn.kind == SignKind.HAS_ZEROS and sgn.negative_witness is None:
-            right_shape, right_value = Shape.STRICT_INCREASE, None
-            right_equalities = tuple(z - 1 for z in sgn.zeros)
-        elif sgn.kind == SignKind.IDENTICALLY_ZERO:
-            right_shape = Shape.CONSTANT
-            right_value = spec.value(spec.window_end + 1)
-            right_equalities = None
-        else:
-            w = _right_tail_violation(diag)
-            assert w is not None
-            violations.append(w)
-            right_shape, right_value = Shape.STRICT_INCREASE, None
-
+    left_shape, left_value, left_equalities, left_witness = _tail_structure(
+        spec, spec.left_tail, diag.left_form, left_ray(spec)
+    )
+    right_shape, right_value, right_equalities, right_witness = _tail_structure(
+        spec, spec.right_tail, diag.right_form, Ray.ge(spec.window_end + 2)
+    )
+    # Seam value i is d_n at n = seam_start + i, the pair n - 1.
+    seams = list(enumerate(diag.seam_values, start=diag.seam_start - 1))
+    violations = [w for w in (left_witness, right_witness) if w is not None]
+    violations += [pair for pair, d in seams if d < 0]
     if violations:
-        return HyponormalityCheck(False, min(violations, key=_witness_key), None)
+        return HyponormalityCheck(
+            False, min(violations, key=_witness_key), None, diag, ()
+        )
 
-    first_equality: int | None = None
-    if left_shape != Shape.CONSTANT:
-        eq_candidates = list(left_equalities)
-        eq_candidates += [
-            spec.window_start - 1 + i
-            for i, r in enumerate(relations)
-            if r == Relation.EQ
-        ]
-        if right_equalities is None:
-            eq_candidates.append(spec.window_end + 1)
-        else:
-            eq_candidates += list(right_equalities)
-        if eq_candidates:
-            first_equality = min(eq_candidates)
-
+    left_equalities = left_equalities or ()
+    right_pairs = (
+        [spec.window_end + 1] if right_equalities is None else list(right_equalities)
+    )
+    equal_pairs = (
+        list(left_equalities) + [pair for pair, d in seams if d == 0] + right_pairs
+    )
+    first_equality = (
+        equal_pairs[0] if equal_pairs and left_shape != Shape.CONSTANT else None
+    )
     profile = StructureProfile(
         left_shape=left_shape,
         left_value=left_value,
         left_equalities=left_equalities,
-        window_relations=tuple(relations),
+        window_relations=tuple(
+            Relation.EQ if d == 0 else Relation.LT for d in diag.seam_values
+        ),
         right_shape=right_shape,
         right_value=right_value,
         right_equalities=right_equalities,
         first_equality=first_equality,
     )
-    return HyponormalityCheck(True, None, profile)
+    return HyponormalityCheck(True, None, profile, diag, tuple(equal_pairs))
 
 
 def _first_value_differing(spec: WeightSpec, start: int, target: Fraction) -> int:
     """Smallest n >= start with |beta_n| != target (must exist)."""
     n = start
-    ceiling = spec.window_end + 2
+    deltas = []
     if isinstance(spec.right_tail, RationalTail):
         fn = spec.right_tail.fn
-        delta_num = fn.num - fn.den.scale(target)
-        if not delta_num.is_zero:
-            ceiling = max(ceiling, ray_root_free_cutoff(delta_num, 1) + 1)
+        deltas.append(fn.num - fn.den.scale(target))
+    ceiling = ray_root_free_cutoff(right_ray(spec), *deltas) + 1
     while n <= ceiling:
         if spec.value(n) != target:
             return n
@@ -305,22 +262,11 @@ def _first_value_differing(spec: WeightSpec, start: int, target: Fraction) -> in
     raise AssertionError("no differing value found; sequence is constant")
 
 
-def _flat_pair_index(
-    diag: CommutatorDiagonal, profile: StructureProfile
-) -> int | None:
+def _flat_pair_index(diag: CommutatorDiagonal, equal_pairs: tuple[int, ...]) -> int | None:
     """Minimal j with |beta_{j-1}| < |beta_j| = |beta_{j+1}| < |beta_{j+2}|."""
-    candidates: list[int] = list(profile.left_equalities)
-    candidates += [
-        diag.spec.window_start - 1 + i
-        for i, r in enumerate(profile.window_relations)
-        if r == Relation.EQ
-    ]
-    if profile.right_equalities:
-        candidates += list(profile.right_equalities)
-    hits = [
-        e for e in sorted(candidates) if diag.entry(e) > 0 and diag.entry(e + 2) > 0
-    ]
-    return hits[0] if hits else None
+    return next(
+        (e for e in equal_pairs if diag.entry(e) > 0 and diag.entry(e + 2) > 0), None
+    )
 
 
 def _replay_points(
@@ -358,6 +304,8 @@ def classify(spec: WeightSpec) -> Verdict:
         raise InvalidSpec(report)
     assert report.sup_bound is not None
     sup_modulus = report.sup_bound
+    check = check_hyponormal(spec)
+    diag = check.diag
 
     def build(
         klass: VerdictClass,
@@ -369,7 +317,6 @@ def classify(spec: WeightSpec) -> Verdict:
         left_run_end: int | None = None,
         tw: TransformedWeights | None = None,
         left_sup_sq: Fraction | None = None,
-        diag: CommutatorDiagonal | None = None,
         extra_points: list[int] | None = None,
     ) -> Verdict:
         cert = Certificate(
@@ -385,22 +332,15 @@ def classify(spec: WeightSpec) -> Verdict:
             left_sup_sq=left_sup_sq,
             flat_from=tw.flat_from if tw else None,
             sup_modulus=sup_modulus,
-            replay_points=_replay_points(
-                spec,
-                diag if diag is not None else commutator_diagonal(spec),
-                tw,
-                extra_points or [],
-            ),
+            replay_points=_replay_points(spec, diag, tw, extra_points or []),
         )
         return Verdict(klass, criterion, witness, cert)
 
-    check = check_hyponormal(spec)
     if not check.hyponormal:
         return build(VerdictClass.NOT_HYPONORMAL, witness=check.witness)
 
     profile = check.profile
     assert profile is not None
-    diag = commutator_diagonal(spec)
 
     if profile.left_shape == Shape.CONSTANT:
         c = profile.left_value
@@ -409,7 +349,7 @@ def classify(spec: WeightSpec) -> Verdict:
             profile.right_shape == Shape.CONSTANT and profile.right_value == c
         )
         if globally_constant:
-            return build(VerdictClass.NORMAL, profile=profile, diag=diag)
+            return build(VerdictClass.NORMAL, profile=profile)
         # Constant left ray: near subnormal would force normality, and the
         # sequence is not constant, so the first strict rise obstructs it.
         first_exceed = _first_value_differing(spec, spec.window_start, c)
@@ -419,7 +359,6 @@ def classify(spec: WeightSpec) -> Verdict:
             profile=profile,
             witness=first_exceed,
             left_run_end=first_exceed - 1,
-            diag=diag,
         )
 
     tw = transformed_weights(spec, diag)
@@ -432,14 +371,12 @@ def classify(spec: WeightSpec) -> Verdict:
                 criterion=Criterion.STRICT_INCREASE,
                 profile=profile,
                 tw=tw,
-                diag=diag,
             )
         return build(
             VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
             criterion=Criterion.STRICT_INCREASE_UNBOUNDED,
             profile=profile,
             tw=tw,
-            diag=diag,
         )
 
     k = profile.first_equality
@@ -462,7 +399,6 @@ def classify(spec: WeightSpec) -> Verdict:
                 first_equality=k,
                 tw=tw,
                 left_sup_sq=bound.sup_sq,
-                diag=diag,
                 extra_points=[k - 1, k],
             )
         return build(
@@ -471,10 +407,9 @@ def classify(spec: WeightSpec) -> Verdict:
             profile=profile,
             first_equality=k,
             tw=tw,
-            diag=diag,
         )
 
-    j0 = _flat_pair_index(diag, profile)
+    j0 = _flat_pair_index(diag, check.equal_pairs)
     if j0 is not None:
         return build(
             VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
@@ -484,7 +419,6 @@ def classify(spec: WeightSpec) -> Verdict:
             first_equality=k,
             flat_pair_index=j0,
             tw=tw,
-            diag=diag,
             extra_points=[j0 - 1],
         )
     unequal = _first_value_differing(spec, k + 1, top)
@@ -495,7 +429,6 @@ def classify(spec: WeightSpec) -> Verdict:
         witness=unequal,
         first_equality=k,
         tw=tw,
-        diag=diag,
     )
 
 
@@ -505,47 +438,40 @@ class ReplayResult:
     detail: str | None = None
 
 
+def _point_mismatch(recorded: ReplayPoint | None, fresh: ReplayPoint | None) -> str:
+    if recorded is None:
+        assert fresh is not None
+        return f"missing replay point {fresh.kind} at n = {fresh.index}"
+    if fresh is None:
+        return f"unexpected replay point {recorded.kind} at n = {recorded.index}"
+    if (recorded.kind, recorded.index) == (fresh.kind, fresh.index):
+        return (
+            f"{recorded.kind} at n = {recorded.index}: recorded {recorded.value}, "
+            f"recomputed {fresh.value}"
+        )
+    return (
+        f"replay point {recorded.kind} at n = {recorded.index} recorded where "
+        f"{fresh.kind} at n = {fresh.index} is recomputed"
+    )
+
+
 def replay(cert: Certificate, spec: WeightSpec) -> ReplayResult:
-    """Recompute every replay point and structural claim from scratch."""
+    """Classify the spec from scratch and compare every certificate field.
+
+    The replay points are compared in order, so a changed, dropped or added
+    point is reported with its kind and index.
+    """
     try:
-        diag = commutator_diagonal(spec)
-        tw = transformed_weights(spec, diag) if cert.left_limit_sq else None
-        for point in cert.replay_points:
-            if point.kind == "beta_sq":
-                v = spec.value(point.index)
-                actual: Fraction | None = v * v
-            elif point.kind == "d":
-                actual = diag.entry(point.index)
-            elif point.kind == "gamma_sq":
-                if tw is None:
-                    tw = transformed_weights(spec, diag)
-                actual = tw.value_sq(point.index)
-            else:
-                return ReplayResult(False, f"unknown replay point kind {point.kind!r}")
-            if actual != point.value:
-                return ReplayResult(
-                    False,
-                    f"{point.kind} at n = {point.index}: recorded {point.value}, "
-                    f"recomputed {actual}",
-                )
-        fresh = classify(spec)
+        fresh = classify(spec).certificate
     except (ValueError, ZeroDivisionError) as exc:
         return ReplayResult(False, f"recomputation failed: {exc}")
-
-    fc = fresh.certificate
-    for name, a, b in (
-        ("class", cert.verdict_class, fc.verdict_class),
-        ("criterion", cert.criterion, fc.criterion),
-        ("witness", cert.witness, fc.witness),
-        ("first equality", cert.first_equality, fc.first_equality),
-        ("flat pair index", cert.flat_pair_index, fc.flat_pair_index),
-        ("left run end", cert.left_run_end, fc.left_run_end),
-        ("left limit", cert.left_limit_sq, fc.left_limit_sq),
-        ("right limit", cert.right_limit_sq, fc.right_limit_sq),
-        ("left-ray bound", cert.left_sup_sq, fc.left_sup_sq),
-        ("flat-from index", cert.flat_from, fc.flat_from),
-        ("modulus bound", cert.sup_modulus, fc.sup_modulus),
-    ):
-        if a != b:
-            return ReplayResult(False, f"{name} mismatch: recorded {a}, recomputed {b}")
+    for f in fields(Certificate):
+        a, b = getattr(cert, f.name), getattr(fresh, f.name)
+        if f.name == "replay_points":
+            for p, q in zip_longest(a, b):
+                if p != q:
+                    return ReplayResult(False, _point_mismatch(p, q))
+        elif a != b:
+            label = f.name.replace("_", " ")
+            return ReplayResult(False, f"{label} mismatch: recorded {a}, recomputed {b}")
     return ReplayResult(True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -231,6 +232,9 @@ def cmd_classify(args, out, err) -> int:
 def cmd_oracle(args, out, err) -> int:
     if args.max_dim < 5:
         err.write("error: --max-dim must be at least 5\n")
+        return EXIT_INPUT
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        err.write(f"error: --tol must be a finite positive number, got {args.tol}\n")
         return EXIT_INPUT
     loaded = _load_and_classify(args.path, err)
     if isinstance(loaded, int):

@@ -400,7 +400,7 @@ def concordance(verdict: Verdict, report: TruncationReport) -> tuple[str, list[s
             notes.append("unexpected norm growth across the sweep")
         if ok:
             notes.append("null space invariant; norm trace shows no growth")
-    elif klass == VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL:
+    else:  # VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL
         grows = _growth_detected(report.norm_trace)
         ok = bool(violations) or grows
         notes.append(
@@ -412,6 +412,4 @@ def concordance(verdict: Verdict, report: TruncationReport) -> tuple[str, list[s
                 else "expected an invariance violation or norm growth; found neither"
             )
         )
-    else:
-        return "not-claimed", ["verdict undecided; oracle offers no check"]
     return ("agrees" if ok else "disagrees"), notes

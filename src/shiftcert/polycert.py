@@ -3,10 +3,11 @@ rationals, with decidable sign and supremum analysis on integer rays.
 
 The key primitive is :func:`sign_on_ray`: it classifies the sign of a
 rational function at *every* integer on a half-line ``n <= a`` or ``n >= a``.
-The classification is exact and finite: outside a Cauchy root-free bound the
-sign equals the asymptotic sign from the leading coefficients, and the
-remaining segment is short enough to evaluate exhaustively in exact
-arithmetic.
+The classification is exact and finite: :func:`ray_root_free_cutoff` finds a
+cutoff M by a doubling search, certifying at each candidate with Descartes'
+rule of signs that no real root lies beyond M toward the ray's direction.
+Beyond M the sign equals the asymptotic sign from the leading coefficients,
+and the remaining segment is evaluated exhaustively in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ class Polynomial:
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
         return Polynomial.of(c)
-
-    @staticmethod
-    def variable() -> "Polynomial":
-        """The polynomial p(n) = n."""
-        return Polynomial.of(0, 1)
 
     @property
     def degree(self) -> int:
@@ -202,26 +198,6 @@ def _no_roots_beyond(p: Polynomial, m: int, direction: int) -> bool:
     return not (has_positive and has_negative)
 
 
-def ray_root_free_cutoff(p: Polynomial, direction: int, start: int = 32) -> int:
-    """A certified M with no real roots of p beyond M in one direction.
-
-    The Cauchy bound can be enormous when a derived polynomial's leading
-    coefficient is accidentally tiny, so this searches upward by doubling
-    with an exact Descartes certificate at each candidate. The Cauchy bound
-    itself always certifies (all derivatives keep their asymptotic sign
-    beyond it, by Gauss-Lucas), so the search terminates there at worst.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has roots everywhere")
-    cauchy = integer_root_free_bound(p)
-    m = min(start, cauchy)
-    while m < cauchy:
-        if _no_roots_beyond(p, m, direction):
-            return m
-        m *= 2
-    return cauchy
-
-
 @dataclass(frozen=True)
 class Ray:
     """All integers n <= bound ("le") or n >= bound ("ge")."""
@@ -241,9 +217,6 @@ class Ray:
     def direction(self) -> int:
         return -1 if self.kind == "le" else 1
 
-    def contains(self, n: int) -> bool:
-        return n <= self.bound if self.kind == "le" else n >= self.bound
-
     def segment_to(self, cutoff: int) -> range:
         """Integers of the ray between the endpoint and |n| <= cutoff."""
         if self.kind == "le":
@@ -259,6 +232,34 @@ class Ray:
         if self.kind == "le":
             return min(self.bound, -cutoff - 1)
         return max(self.bound, cutoff + 1)
+
+
+CUTOFF_SEARCH_START = 32
+
+
+def ray_root_free_cutoff(ray: Ray, *polys: Polynomial) -> int:
+    """A cutoff M >= |ray.bound| past every real root of every polynomial.
+
+    Each nonzero polynomial in ``polys`` has no real root x with
+    ray.direction * x > M, so beyond M it keeps its asymptotic sign and
+    ``ray.segment_to(M)`` is the finite rest of the ray; zero polynomials
+    are skipped. The Cauchy bound can be enormous when a derived
+    polynomial's leading coefficient is accidentally tiny, so each
+    polynomial's cutoff is searched upward by doubling, with an exact
+    Descartes certificate at each candidate. The Cauchy bound itself always
+    certifies (all derivatives keep their asymptotic sign beyond it, by
+    Gauss-Lucas), so the search stops there at worst.
+    """
+    cutoff = abs(ray.bound)
+    for p in polys:
+        if p.is_zero:
+            continue
+        cauchy = integer_root_free_bound(p)
+        m = min(CUTOFF_SEARCH_START, cauchy)
+        while m < cauchy and not _no_roots_beyond(p, m, ray.direction):
+            m *= 2
+        cutoff = max(cutoff, min(m, cauchy))
+    return cutoff
 
 
 class SignKind(Enum):
@@ -405,8 +406,7 @@ def limit_at_infinity(f: RationalFunction, direction: int) -> Limit:
 def _check_poles(f: RationalFunction, ray: Ray) -> None:
     if f.den.degree == 0:
         return
-    cutoff = max(ray_root_free_cutoff(f.den, ray.direction), abs(ray.bound))
-    for n in ray.segment_to(cutoff):
+    for n in ray.segment_to(ray_root_free_cutoff(ray, f.den)):
         if f.den(n) == 0:
             raise PoleOnRay(n)
 
@@ -414,20 +414,16 @@ def _check_poles(f: RationalFunction, ray: Ray) -> None:
 def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
     """Exact sign classification of {f(n) : n integer on the ray}.
 
-    Beyond the larger Cauchy bound of numerator and denominator the sign is
-    the asymptotic sign; the finitely many remaining integers are evaluated
-    exactly. Raises :class:`PoleOnRay` if the denominator vanishes at an
+    Beyond the certified root-free cutoff of numerator and denominator the
+    sign is the asymptotic sign; the finitely many remaining integers are
+    evaluated exactly. Raises :class:`PoleOnRay` if the denominator vanishes at an
     integer of the ray.
     """
     _check_poles(f, ray)
     if f.num.is_zero:
         return RaySign(SignKind.IDENTICALLY_ZERO)
 
-    cutoff = max(
-        ray_root_free_cutoff(f.num, ray.direction),
-        ray_root_free_cutoff(f.den, ray.direction),
-        abs(ray.bound),
-    )
+    cutoff = ray_root_free_cutoff(ray, f.num, f.den)
     zeros: list[int] = []
     pos: int | None = None
     neg: int | None = None
@@ -461,9 +457,10 @@ def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
 def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction | None:
     """Exact supremum of f over the integers of the ray (None = +infinity).
 
-    Uses the root-free bounds of f and of f' (the function is monotone once
-    past every critical point), so the supremum is either attained on the
-    finite evaluated segment or equals the limit at infinity.
+    Uses one certified root-free cutoff for the numerator and denominator
+    of f and the numerator of f' (the function is monotone once past every
+    critical point), so the supremum is either attained on the finite
+    evaluated segment or equals the limit at infinity.
     """
     _check_poles(f, ray)
     if f.num.is_zero:
@@ -472,15 +469,7 @@ def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction | None:
     if not lim.is_finite and lim.sign is not None and lim.sign > 0:
         return None
 
-    cutoff = max(
-        ray_root_free_cutoff(f.num, ray.direction),
-        ray_root_free_cutoff(f.den, ray.direction),
-        abs(ray.bound),
-    )
-    dnum = f.derivative_numerator()
-    if not dnum.is_zero:
-        cutoff = max(cutoff, ray_root_free_cutoff(dnum, ray.direction))
-
+    cutoff = ray_root_free_cutoff(ray, f.num, f.den, f.derivative_numerator())
     best: Fraction | None = None
     for n in ray.segment_to(cutoff):
         v = f(n)

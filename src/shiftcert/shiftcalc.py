@@ -19,10 +19,17 @@ from fractions import Fraction
 from .polycert import (
     Limit,
     RationalFunction,
+    Ray,
     limit_at_infinity,
     ray_root_free_cutoff,
 )
-from .weights import ConstantTail, RationalTail, WeightSpec, tail_constant_value
+from .weights import (
+    ConstantTail,
+    RationalTail,
+    WeightSpec,
+    left_ray,
+    tail_constant_value,
+)
 
 
 class NotHyponormalAtIndex(ValueError):
@@ -60,10 +67,6 @@ class CommutatorDiagonal:
         b = self.spec.value(n - 1)
         return a * a - b * b
 
-    @property
-    def seam_end(self) -> int:
-        return self.seam_start + len(self.seam_values) - 1
-
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
     def tail_form(tail) -> RationalFunction:
@@ -85,28 +88,6 @@ def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
         seam_start=first,
         seam_values=tuple(seams),
     )
-
-
-@dataclass(frozen=True)
-class PinvRootEntry:
-    """Diagonal entry of the M-P inverse of root(Q), kept under the root.
-
-    ``operand`` is d_n itself: the actual entry is d_n^(-1/2) when positive,
-    and 0 on the null space (M-P convention). Nothing downstream ever needs
-    the root to materialize.
-    """
-
-    kind: str  # "zero" | "reciprocal-root"
-    operand: Fraction | None = None
-
-
-def pinv_root_entry(q: CommutatorDiagonal, n: int) -> PinvRootEntry:
-    d = q.entry(n)
-    if d < 0:
-        raise NotHyponormalAtIndex(n, d)
-    if d == 0:
-        return PinvRootEntry("zero")
-    return PinvRootEntry("reciprocal-root", d)
 
 
 @dataclass(frozen=True)
@@ -163,9 +144,7 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
         # Walk down from the window until the left form is nonzero; the form
         # has finitely many zeros, all within its root-free cutoff.
         n = spec.window_start - 1
-        floor = -max(
-            ray_root_free_cutoff(diag.left_form.num, -1), abs(n)
-        ) - 1
+        floor = -ray_root_free_cutoff(left_ray(spec), diag.left_form.num) - 1
         while n >= floor:
             if diag.left_form(n) != 0:
                 return n
@@ -224,14 +203,10 @@ def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> RayBound:
     if not tw.left_limit_sq.is_finite:
         return RayBound(False, None)
 
-    cutoff = max(
-        ray_root_free_cutoff(form.num, -1),
-        ray_root_free_cutoff(form.den, -1),
+    cutoff = ray_root_free_cutoff(
+        Ray.le(tw.spec.window_start - 2), form.num, form.den, form.derivative_numerator()
     )
-    dnum = form.derivative_numerator()
-    if not dnum.is_zero:
-        cutoff = max(cutoff, ray_root_free_cutoff(dnum, -1))
-    start = min(-cutoff, upto, tw.spec.window_start - 2)
+    start = min(-cutoff, upto)
 
     best = tw.left_limit_sq.value
     assert best is not None
@@ -257,20 +232,14 @@ def sup_sq_global(tw: TransformedWeights) -> Fraction | None:
     spec = tw.spec
     lo = spec.window_start - 2
     hi = spec.window_end + 2
-    for form, direction in ((tw.left_form, -1), (tw.right_form, 1)):
+    for form, ray in ((tw.left_form, Ray.le(lo)), (tw.right_form, Ray.ge(hi))):
         if form is None:
             continue
-        cutoff = max(
-            ray_root_free_cutoff(form.num, direction),
-            ray_root_free_cutoff(form.den, direction),
-        )
-        dnum = form.derivative_numerator()
-        if not dnum.is_zero:
-            cutoff = max(cutoff, ray_root_free_cutoff(dnum, direction))
-        if direction < 0:
-            lo = min(lo, -cutoff)
+        cutoff = ray_root_free_cutoff(ray, form.num, form.den, form.derivative_numerator())
+        if ray.direction < 0:
+            lo = -cutoff
         else:
-            hi = max(hi, cutoff)
+            hi = cutoff
 
     best = Fraction(0)
     for n in range(lo, hi + 1):

@@ -186,10 +186,14 @@ class TestClassifyStructure:
                     assert verdict.criterion == criterion, maker.__name__
 
     def test_never_undecided(self):
-        rng = random.Random(13)
-        for _ in range(80):
-            spec, _, _ = random_labelled_spec(rng)
-            assert classify(spec).klass != VerdictClass.UNDECIDED
+        # Undecided is not representable: the enum holds the four verdicts only.
+        assert "UNDECIDED" not in VerdictClass.__members__
+        assert {k.value for k in VerdictClass} == {
+            "not-hyponormal",
+            "normal",
+            "near-subnormal",
+            "hyponormal-not-near-subnormal",
+        }
 
     def test_exactly_one_class(self):
         rng = random.Random(17)
@@ -278,6 +282,14 @@ class TestReplay:
         result = replay(tampered, ex1)
         assert not result.consistent
         assert str(target) in result.detail
+
+    def test_dropped_point_detected(self, ex1):
+        cert = classify(ex1).certificate
+        dropped = cert.replay_points[3]
+        points = cert.replay_points[:3] + cert.replay_points[4:]
+        result = replay(dataclasses.replace(cert, replay_points=points), ex1)
+        assert not result.consistent
+        assert f"{dropped.kind} at n = {dropped.index}" in result.detail
 
     def test_random_replay(self):
         rng = random.Random(3)

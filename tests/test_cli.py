@@ -165,6 +165,13 @@ class TestOracleCommand:
     def test_min_dim_enforced(self, fixture_dir):
         assert run_cli("oracle", str(fixture_dir / "ex1.json"), "--max-dim", "3").code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0"])
+    def test_bad_tol_rejected(self, fixture_dir, tol):
+        result = run_cli("oracle", str(fixture_dir / "ex1.json"), f"--tol={tol}")
+        assert result.code == 2
+        assert "--tol must be a finite positive number" in result.err
+        assert result.out == ""
+
     def test_bad_sweep_rejected(self, fixture_dir):
         result = run_cli(
             "oracle", str(fixture_dir / "ex1.json"), "--sweep", "40,10"

@@ -1,0 +1,127 @@
+"""Golden reports: ``classify --format json`` output pinned byte for byte.
+
+``tests/data/golden`` holds spec files for the four built-in fixtures, four
+hand-built specs for paths the random recipes miss, and twenty seeded specs
+from ``conftest.random_labelled_spec``, each next to the report the CLI
+printed for it. The CLI runs from that directory, so the
+report's ``source.path`` is the bare file name and the bytes do not depend
+on where the checkout lives.
+
+Regenerate, only when a report change is intended, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from shiftcert import ConstantTail, RationalFunction, RationalTail, WeightSpec
+from shiftcert.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+GOLDEN_SEED = 20260
+GOLDEN_RANDOM_SPECS = 20
+
+
+def hand_specs() -> dict[str, tuple[WeightSpec, str]]:
+    half, quarter, eighth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
+    return {
+        "lefttie": (
+            WeightSpec(
+                -4,
+                (Fraction(3),),
+                RationalTail(RationalFunction.of([Fraction(-30, 11), -1, 2], [0, 0, 1])),
+                ConstantTail(Fraction(3)),
+            ),
+            "equal pair (-6, -5) inside the left tail",
+        ),
+        "righttie": (
+            WeightSpec(
+                4,
+                (half,),
+                RationalTail(RationalFunction.of([-4 * quarter - eighth, quarter], [-4, 1])),
+                RationalTail(RationalFunction.of([30, -11, 2], [0, 0, 1])),
+            ),
+            "equal pair (5, 6) inside the right tail",
+        ),
+        "leftdrop": (
+            WeightSpec(
+                0,
+                (Fraction(10),),
+                RationalTail(RationalFunction.of([-1, 2], [-1, 1])),
+                ConstantTail(Fraction(10)),
+            ),
+            "moduli decrease inside the left tail",
+        ),
+        "flatstep": (
+            WeightSpec(
+                0,
+                (Fraction(2), Fraction(2), Fraction(2), Fraction(3)),
+                RationalTail(RationalFunction.of([2, -1], [1, -1])),
+                ConstantTail(Fraction(3)),
+            ),
+            "flat run followed by a rise, no isolated flat pair",
+        ),
+    }
+
+
+def _classify_json(spec_name: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", spec_name, "--format", "json"])
+    return code, out.getvalue()
+
+
+def _golden_names() -> list[str]:
+    return sorted(p.name[: -len(".spec.json")] for p in GOLDEN_DIR.glob("*.spec.json"))
+
+
+def test_golden_set_is_complete():
+    names = _golden_names()
+    assert len(names) == 4 + len(hand_specs()) + GOLDEN_RANDOM_SPECS
+    for name in names:
+        assert (GOLDEN_DIR / f"{name}.report.json").is_file(), name
+
+
+@pytest.mark.parametrize("name", _golden_names())
+def test_report_bytes_match(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    code, out = _classify_json(f"{name}.spec.json")
+    assert code == 0
+    expected = (GOLDEN_DIR / f"{name}.report.json").read_text(encoding="utf-8")
+    assert out == expected
+
+
+def regenerate() -> None:
+    from conftest import random_labelled_spec
+
+    from shiftcert.fixtures import FIXTURES
+    from shiftcert.specfile import dump_spec
+
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for stale in GOLDEN_DIR.glob("*.json"):
+        stale.unlink()
+    specs = {key: (builder(), note) for key, (builder, note) in FIXTURES.items()}
+    specs.update(hand_specs())
+    rng = random.Random(GOLDEN_SEED)
+    for i in range(GOLDEN_RANDOM_SPECS):
+        spec, klass, _ = random_labelled_spec(rng)
+        specs[f"random{i:02d}"] = (spec, f"seeded {klass.value} recipe")
+    os.chdir(GOLDEN_DIR)
+    for name, (spec, note) in specs.items():
+        dump_spec(spec, f"{name}.spec.json", name=name, notes=note)
+        code, out = _classify_json(f"{name}.spec.json")
+        assert code == 0, name
+        Path(f"{name}.report.json").write_text(out, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

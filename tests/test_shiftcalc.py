@@ -11,7 +11,6 @@ from shiftcert import (
     NotHyponormalAtIndex,
     bounded_on_left_ray,
     commutator_diagonal,
-    pinv_root_entry,
     transformed_weights,
 )
 from shiftcert.fixtures import two_level
@@ -51,28 +50,6 @@ class TestCommutatorDiagonal:
         a, b = -7, 9
         total = sum(diag.entry(n) for n in range(a + 1, b + 1))
         assert total == ex2.value(b) ** 2 - ex2.value(a) ** 2
-
-
-class TestPinvRootEntry:
-    def test_zero_rule(self):
-        entry = pinv_root_entry(commutator_diagonal(two_level()), 5)
-        assert entry.kind == "zero"
-        assert entry.operand is None
-
-    def test_positive_operand(self, ex1):
-        entry = pinv_root_entry(commutator_diagonal(ex1), -1)
-        assert entry.kind == "reciprocal-root"
-        assert entry.operand == Fraction(3, 4)
-
-    def test_negative_raises(self):
-        from shiftcert import ConstantTail, WeightSpec
-
-        spec = WeightSpec(
-            0, (Fraction(2), Fraction(1)), ConstantTail(Fraction(2)), ConstantTail(Fraction(1))
-        )
-        with pytest.raises(NotHyponormalAtIndex) as excinfo:
-            pinv_root_entry(commutator_diagonal(spec), 1)
-        assert excinfo.value.index == 1
 
 
 class TestTransformedWeights:
