@@ -2,8 +2,8 @@
 
 Exact rational certificates decide whether a shift with finitely-described
 weight moduli is hyponormal, normal, near subnormal, or hyponormal but not
-near subnormal; an independent dense-matrix oracle cross-checks every
-verdict on finite truncations.
+near subnormal; an independent matrix oracle cross-checks every verdict
+on finite truncations.
 """
 
 from .classifier import (

@@ -1,12 +1,17 @@
 """Independent floating-point verification on finite truncations.
 
-The oracle builds the dense (2N+1)x(2N+1) compression of the shift, forms
-the self-commutator by explicit dense products (never from the diagonal
-formula -- the point is independence from the symbolic engine), takes the
-thresholded PSD root and Moore-Penrose root-inverse, and probes the two
-halves of the near-subnormality criterion empirically: invariance of the
-numerical null space, and boundedness of the conjugated operator across
-growing truncations.
+The oracle builds the (2N+1)x(2N+1) compression of the shift, forms the
+self-commutator by explicit sparse products of that matrix (never from the
+diagonal formula -- the point is independence from the symbolic engine),
+takes the thresholded PSD root and Moore-Penrose root-inverse, and probes
+the two halves of the near-subnormality criterion empirically: invariance
+of the numerical null space, and boundedness of the conjugated operator
+across growing truncations.
+
+Every public function takes and returns dense 2-D arrays. The products run
+on ``scipy.sparse`` forms, read off the one occupied diagonal where a
+nonzero count shows there is only one, so a truncation of dimension D
+costs a few O(D^2) passes over memory instead of O(D^3) arithmetic.
 
 Interior means |n| <= N - 2 throughout: the first and last basis vectors
 lose a neighbour to the truncation, so edge rows of the commutator are
@@ -78,6 +83,30 @@ class Truncation:
         return range(-self.half_width + 2, self.half_width - 1)
 
 
+def _diagonal_csr(band: np.ndarray, offset: int, dim: int) -> csr_matrix:
+    """The dim x dim matrix whose diagonal at ``offset`` is ``band``, in CSR
+    form holding only the nonzero entries."""
+    k = np.flatnonzero(band)
+    rows = k + max(-offset, 0)
+    cols = k + max(offset, 0)
+    return csr_matrix((band[k], (rows, cols)), shape=(dim, dim))
+
+
+def _as_sparse(m: np.ndarray, offset: int = 0) -> csr_matrix:
+    """CSR form of dense m. When a nonzero count shows that every nonzero
+    lies on the diagonal at ``offset``, it is read off that diagonal
+    instead of by csr_matrix's slower scan of all entries."""
+    band = np.diagonal(m, offset)
+    if np.count_nonzero(m) == np.count_nonzero(band):
+        return _diagonal_csr(band, offset, m.shape[0])
+    return csr_matrix(m)
+
+
+def _sparse_shift(t: Truncation) -> csr_matrix:
+    """T in CSR form, read off its subdiagonal without scanning the matrix."""
+    return _diagonal_csr(np.diagonal(t.matrix, -1), -1, t.dim)
+
+
 def build_truncation(source: WeightSource, half_width: int, tol: float) -> Truncation:
     if half_width < 2:
         raise ValueError("half width must be at least 2")
@@ -90,9 +119,9 @@ def build_truncation(source: WeightSource, half_width: int, tol: float) -> Trunc
 
 
 def commutator(t: Truncation) -> np.ndarray:
-    """Q = T*T - TT* by explicit dense products."""
-    tm = t.matrix
-    return tm.T @ tm - tm @ tm.T
+    """Q = T*T - TT* by explicit sparse products."""
+    tm = _sparse_shift(t)
+    return (tm.T @ tm - tm @ tm.T).toarray()
 
 
 def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
@@ -113,19 +142,16 @@ def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
 def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply f to the spectrum of symmetric PSD q, thresholding at tol.
 
-    Uses an entrywise fast path when q is exactly diagonal (true for every
-    shift commutator: the dense products of a subdiagonal matrix are
-    diagonal); falls back to a full eigendecomposition otherwise, so the
-    contract covers general symmetric PSD input.
+    Uses an entrywise fast path when a nonzero count shows q is exactly
+    diagonal (true for every shift commutator: the products of a
+    subdiagonal matrix are diagonal); falls back to a full
+    eigendecomposition otherwise, so the contract covers general symmetric
+    PSD input.
     """
     if q.shape[0] != q.shape[1]:
         raise ValueError("matrix must be square")
-    scale = float(np.abs(q).max(initial=1.0))
-    if not np.allclose(q, q.T, atol=max(tol, 1e-12 * scale), rtol=0.0):
-        raise ValueError("matrix must be symmetric")
-    off = q - np.diag(np.diagonal(q))
-    if not off.any():
-        d = np.diagonal(q).copy()
+    d = np.diagonal(q)
+    if np.count_nonzero(q) == np.count_nonzero(d):
         if d.min(initial=0.0) < -tol:
             raise NotPSDError(
                 f"diagonal entry {d.min():g} below -tol at index {int(d.argmin())}"
@@ -134,6 +160,9 @@ def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndar
         keep = d > tol
         out[keep] = f(d[keep])
         return np.diag(out)
+    scale = float(np.abs(q).max(initial=1.0))
+    if not np.allclose(q, q.T, atol=max(tol, 1e-12 * scale), rtol=0.0):
+        raise ValueError("matrix must be symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (q + q.T))
     if vals.min(initial=0.0) < -tol:
         raise NotPSDError(f"eigenvalue {vals.min():g} below -tol")
@@ -159,7 +188,9 @@ def transformed_shift(t: Truncation, q: np.ndarray, tol: float) -> np.ndarray:
     reproduce the transformed weights (root-inverse acts on the source side,
     matching the weight law b_n * sqrt(d_{n+1} / d_n))."""
     masked = mask_truncation_edge(t, q)
-    return psd_root(masked, tol) @ t.matrix @ pinv_root(masked, tol)
+    root = _as_sparse(psd_root(masked, tol))
+    inverse = _as_sparse(pinv_root(masked, tol))
+    return (root @ _sparse_shift(t) @ inverse).toarray()
 
 
 def invariance_violations(
@@ -168,19 +199,17 @@ def invariance_violations(
     """Null-space invariance probe.
 
     For every interior basis index n with |Q[n][n]| <= tol (numerically in
-    the null space), measure ||Q (T e_n)||; magnitudes above sqrt(tol) are
-    violations: the shift maps a null vector out of the null space.
+    the null space), measure ||Q (T e_n)||, the norm of column n of the
+    sparse product Q T; magnitudes above sqrt(tol) are violations: the
+    shift maps a null vector out of the null space.
     """
-    out: list[tuple[int, float]] = []
-    threshold = math.sqrt(tol)
-    for n in t.interior():
-        i = t.row_of(n)
-        if abs(q[i, i]) <= tol:
-            image = q @ t.matrix[:, i]
-            magnitude = float(np.linalg.norm(image))
-            if magnitude > threshold:
-                out.append((n, magnitude))
-    return out
+    image = (_as_sparse(q) @ _sparse_shift(t)).tocoo()
+    column_sq = np.bincount(image.col, weights=image.data * image.data, minlength=t.dim)
+    norms = np.sqrt(column_sq)
+    rows = np.arange(t.row_of(t.interior().start), t.row_of(t.interior().stop))
+    null = np.abs(np.diagonal(q)[rows]) <= tol
+    hits = rows[null & (norms[rows] > math.sqrt(tol))]
+    return list(zip((hits - t.half_width).tolist(), norms[hits].tolist()))
 
 
 def largest_singular_value(
@@ -200,7 +229,7 @@ def largest_singular_value(
     1/iterations, so the iteration cap bounds the residual error well
     below the tolerances any caller asserts.
     """
-    a = csr_matrix(s)
+    a = _as_sparse(s, -1)
     gram = (a.T @ a).tocsr()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(s.shape[1])
@@ -279,7 +308,7 @@ def truncation_report(
 ) -> TruncationReport:
     """Cross-validate the symbolic engine on one truncation.
 
-    Residuals compare the dense-product commutator and conjugated shift
+    Residuals compare the sparse-product commutator and conjugated shift
     against the exact diagonal and transformed weights; the comparison is
     the only place symbolic values enter (how Q and S are formed is not).
     """
@@ -295,42 +324,40 @@ def truncation_report(
         _needed_interior(verdict.certificate), window_span + 2
     )
 
-    q_diag_residual = 0.0
-    q_diag_max = 0.0
-    for n in t.interior():
-        i = t.row_of(n)
-        q_diag_max = max(q_diag_max, abs(float(q[i, i])))
-        q_diag_residual = max(
-            q_diag_residual, abs(float(q[i, i]) - float(diag.entry(n)))
-        )
-    off = q - np.diag(np.diagonal(q))
-    lo = t.row_of(t.interior().start)
-    hi = t.row_of(t.interior().stop - 1)
-    q_offdiag_residual = float(np.abs(off[lo : hi + 1, lo : hi + 1]).max(initial=0.0))
-
+    interior = t.interior()
+    lo, hi = t.row_of(interior.start), t.row_of(interior.stop - 1)
+    q_interior = np.diagonal(q)[lo : hi + 1].tolist()
     gamma_residual: float | None = None
     flat_zero_max: float | None = None
     psd_failure_index: int | None = None
     try:
         s = transformed_shift(t, q, tol)
     except NotPSDError:
-        interior_diag = [(float(q[t.row_of(n), t.row_of(n)]), n) for n in t.interior()]
-        worst, where = min(interior_diag)
+        worst, where = min(zip(q_interior, interior))
         psd_failure_index = where if worst < -tol else None
         s = None
-    if s is not None:
+        exact_diag = diag.entries(interior.start, interior.stop)
+    else:
+        # One exact evaluation per index gives g_n^2 for every interior n
+        # with n + 1 interior, and d_n for every interior n.
+        exact_gamma_sq, exact_diag = tw.values_sq(interior.start, interior.stop - 1)
         gamma_residual = 0.0
-        for n in t.interior():
-            if n + 1 > t.interior().stop - 1:
-                continue
-            entry = float(s[t.row_of(n + 1), t.row_of(n)])
-            g_sq = tw.value_sq(n)
+        entries = np.diagonal(s, -1)[lo:hi].tolist()  # s[n+1, n]
+        for n, entry, g_sq in zip(interior, entries, exact_gamma_sq):
             if g_sq is None:
                 continue
             gamma_residual = max(gamma_residual, abs(entry - math.sqrt(float(g_sq))))
             if tw.flat_from is not None and n >= tw.flat_from:
                 flat = abs(entry)
                 flat_zero_max = flat if flat_zero_max is None else max(flat_zero_max, flat)
+
+    q_diag_residual = 0.0
+    q_diag_max = 0.0
+    for q_n, d_n in zip(q_interior, exact_diag):
+        q_diag_max = max(q_diag_max, abs(q_n))
+        q_diag_residual = max(q_diag_residual, abs(q_n - float(d_n)))
+    block = _as_sparse(q[lo : hi + 1, lo : hi + 1]).tocoo()
+    q_offdiag_residual = float(np.abs(block.data[block.row != block.col]).max(initial=0.0))
 
     violations = tuple(invariance_violations(t, q, tol))
     # No transformed operator, no norm trace: the PSD failure already

@@ -41,6 +41,15 @@ class NotHyponormalAtIndex(ValueError):
         self.value = value
 
 
+def _moduli_sq(spec: WeightSpec, start: int, stop: int) -> list[Fraction]:
+    """|beta_n|^2 for start <= n < stop, one exact evaluation per index."""
+    return [v * v for v in map(spec.value, range(start, stop))]
+
+
+def _differences(squares: list[Fraction]) -> list[Fraction]:
+    return [a - b for b, a in zip(squares, squares[1:])]
+
+
 def _squared_difference_form(fn: RationalFunction) -> RationalFunction:
     """f(n)^2 - f(n-1)^2 as a rational function."""
     return fn * fn - fn.shift(-1) * fn.shift(-1)
@@ -66,6 +75,10 @@ class CommutatorDiagonal:
         a = self.spec.value(n)
         b = self.spec.value(n - 1)
         return a * a - b * b
+
+    def entries(self, start: int, stop: int) -> list[Fraction]:
+        """``entry(n)`` for start <= n < stop, each modulus evaluated once."""
+        return _differences(_moduli_sq(self.spec, start - 1, stop))
 
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
@@ -114,17 +127,30 @@ class TransformedWeights:
     flat_from: int | None
 
     def value_sq(self, n: int) -> Fraction | None:
-        d = self.diag.entry(n)
-        d_next = self.diag.entry(n + 1)
-        if d < 0 or d_next < 0:
-            idx = n if d < 0 else n + 1
-            raise NotHyponormalAtIndex(idx, min(d, d_next))
-        if d > 0:
-            b = self.spec.value(n)
-            return b * b * d_next / d
-        if d_next == 0:
-            return Fraction(0)
-        return None
+        return self.values_sq(n, n + 1)[0][0]
+
+    def values_sq(
+        self, start: int, stop: int
+    ) -> tuple[list[Fraction | None], list[Fraction]]:
+        """``value_sq(n)`` for start <= n < stop, raising at the first index
+        where it would raise, plus the diagonal entries d_n for
+        start <= n <= stop they were computed from. Each exact modulus is
+        evaluated once."""
+        squares = _moduli_sq(self.spec, start - 1, stop + 1)
+        diag = _differences(squares)
+        out: list[Fraction | None] = []
+        for k, n in enumerate(range(start, stop)):
+            d, d_next = diag[k], diag[k + 1]
+            if d < 0 or d_next < 0:
+                idx = n if d < 0 else n + 1
+                raise NotHyponormalAtIndex(idx, min(d, d_next))
+            if d > 0:
+                out.append(squares[k + 1] * d_next / d)
+            elif d_next == 0:
+                out.append(Fraction(0))
+            else:
+                out.append(None)
+        return out, diag
 
 
 def _gamma_form(beta: RationalFunction, d_form: RationalFunction) -> RationalFunction:

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from shiftcert.cli import main
+from shiftcert.cli import MAX_DIM, main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 
@@ -133,6 +133,10 @@ class TestClassifyCommand:
         assert re_emitted == result.out
 
 
+def _no_truncation(*args, **kwargs):
+    raise AssertionError("an over-ceiling dimension reached the oracle")
+
+
 class TestOracleCommand:
     def test_agreement_and_schema(self, fixture_dir, schema):
         result = run_cli(
@@ -170,6 +174,30 @@ class TestOracleCommand:
         result = run_cli("oracle", str(fixture_dir / "ex1.json"), f"--tol={tol}")
         assert result.code == 2
         assert "--tol must be a finite positive number" in result.err
+        assert result.out == ""
+
+    def test_max_dim_ceiling(self, fixture_dir, monkeypatch):
+        import shiftcert.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "truncation_report", _no_truncation)
+        result = run_cli(
+            "oracle", str(fixture_dir / "ex1.json"), "--max-dim", str(MAX_DIM + 1)
+        )
+        assert result.code == 2
+        assert f"--max-dim must be at most {MAX_DIM}" in result.err
+        assert result.out == ""
+
+    def test_sweep_ceiling(self, fixture_dir, monkeypatch):
+        import shiftcert.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "truncation_report", _no_truncation)
+        half_width = (MAX_DIM + 1) // 2  # the first width past the ceiling
+        assert 2 * half_width + 1 > MAX_DIM >= 2 * (half_width - 1) + 1
+        result = run_cli(
+            "oracle", str(fixture_dir / "ex1.json"), "--sweep", f"8,{half_width}"
+        )
+        assert result.code == 2
+        assert f"above the ceiling {MAX_DIM}" in result.err
         assert result.out == ""
 
     def test_bad_sweep_rejected(self, fixture_dir):

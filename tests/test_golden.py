@@ -1,11 +1,14 @@
-"""Golden reports: ``classify --format json`` output pinned byte for byte.
+"""Golden reports: ``classify`` and ``oracle --format json`` output pinned
+byte for byte.
 
 ``tests/data/golden`` holds spec files for the four built-in fixtures, four
 hand-built specs for paths the random recipes miss, and twenty seeded specs
 from ``conftest.random_labelled_spec``, each next to the report the CLI
-printed for it. The CLI runs from that directory, so the
-report's ``source.path`` is the bare file name and the bytes do not depend
-on where the checkout lives.
+printed for it (``NAME.report.json``). The fixtures and six of the seeded
+specs also carry oracle reports: ``NAME.oracle.json`` at ``--max-dim 401``,
+and for the fixtures ``NAME.sweep.json`` at ``--max-dim 61 --sweep 8,16``.
+The CLI runs from that directory, so the report's ``source.path`` is the
+bare file name and the bytes do not depend on where the checkout lives.
 
 Regenerate, only when a report change is intended, with
 
@@ -29,6 +32,24 @@ from shiftcert.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 GOLDEN_SEED = 20260
 GOLDEN_RANDOM_SPECS = 20
+FIXTURE_NAMES = ("ex1", "ex2", "ex3", "flatpair")
+# Two of each hyponormal class plus one not hyponormal (the PSD-failure path)
+# and one normal spec.
+ORACLE_SPECS = FIXTURE_NAMES + (
+    "random00",
+    "random01",
+    "random06",
+    "random07",
+    "random11",
+    "random15",
+)
+ORACLE_CASES: dict[str, tuple[str, ...]] = {
+    **{f"{name}.oracle": (name, "--max-dim", "401") for name in ORACLE_SPECS},
+    **{
+        f"{name}.sweep": (name, "--max-dim", "61", "--sweep", "8,16")
+        for name in FIXTURE_NAMES
+    },
+}
 
 
 def hand_specs() -> dict[str, tuple[WeightSpec, str]]:
@@ -73,11 +94,20 @@ def hand_specs() -> dict[str, tuple[WeightSpec, str]]:
     }
 
 
-def _classify_json(spec_name: str) -> tuple[int, str]:
+def _cli_json(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["classify", spec_name, "--format", "json"])
+        code = main([*argv, "--format", "json"])
     return code, out.getvalue()
+
+
+def _classify_json(spec_name: str) -> tuple[int, str]:
+    return _cli_json("classify", spec_name)
+
+
+def _oracle_json(case: str) -> tuple[int, str]:
+    name, *args = ORACLE_CASES[case]
+    return _cli_json("oracle", f"{name}.spec.json", *args)
 
 
 def _golden_names() -> list[str]:
@@ -89,6 +119,8 @@ def test_golden_set_is_complete():
     assert len(names) == 4 + len(hand_specs()) + GOLDEN_RANDOM_SPECS
     for name in names:
         assert (GOLDEN_DIR / f"{name}.report.json").is_file(), name
+    for case in ORACLE_CASES:
+        assert (GOLDEN_DIR / f"{case}.json").is_file(), case
 
 
 @pytest.mark.parametrize("name", _golden_names())
@@ -97,6 +129,15 @@ def test_report_bytes_match(name, monkeypatch):
     code, out = _classify_json(f"{name}.spec.json")
     assert code == 0
     expected = (GOLDEN_DIR / f"{name}.report.json").read_text(encoding="utf-8")
+    assert out == expected
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_oracle_report_bytes_match(case, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    code, out = _oracle_json(case)
+    assert code == 0
+    expected = (GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8")
     assert out == expected
 
 
@@ -121,6 +162,10 @@ def regenerate() -> None:
         code, out = _classify_json(f"{name}.spec.json")
         assert code == 0, name
         Path(f"{name}.report.json").write_text(out, encoding="utf-8")
+    for case in ORACLE_CASES:
+        code, out = _oracle_json(case)
+        assert code == 0, case
+        Path(f"{case}.json").write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -184,6 +184,28 @@ class TestInvariance:
         assert [n for n, _ in violations] == [0]
         assert violations[0][1] == pytest.approx(3.0, rel=1e-9)
 
+    def test_matches_dense_column_probe(self, ex3, fixture_specs):
+        """The sparse Q T product gives the (index, magnitude) list a dense
+        matvec per null index gives, to the last bit."""
+        rng = random.Random(31)
+        specs = [ex3, fixture_specs["flatpair"]]
+        specs += [random_labelled_spec(rng)[0] for _ in range(10)]
+        found = 0
+        for spec in specs:
+            tol = default_tolerance(spec)
+            t = build_truncation(spec, 30, tol)
+            q = commutator(t)
+            expected = []
+            for n in t.interior():
+                i = t.row_of(n)
+                if abs(q[i, i]) <= tol:
+                    magnitude = float(np.linalg.norm(q @ t.matrix[:, i]))
+                    if magnitude > math.sqrt(tol):
+                        expected.append((n, magnitude))
+            assert invariance_violations(t, q, tol) == expected
+            found += len(expected)
+        assert found >= 3
+
     def test_near_subnormal_clean(self, ex1, ex2):
         for spec in (ex1, ex2):
             tol = default_tolerance(spec)

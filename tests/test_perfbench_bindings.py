@@ -4,20 +4,34 @@
 replaces during a traced run. A refactor that drops one of those imports
 would make ``--trace 1`` fail at start-up, so every listed name must still
 resolve in its caller, to the object its defining module exports.
+
+The tracer and the benchmark's norm check also read the oracle's results as
+dense 2-D arrays (``Truncation.matrix.nbytes``, ``.shape``, ``.nbytes``,
+``np.diagonal``, ``np.count_nonzero``), so one traced oracle call must
+still count its truncations and yield an exact norm to compare against.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from shiftcert.cli import main
+from shiftcert.fixtures import example_one
+from shiftcert.specfile import dump_spec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name: str):
+    """Load perfbench/<name>.py by path, without putting perfbench on sys.path."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve their module by name
     try:
@@ -28,7 +42,7 @@ def _load_spans():
 
 
 def test_every_binding_resolves_in_its_caller():
-    bindings = _load_spans().BINDINGS
+    bindings = _load("spans").BINDINGS
     assert bindings
     for caller, names in bindings.items():
         module = importlib.import_module(f"shiftcert.{caller}")
@@ -37,3 +51,18 @@ def test_every_binding_resolves_in_its_caller():
             assert hasattr(module, attr), f"shiftcert.{caller} no longer binds {attr}"
             source = importlib.import_module(f"shiftcert.{defining}")
             assert getattr(module, attr) is getattr(source, attr), qualified
+
+
+def test_traced_oracle_call_keeps_the_dense_result_contract(tmp_path):
+    tracer = _load("spans").Tracer()
+    path = tmp_path / "ex1.json"
+    dump_spec(example_one(), path)
+    out = io.StringIO()
+    argv = ["oracle", str(path), "--max-dim", "61", "--sweep", "8,16", "--format", "json"]
+    with tracer.active(), contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    assert tracer.counters.truncations_built == 3  # the report's plus one per width
+    err = _load("run").norm_rel_err(path, json.loads(out.getvalue())["oracle"])
+    assert isinstance(err, float)
+    assert err < 1e-6
