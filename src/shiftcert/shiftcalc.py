@@ -72,9 +72,7 @@ class CommutatorDiagonal:
 
     def entry(self, n: int) -> Fraction:
         """d_n = |beta_n|^2 - |beta_{n-1}|^2, exactly."""
-        a = self.spec.value(n)
-        b = self.spec.value(n - 1)
-        return a * a - b * b
+        return self.entries(n, n + 1)[0]
 
     def entries(self, start: int, stop: int) -> list[Fraction]:
         """``entry(n)`` for start <= n < stop, each modulus evaluated once."""
@@ -88,12 +86,7 @@ def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
         return _squared_difference_form(tail.fn)
 
     first = spec.window_start
-    last = spec.window_end + 1
-    seams = []
-    for n in range(first, last + 1):
-        a = spec.value(n)
-        b = spec.value(n - 1)
-        seams.append(a * a - b * b)
+    seams = _differences(_moduli_sq(spec, first - 1, spec.window_end + 2))
     return CommutatorDiagonal(
         spec=spec,
         left_form=tail_form(spec.left_tail),
