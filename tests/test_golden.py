@@ -33,8 +33,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 GOLDEN_SEED = 20260
 GOLDEN_RANDOM_SPECS = 20
 FIXTURE_NAMES = ("ex1", "ex2", "ex3", "flatpair")
-# Two of each hyponormal class plus one not hyponormal (the PSD-failure path)
-# and one normal spec.
+# Seeded specs beside the fixtures: hyponormal but not near subnormal (00,
+# 07), not hyponormal (01, the PSD-failure path), normal (06) and near
+# subnormal (11, 15).
 ORACLE_SPECS = FIXTURE_NAMES + (
     "random00",
     "random01",
