@@ -27,8 +27,8 @@ from .polycert import (
     Limit,
     RationalFunction,
     Ray,
+    RaySign,
     SignKind,
-    asymptotic_sign,
     ray_root_free_cutoff,
     sign_on_ray,
 )
@@ -163,18 +163,13 @@ def _witness_key(n: int) -> tuple[int, int]:
     return (abs(n), 0 if n < 0 else 1)
 
 
-def _tail_violation(form: RationalFunction, ray: Ray) -> int:
-    """Best (smallest-|n|) violating pair on a d-form's ray.
+def _tail_violation(sgn: RaySign) -> int:
+    """Best (smallest-|n|) violating pair among a d-form's negative values.
 
-    Only called once sign analysis found a negative value on the ray, so
-    there is at least one candidate.
+    Negative d_z is the violated pair z - 1. Only called once sign analysis
+    found a negative value on the ray, so there is at least one candidate.
     """
-    cutoff = ray_root_free_cutoff(ray, form.num, form.den)
-    candidates = [z - 1 for z in ray.segment_to(cutoff) if form(z) < 0]
-    d = ray.direction
-    if asymptotic_sign(form.num, d) * asymptotic_sign(form.den, d) < 0:
-        candidates.append(ray.beyond(cutoff) - 1)
-    return min(candidates, key=_witness_key)
+    return min((z - 1 for z in sgn.negatives), key=_witness_key)
 
 
 def _tail_structure(
@@ -195,7 +190,7 @@ def _tail_structure(
         return Shape.CONSTANT, spec.value(ray.bound), None, None
     if sgn.nonnegative:
         return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
-    return Shape.STRICT_INCREASE, None, (), _tail_violation(form, ray)
+    return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
 
 
 def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
@@ -281,8 +276,8 @@ def _replay_points(
     for n in beta_indices:
         v = spec.value(n)
         points.append(ReplayPoint("beta_sq", n, v * v))
-    for n in range(first, last + 2):
-        points.append(ReplayPoint("d", n, diag.entry(n)))
+    d_values = diag.entries(first, last + 2)
+    points += [ReplayPoint("d", n, d) for n, d in enumerate(d_values, start=first)]
     if tw is not None:
         gamma_indices = sorted(
             set([first - 2, first - 1, first, last + 1, last + 2] + extra_indices)

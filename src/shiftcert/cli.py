@@ -1,8 +1,11 @@
 """Command-line interface: classify, oracle cross-check, fixture export.
 
 Exit codes: 0 = classified (any class); 2 = parse or validation failure;
-3 = internal inconsistency (certificate replay failure or oracle
-disagreement) -- 3 must never occur on well-formed input.
+3 = certificate replay failure or oracle disagreement. A replay failure
+is an internal inconsistency and never occurs on well-formed input. The
+oracle can disagree on well-formed input when the exact engine finds a
+negative d_n that lies within the oracle's tol: the truncation cannot tell
+it from zero, so it sees no hyponormality failure.
 """
 
 from __future__ import annotations

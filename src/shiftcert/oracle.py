@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .classifier import Certificate, Verdict, VerdictClass
-from .shiftcalc import commutator_diagonal, transformed_weights
+from .shiftcalc import NotHyponormalAtIndex, commutator_diagonal, transformed_weights
 from .weights import WeightSpec, validate
 
 WeightRule = Callable[[int], float]
@@ -140,36 +140,25 @@ def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
 
 
 def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply f to the spectrum of symmetric PSD q, thresholding at tol.
+    """Apply f to the spectrum of diagonal PSD q, thresholding at tol.
 
-    Uses an entrywise fast path when a nonzero count shows q is exactly
-    diagonal (true for every shift commutator: the products of a
-    subdiagonal matrix are diagonal); falls back to a full
-    eigendecomposition otherwise, so the contract covers general symmetric
-    PSD input.
+    The commutator of a shift truncation is diagonal (the products of a
+    subdiagonal matrix are), and masking its edge keeps it so; any
+    off-diagonal nonzero is rejected.
     """
     if q.shape[0] != q.shape[1]:
         raise ValueError("matrix must be square")
     d = np.diagonal(q)
-    if np.count_nonzero(q) == np.count_nonzero(d):
-        if d.min(initial=0.0) < -tol:
-            raise NotPSDError(
-                f"diagonal entry {d.min():g} below -tol at index {int(d.argmin())}"
-            )
-        out = np.zeros_like(d)
-        keep = d > tol
-        out[keep] = f(d[keep])
-        return np.diag(out)
-    scale = float(np.abs(q).max(initial=1.0))
-    if not np.allclose(q, q.T, atol=max(tol, 1e-12 * scale), rtol=0.0):
-        raise ValueError("matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (q + q.T))
-    if vals.min(initial=0.0) < -tol:
-        raise NotPSDError(f"eigenvalue {vals.min():g} below -tol")
-    out = np.zeros_like(vals)
-    keep = vals > tol
-    out[keep] = f(vals[keep])
-    return (vecs * out) @ vecs.T
+    if np.count_nonzero(q) != np.count_nonzero(d):
+        raise ValueError("matrix must be diagonal")
+    if d.min(initial=0.0) < -tol:
+        raise NotPSDError(
+            f"diagonal entry {d.min():g} below -tol at index {int(d.argmin())}"
+        )
+    out = np.zeros_like(d)
+    keep = d > tol
+    out[keep] = f(d[keep])
+    return np.diag(out)
 
 
 def pinv_root(q: np.ndarray, tol: float) -> np.ndarray:
@@ -212,26 +201,27 @@ def invariance_violations(
     return list(zip((hits - t.half_width).tolist(), norms[hits].tolist()))
 
 
-def largest_singular_value(
-    s: np.ndarray,
-    rel_tol: float = 1e-9,
-    window: int = 200,
-    max_iter: int = 150_000,
-    seed: int = 7,
-) -> float:
+# Stopping rule and start vector of largest_singular_value's power iteration.
+NORM_REL_TOL = 1e-9
+NORM_WINDOW = 200
+NORM_MAX_ITER = 150_000
+NORM_SEED = 7
+
+
+def largest_singular_value(s: np.ndarray) -> float:
     """Largest singular value by power iteration on S^T S.
 
     The conjugated shift is effectively bidiagonal, so each step costs
     O(dim) after extracting the sparse structure (S^T S is assembled once
     as a sparse product). Iteration stops when the Rayleigh estimate
-    changes by less than rel_tol over a window of steps; spectra whose top
-    clusters (transformed weights approaching their limit) converge like
-    1/iterations, so the iteration cap bounds the residual error well
+    changes by less than NORM_REL_TOL over a window of steps; spectra whose
+    top clusters (transformed weights approaching their limit) converge
+    like 1/iterations, so the iteration cap bounds the residual error well
     below the tolerances any caller asserts.
     """
     a = _as_sparse(s, -1)
     gram = (a.T @ a).tocsr()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NORM_SEED)
     v = rng.standard_normal(s.shape[1])
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
@@ -239,15 +229,15 @@ def largest_singular_value(
     v /= norm
     estimate = 0.0
     reference = -1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NORM_MAX_ITER + 1):
         w = gram @ v
         norm = float(math.sqrt(w @ w))
         if norm == 0.0:
             return 0.0
         v = w / norm
         estimate = norm  # ||S^T S v|| -> top eigenvalue of S^T S
-        if it % window == 0:
-            if reference >= 0.0 and abs(estimate - reference) <= rel_tol * estimate:
+        if it % NORM_WINDOW == 0:
+            if reference >= 0.0 and abs(estimate - reference) <= NORM_REL_TOL * estimate:
                 break
             reference = estimate
     return math.sqrt(estimate)
@@ -332,15 +322,17 @@ def truncation_report(
     psd_failure_index: int | None = None
     try:
         s = transformed_shift(t, q, tol)
-    except NotPSDError:
+        # One exact evaluation per index gives g_n^2 for every interior n
+        # with n + 1 interior, and d_n for every interior n.
+        exact_gamma_sq, exact_diag = tw.values_sq(interior.start, interior.stop - 1)
+    except (NotPSDError, NotHyponormalAtIndex):
+        # Not hyponormal: numerically (Q has an entry below -tol) or only
+        # exactly (a negative d_n within tol), so no conjugated operator.
         worst, where = min(zip(q_interior, interior))
         psd_failure_index = where if worst < -tol else None
         s = None
         exact_diag = diag.entries(interior.start, interior.stop)
     else:
-        # One exact evaluation per index gives g_n^2 for every interior n
-        # with n + 1 interior, and d_n for every interior n.
-        exact_gamma_sq, exact_diag = tw.values_sq(interior.start, interior.stop - 1)
         gamma_residual = 0.0
         entries = np.diagonal(s, -1)[lo:hi].tolist()  # s[n+1, n]
         for n, entry, g_sq in zip(interior, entries, exact_gamma_sq):

@@ -1,13 +1,13 @@
 """Exact univariate polynomial and rational-function arithmetic over the
 rationals, with decidable sign and supremum analysis on integer rays.
 
-The key primitive is :func:`sign_on_ray`: it classifies the sign of a
-rational function at *every* integer on a half-line ``n <= a`` or ``n >= a``.
-The classification is exact and finite: :func:`ray_root_free_cutoff` finds a
-cutoff M by a doubling search, certifying at each candidate with Descartes'
-rule of signs that no real root lies beyond M toward the ray's direction.
-Beyond M the sign equals the asymptotic sign from the leading coefficients,
-and the remaining segment is evaluated exhaustively in exact arithmetic.
+:func:`sign_on_ray` and :func:`sup_on_ray` answer questions about a rational
+function at *every* integer of a half-line ``n <= a`` or ``n >= a`` as views
+of one walk: :func:`ray_root_free_cutoff` finds a cutoff M by a doubling
+search, certifying with Descartes' rule of signs that no real root lies
+beyond M toward the ray's direction, so beyond M every certified polynomial
+keeps its asymptotic sign; the walk then evaluates each integer of the
+finite rest of the ray once, exactly, ascending and denominator first.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
 
@@ -276,6 +276,8 @@ class RaySign:
     zeros: tuple[int, ...] = ()
     positive_witness: int | None = None
     negative_witness: int | None = None
+    # Each walked n with f(n) < 0, then the far witness if f < 0 beyond.
+    negatives: tuple[int, ...] = ()
 
     @property
     def nonnegative(self) -> bool:
@@ -374,8 +376,8 @@ class RationalFunction:
         return RationalFunction.ratio(self.num.scale(c), self.den)
 
     def shift(self, delta: int) -> "RationalFunction":
-        """Return g with g(n) = f(n + delta)."""
-        return RationalFunction.ratio(
+        """Return g with g(n) = f(n + delta), reduced and monic as f is."""
+        return RationalFunction(
             self.num.compose_shift(delta), self.den.compose_shift(delta)
         )
 
@@ -403,12 +405,24 @@ def limit_at_infinity(f: RationalFunction, direction: int) -> Limit:
     return Limit.infinite(sign)
 
 
-def _check_poles(f: RationalFunction, ray: Ray) -> None:
-    if f.den.degree == 0:
-        return
-    for n in ray.segment_to(ray_root_free_cutoff(ray, f.den)):
-        if f.den(n) == 0:
-            raise PoleOnRay(n)
+def _walk(f: RationalFunction, ray: Ray, *polys: Polynomial) -> tuple[int, Iterator[tuple[int, Fraction]]]:
+    """The cutoff certified for f's numerator, denominator and ``polys``,
+    and an iterator over (n, f(n)) for each integer n of the ray's segment
+    up to it.
+
+    The segment holds every integer pole on the ray, and the walk ascends,
+    so :class:`PoleOnRay` is raised at the lowest.
+    """
+    cutoff = ray_root_free_cutoff(ray, f.num, f.den, *polys)
+
+    def values() -> Iterator[tuple[int, Fraction]]:
+        for n in ray.segment_to(cutoff):
+            d = f.den(n)
+            if d == 0:
+                raise PoleOnRay(n)
+            yield n, f.num(n) / d
+
+    return cutoff, values()
 
 
 def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
@@ -419,66 +433,58 @@ def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
     evaluated exactly. Raises :class:`PoleOnRay` if the denominator vanishes at an
     integer of the ray.
     """
-    _check_poles(f, ray)
     if f.num.is_zero:
         return RaySign(SignKind.IDENTICALLY_ZERO)
 
-    cutoff = ray_root_free_cutoff(ray, f.num, f.den)
+    cutoff, values = _walk(f, ray)
     zeros: list[int] = []
+    negatives: list[int] = []
     pos: int | None = None
-    neg: int | None = None
-    for n in ray.segment_to(cutoff):
-        v = f(n)
+    for n, v in values:
         if v == 0:
             zeros.append(n)
         elif v > 0:
             pos = pos if pos is not None else n
         else:
-            neg = neg if neg is not None else n
+            negatives.append(n)
     tail_sign = asymptotic_sign(f.num, ray.direction) * asymptotic_sign(
         f.den, ray.direction
     )
     far = ray.beyond(cutoff)
     if tail_sign > 0 and pos is None:
         pos = far
-    elif tail_sign < 0 and neg is None:
-        neg = far
+    elif tail_sign < 0:
+        negatives.append(far)
+    neg = negatives[0] if negatives else None
 
-    zeros.sort()
     if pos is not None and neg is not None:
-        return RaySign(SignKind.MIXED, tuple(zeros), pos, neg)
+        return RaySign(SignKind.MIXED, tuple(zeros), pos, neg, tuple(negatives))
     if zeros:
-        return RaySign(SignKind.HAS_ZEROS, tuple(zeros), pos, neg)
+        return RaySign(SignKind.HAS_ZEROS, tuple(zeros), pos, neg, tuple(negatives))
     if pos is not None:
         return RaySign(SignKind.STRICTLY_POSITIVE, (), pos, None)
-    return RaySign(SignKind.STRICTLY_NEGATIVE, (), None, neg)
+    return RaySign(SignKind.STRICTLY_NEGATIVE, (), None, neg, tuple(negatives))
 
 
 def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction | None:
     """Exact supremum of f over the integers of the ray (None = +infinity).
 
-    Uses one certified root-free cutoff for the numerator and denominator
-    of f and the numerator of f' (the function is monotone once past every
-    critical point), so the supremum is either attained on the finite
-    evaluated segment or equals the limit at infinity.
+    Walks up to one certified root-free cutoff for the numerator and
+    denominator of f and the numerator of f' (the function is monotone once
+    past every critical point), so the supremum is either attained on the
+    finite evaluated segment or equals the limit at infinity. The walk runs
+    even for a limit of +infinity, to raise :class:`PoleOnRay` on a pole.
     """
-    _check_poles(f, ray)
     if f.num.is_zero:
         return Fraction(0)
+    _, values = _walk(f, ray, f.derivative_numerator())
+    best = max(v for _, v in values)
     lim = limit_at_infinity(f, ray.direction)
     if not lim.is_finite and lim.sign is not None and lim.sign > 0:
         return None
-
-    cutoff = ray_root_free_cutoff(ray, f.num, f.den, f.derivative_numerator())
-    best: Fraction | None = None
-    for n in ray.segment_to(cutoff):
-        v = f(n)
-        if best is None or v > best:
-            best = v
     if lim.is_finite:
         assert lim.value is not None
-        if best is None or lim.value > best:
-            best = lim.value
+        best = max(best, lim.value)
     # lim = -infinity: f decreases monotonically beyond the cutoff, so the
     # evaluated segment already contains the supremum.
     return best

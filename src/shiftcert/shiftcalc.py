@@ -52,7 +52,8 @@ def _differences(squares: list[Fraction]) -> list[Fraction]:
 
 def _squared_difference_form(fn: RationalFunction) -> RationalFunction:
     """f(n)^2 - f(n-1)^2 as a rational function."""
-    return fn * fn - fn.shift(-1) * fn.shift(-1)
+    prev = fn.shift(-1)
+    return fn * fn - prev * prev
 
 
 @dataclass(frozen=True)
@@ -227,15 +228,10 @@ def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> RayBound:
     )
     start = min(-cutoff, upto)
 
-    best = tw.left_limit_sq.value
-    assert best is not None
-    for n in range(start, upto + 1):
-        v = tw.value_sq(n)
-        if v is None:
-            raise ValueError(f"transformed weight undefined at n = {n}")
-        if v > best:
-            best = v
-    return RayBound(True, best)
+    values, _ = tw.values_sq(start, upto + 1)
+    if None in values:
+        raise ValueError(f"transformed weight undefined at n = {start + values.index(None)}")
+    return RayBound(True, max([tw.left_limit_sq.value, *values]))
 
 
 def sup_sq_global(tw: TransformedWeights) -> Fraction | None:
@@ -260,13 +256,6 @@ def sup_sq_global(tw: TransformedWeights) -> Fraction | None:
         else:
             hi = cutoff
 
-    best = Fraction(0)
-    for n in range(lo, hi + 1):
-        v = tw.value_sq(n)
-        if v is not None and v > best:
-            best = v
-    for lim in (tw.left_limit_sq, tw.right_limit_sq):
-        assert lim.value is not None
-        if lim.value > best:
-            best = lim.value
-    return best
+    values, _ = tw.values_sq(lo, hi + 1)
+    limits = [tw.left_limit_sq.value, tw.right_limit_sq.value]
+    return max(v for v in [Fraction(0), *values, *limits] if v is not None)

@@ -214,6 +214,29 @@ def brute_force_ray_sign(f, ray, span: int = 10**4):
     return (zeros, has_pos, has_neg)
 
 
+def brute_force_ray_argmax(f, ray, span: int = 10**4) -> int:
+    """Ray integer within span where f is largest (the lowest on ties).
+
+    Compares integer-cleared values by cross-multiplication, so no rational
+    arithmetic runs per point; f must have no pole in the scanned segment.
+    """
+    num = int_cleared_coeffs(f.num)
+    den = int_cleared_coeffs(f.den)
+    if ray.kind == "le":
+        points = range(ray.bound - span, ray.bound + 1)
+    else:
+        points = range(ray.bound, ray.bound + span + 1)
+    best, best_num, best_den = None, 0, 1
+    for n in points:
+        a = _int_eval(num, n) if num else 0
+        b = _int_eval(den, n)
+        if b < 0:
+            a, b = -a, -b
+        if best is None or a * best_den > best_num * b:
+            best, best_num, best_den = n, a, b
+    return best
+
+
 def growth_weight_rule(tau: float = 10.0, depth: int = 198):
     """Weight rule whose transformed weights grow without bound.
 

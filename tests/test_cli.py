@@ -222,3 +222,35 @@ class TestOracleCommand:
         )
         result = run_cli("oracle", str(fixture_dir / "ex1.json"), "--max-dim", "41")
         assert result.code == 3
+
+    @pytest.mark.parametrize(
+        "tol_args, code, agreement",
+        [((), 3, "disagrees"), (("--tol", "1e-15"), 0, "agrees")],
+    )
+    def test_negative_diagonal_within_tol(self, tmp_path, schema, tol_args, code, agreement):
+        # d_1 = (19999999999999/10^13)^2 - 2^2 is about -4e-13: negative, so
+        # not hyponormal, but inside the default tol, so the truncation sees
+        # no PSD failure and the oracle cannot confirm the verdict.
+        spec = tmp_path / "near-zero.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": ["2", "19999999999999/10000000000000", "3"],
+                    "left_tail": {"kind": "constant", "value": "1"},
+                    "right_tail": {"kind": "constant", "value": "3"},
+                }
+            ),
+            encoding="utf-8",
+        )
+        argv = ["oracle", str(spec), "--max-dim", "41", "--sweep", "4,8", *tol_args]
+        result = run_cli(*argv, "--format", "json")
+        assert result.code == code
+        assert result.err == ""
+        payload = json.loads(result.out)
+        jsonschema.validate(payload, schema)
+        assert payload["verdict"]["class"] == "not-hyponormal"
+        oracle = payload["oracle"]
+        assert oracle["concordance"] == agreement
+        assert oracle["gamma_residual"] is None
+        assert oracle["norm_trace"] == []  # no conjugated operator to sweep

@@ -9,6 +9,9 @@ specs also carry oracle reports: ``NAME.oracle.json`` at ``--max-dim 401``,
 and for the fixtures ``NAME.sweep.json`` at ``--max-dim 61 --sweep 8,16``.
 The CLI runs from that directory, so the report's ``source.path`` is the
 bare file name and the bytes do not depend on where the checkout lives.
+Classifying the golden specs also pins an upper bound on the exact
+polynomial evaluations the engine spends, counted by patching
+``Polynomial.__call__``.
 
 Regenerate, only when a report change is intended, with
 
@@ -26,8 +29,10 @@ from pathlib import Path
 
 import pytest
 
-from shiftcert import ConstantTail, RationalFunction, RationalTail, WeightSpec
+from shiftcert import ConstantTail, RationalFunction, RationalTail, WeightSpec, classify
 from shiftcert.cli import main
+from shiftcert.polycert import Polynomial
+from shiftcert.specfile import load_spec
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 GOLDEN_SEED = 20260
@@ -140,6 +145,28 @@ def test_oracle_report_bytes_match(case, monkeypatch):
     assert code == 0
     expected = (GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8")
     assert out == expected
+
+
+# Exact polynomial evaluations that classifying every golden spec takes:
+# each ray question walks its segment once. A change that walks more must
+# say why and raise this.
+GOLDEN_CLASSIFY_EVALS = 2082
+
+
+def test_classify_walk_count(monkeypatch):
+    evaluate = Polynomial.__call__
+    count = 0
+
+    def counted(poly, x):
+        nonlocal count
+        count += 1
+        return evaluate(poly, x)
+
+    specs = [load_spec(GOLDEN_DIR / f"{name}.spec.json")[0] for name in _golden_names()]
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    for spec in specs:
+        classify(spec)
+    assert 0 < count <= GOLDEN_CLASSIFY_EVALS
 
 
 def regenerate() -> None:

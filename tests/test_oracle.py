@@ -99,17 +99,13 @@ class TestSpectralRoots:
         p = pinv_root(q, 1e-9)
         assert np.allclose(np.diagonal(p), [0.5, 0.0, 1.0])
 
-    def test_general_symmetric_psd(self):
-        theta = 0.6
-        v = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        q = v @ np.diag([4.0, 0.0]) @ v.T
-        p = pinv_root(q, 1e-12)
-        expected = v @ np.diag([0.5, 0.0]) @ v.T
-        assert np.allclose(p, expected, atol=1e-12)
-        r = psd_root(q, 1e-12)
-        assert np.allclose(r @ r, q, atol=1e-12)
+    def test_off_diagonal_rejected(self):
+        # A shift commutator is diagonal; nothing off the diagonal is taken.
+        q = np.diag([4.0, 1.0])
+        q[0, 1] = q[1, 0] = 0.5
+        for root in (pinv_root, psd_root):
+            with pytest.raises(ValueError, match="must be diagonal"):
+                root(q, 1e-12)
 
     def test_negative_diagonal_rejected(self):
         with pytest.raises(NotPSDError):

@@ -115,6 +115,13 @@ class TestRationalFunction:
         f = RationalFunction.ratio(num, den)
         assert f.shift(delta).shift(-delta) == f
 
+    @given(polys, nonzero_polys, st.integers(-4, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_shift_is_already_reduced(self, num, den, delta):
+        f = RationalFunction.ratio(num, den)
+        g = f.shift(delta)
+        assert g == RationalFunction.ratio(g.num, g.den)
+
     def test_constant_value(self):
         assert rf([3], [2]).constant_value() == Fraction(3, 2)
         assert rf([0]).constant_value() == 0

@@ -8,19 +8,27 @@ from fractions import Fraction
 import pytest
 
 from shiftcert import (
+    ConstantTail,
     PoleOnRay,
+    Polynomial,
     RationalFunction,
+    RationalTail,
     Ray,
     SignKind,
+    WeightSpec,
+    check_hyponormal,
     classify,
     commutator_diagonal,
+    limit_at_infinity,
     replay,
     sign_on_ray,
+    sup_on_ray,
+    validate,
 )
 from shiftcert.classifier import VerdictClass
 from shiftcert.oracle import concordance, truncation_report
 
-from conftest import brute_force_ray_sign, random_labelled_spec
+from conftest import brute_force_ray_argmax, brute_force_ray_sign, random_labelled_spec
 
 
 def random_rational_function(rng: random.Random, max_degree: int = 4) -> RationalFunction:
@@ -48,26 +56,99 @@ def expected_kind(zeros: list[int], has_pos: bool, has_neg: bool, is_zero_fn: bo
     return SignKind.STRICTLY_POSITIVE if has_pos else SignKind.STRICTLY_NEGATIVE
 
 
+def brute_force_sup(f: RationalFunction, ray: Ray) -> Fraction | None:
+    """Largest value on the scanned segment, or the limit when it exceeds
+    that; None when the limit is +infinity."""
+    lim = limit_at_infinity(f, ray.direction)
+    if not lim.is_finite and lim.sign > 0:
+        return None
+    best = f(brute_force_ray_argmax(f, ray))
+    return max(best, lim.value) if lim.is_finite else best
+
+
+def factored_rational_function(rng: random.Random) -> RationalFunction:
+    """Products of linear factors with integer roots, so a ray often holds
+    several zeros and several poles."""
+
+    def factors():
+        p = Polynomial.constant(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+        for _ in range(rng.randint(0, 3)):
+            p = p * Polynomial.of(rng.randint(-25, 25), 1)
+        return p
+
+    return RationalFunction.ratio(factors(), factors())
+
+
 class TestSignCertificationAgainstBruteForce:
     def test_sample(self):
-        rng = random.Random(20011)
-        checked = 0
-        while checked < 40:
-            f = random_rational_function(rng)
-            bound = rng.randint(-20, 20)
-            ray = Ray.le(bound) if rng.random() < 0.5 else Ray.ge(bound)
-            brute = brute_force_ray_sign(f, ray)
-            if brute[0] == "pole":
-                with pytest.raises(PoleOnRay):
-                    sign_on_ray(f, ray)
+        for make in (random_rational_function, factored_rational_function):
+            rng = random.Random(20011)
+            checked = poles = 0
+            while checked < 40:
+                f = make(rng)
+                bound = rng.randint(-20, 20)
+                ray = Ray.le(bound) if rng.random() < 0.5 else Ray.ge(bound)
+                brute = brute_force_ray_sign(f, ray)
+                if brute[0] == "pole":
+                    for question in (sign_on_ray, sup_on_ray):
+                        with pytest.raises(PoleOnRay) as raised:
+                            question(f, ray)
+                        assert raised.value.index == brute[1]
+                    poles += 1
+                    continue
+                zeros, has_pos, has_neg = brute
+                verdict = sign_on_ray(f, ray)
+                assert verdict.kind == expected_kind(zeros, has_pos, has_neg, f.is_zero)
+                assert list(verdict.zeros) == zeros
+                assert (verdict.positive_witness is not None) == has_pos
+                assert (verdict.negative_witness is not None) == has_neg
+                assert sup_on_ray(f, ray) == brute_force_sup(f, ray)
+                checked += 1
+            assert poles > 0
+
+
+def random_tail(rng: random.Random) -> RationalTail:
+    """(a m^2 + b m + c) / (m^2 + e m + h) at m = n + s: bounded, often not
+    monotone, with its turning points anywhere near |n| <= 40."""
+    num = [rng.randint(-20, 20), rng.randint(-9, 9), rng.randint(1, 6)]
+    den = [rng.randint(1, 30), rng.randint(-9, 9), 1]
+    return RationalTail(RationalFunction.of(num, den).shift(rng.randint(-40, 40)))
+
+
+def brute_force_violation(spec: WeightSpec, span: int = 2000) -> int | None:
+    """Smallest-|n| pair with |beta_n| > |beta_{n+1}| (ties toward
+    negative), scanning outward from 0."""
+    for n in [0] + [k for m in range(1, span) for k in (-m, m)]:
+        if spec.value(n) > spec.value(n + 1):
+            return n
+    return None
+
+
+class TestTailWitnessAgainstBruteForce:
+    def test_random_rational_tails(self):
+        rng = random.Random(5150)
+        witnesses = []
+        while len(witnesses) < 40:
+            start = rng.randint(-30, 30)
+            spec = WeightSpec(
+                start,
+                tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))),
+                random_tail(rng) if rng.random() < 0.8 else ConstantTail(Fraction(1)),
+                random_tail(rng) if rng.random() < 0.8 else ConstantTail(Fraction(9)),
+            )
+            if not validate(spec).ok:
                 continue
-            zeros, has_pos, has_neg = brute
-            verdict = sign_on_ray(f, ray)
-            assert verdict.kind == expected_kind(zeros, has_pos, has_neg, f.is_zero)
-            assert list(verdict.zeros) == zeros
-            assert (verdict.positive_witness is not None) == has_pos
-            assert (verdict.negative_witness is not None) == has_neg
-            checked += 1
+            check = check_hyponormal(spec)
+            expected = brute_force_violation(spec)
+            assert check.hyponormal == (expected is None)
+            assert check.witness == expected
+            if expected is not None:
+                witnesses.append((expected, spec.window_start, spec.window_end))
+        # Witnesses inside each tail, on both sides of 0.
+        left = [n for n, first, _ in witnesses if n <= first - 2]
+        right = [n for n, _, last in witnesses if n >= last + 1]
+        assert min(left) < 0 < max(left)
+        assert min(right) < 0 < max(right)
 
 
 class TestTelescoping:
@@ -84,7 +165,6 @@ class TestTelescoping:
 
 class TestHyponormalityLink:
     def test_verdict_matches_diagonal_signs(self):
-        from shiftcert import check_hyponormal
         from shiftcert.weights import left_ray
 
         rng = random.Random(808)
