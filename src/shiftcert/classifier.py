@@ -4,12 +4,17 @@ The decision surface:
 
 * ``not-hyponormal``   -- some |beta_n| > |beta_{n+1}| (witnessed).
 * ``normal``           -- all moduli equal.
-* ``near-subnormal``   -- via the everywhere-strict criterion (bounded
-  transformed weights) or the flat-right-tail criterion (strict increase up
-  to k, constant from k on, transformed weights bounded on the left ray).
+* ``near-subnormal``   -- via the everywhere-strict criterion (strict
+  increase everywhere) or the flat-right-tail criterion (strict increase up
+  to k, constant from k on).
 * ``hyponormal-not-near-subnormal`` -- via the constant-left-tail
-  obstruction, the isolated-flat-pair obstruction, or the converses of the
-  two positive criteria.
+  obstruction, the isolated-flat-pair obstruction, or the converse of the
+  flat-right-tail criterion (an equality not followed by a flat right tail).
+
+Both positive criteria also ask for transformed weights bounded on the
+strict part. Every tail the spec format expresses has a finite limit L and,
+when it varies, a nonzero d-form, so its transformed weights tend to L^2:
+they are always bounded, and the structure alone decides.
 
 Every verdict carries a :class:`Certificate` holding the certified
 structure, the witnesses, exact limits and bounds, and replayable spot
@@ -21,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 
 from .polycert import (
     Limit,
     RationalFunction,
     Ray,
     RaySign,
-    SignKind,
     ray_root_free_cutoff,
     sign_on_ray,
 )
@@ -81,7 +85,6 @@ class Criterion(Enum):
     """Which decision rule settled the classification."""
 
     STRICT_INCREASE = "strict-increase-bounded-transform"
-    STRICT_INCREASE_UNBOUNDED = "strict-increase-unbounded-transform"
     FLAT_TAIL = "flat-right-tail"
     FLAT_TAIL_VIOLATION = "flat-right-tail-violation"
     CONSTANT_LEFT = "constant-left-tail"
@@ -173,21 +176,18 @@ def _tail_violation(sgn: RaySign) -> int:
 
 
 def _tail_structure(
-    spec: WeightSpec, tail: TailSpec, form: RationalFunction, ray: Ray
+    tail: TailSpec, form: RationalFunction, ray: Ray
 ) -> tuple[Shape, Fraction | None, tuple[int, ...] | None, int | None]:
     """Shape, constant value, equal pairs and violating pair of one tail.
 
     ``form`` is the tail's d-form and ``ray`` its domain. The equal pairs
-    are None for a constant tail (every deep pair is equal).
+    are None for a constant tail (every deep pair is equal). A varying
+    tail's d-form is not identically zero.
     """
     const = tail_constant_value(tail)
     if const is not None:
         return Shape.CONSTANT, const, None, None
     sgn = sign_on_ray(form, ray)
-    if sgn.kind == SignKind.IDENTICALLY_ZERO:
-        # d-form identically zero forces a constant-valued tail; only
-        # reachable defensively since constant forms reduce earlier.
-        return Shape.CONSTANT, spec.value(ray.bound), None, None
     if sgn.nonnegative:
         return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
     return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
@@ -203,10 +203,10 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     """
     diag = commutator_diagonal(spec)
     left_shape, left_value, left_equalities, left_witness = _tail_structure(
-        spec, spec.left_tail, diag.left_form, left_ray(spec)
+        spec.left_tail, diag.left_form, left_ray(spec)
     )
     right_shape, right_value, right_equalities, right_witness = _tail_structure(
-        spec, spec.right_tail, diag.right_form, Ray.ge(spec.window_end + 2)
+        spec.right_tail, diag.right_form, Ray.ge(spec.window_end + 2)
     )
     # Seam value i is d_n at n = seam_start + i, the pair n - 1.
     seams = list(enumerate(diag.seam_values, start=diag.seam_start - 1))
@@ -281,11 +281,12 @@ def _replay_points(
     if tw is not None:
         gamma_indices = sorted(
             set([first - 2, first - 1, first, last + 1, last + 2] + extra_indices)
-        )
-        for n in gamma_indices[:10]:
-            v = tw.value_sq(n)
-            if v is not None:
-                points.append(ReplayPoint("gamma_sq", n, v))
+        )[:10]
+        # One range call per run of consecutive indices shares the moduli.
+        for _, pairs in groupby(enumerate(gamma_indices), lambda p: p[1] - p[0]):
+            run = [n for _, n in pairs]
+            values, _ = tw.values_sq(run[0], run[-1] + 1)
+            points += [ReplayPoint("gamma_sq", n, v) for n, v in zip(run, values) if v is not None]
     return tuple(points)
 
 
@@ -359,17 +360,9 @@ def classify(spec: WeightSpec) -> Verdict:
     tw = transformed_weights(spec, diag)
 
     if profile.first_equality is None:
-        bounded = tw.left_limit_sq.is_finite and tw.right_limit_sq.is_finite
-        if bounded:
-            return build(
-                VerdictClass.NEAR_SUBNORMAL,
-                criterion=Criterion.STRICT_INCREASE,
-                profile=profile,
-                tw=tw,
-            )
         return build(
-            VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
-            criterion=Criterion.STRICT_INCREASE_UNBOUNDED,
+            VerdictClass.NEAR_SUBNORMAL,
+            criterion=Criterion.STRICT_INCREASE,
             profile=profile,
             tw=tw,
         )
@@ -385,23 +378,14 @@ def classify(spec: WeightSpec) -> Verdict:
         flat_right = False
 
     if flat_right:
-        bound = bounded_on_left_ray(tw, k - 1)
-        if bound.bounded:
-            return build(
-                VerdictClass.NEAR_SUBNORMAL,
-                criterion=Criterion.FLAT_TAIL,
-                profile=profile,
-                first_equality=k,
-                tw=tw,
-                left_sup_sq=bound.sup_sq,
-                extra_points=[k - 1, k],
-            )
         return build(
-            VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
-            criterion=Criterion.FLAT_TAIL_VIOLATION,
+            VerdictClass.NEAR_SUBNORMAL,
+            criterion=Criterion.FLAT_TAIL,
             profile=profile,
             first_equality=k,
             tw=tw,
+            left_sup_sq=bounded_on_left_ray(tw, k - 1),
+            extra_points=[k - 1, k],
         )
 
     j0 = _flat_pair_index(diag, check.equal_pairs)

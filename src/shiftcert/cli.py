@@ -50,14 +50,12 @@ MAX_DIM = 5001
 def _limit_to_dict(limit: Limit | None) -> dict | None:
     if limit is None:
         return None
-    if limit.is_finite:
-        assert limit.value is not None
-        return {
-            "kind": "finite",
-            "value": format_rational(limit.value),
-            "decimal": float(limit.value),
-        }
-    return {"kind": "infinite", "sign": limit.sign}
+    assert limit.value is not None  # transform limits are always finite
+    return {
+        "kind": "finite",
+        "value": format_rational(limit.value),
+        "decimal": float(limit.value),
+    }
 
 
 def _rational_or_none(value: Fraction | None) -> str | None:
@@ -166,10 +164,7 @@ def render_text(report: dict) -> str:
     ):
         lim = v[key]
         if lim is not None:
-            if lim["kind"] == "finite":
-                lines.append(f"{label}: {lim['value']} (~ {lim['decimal']:.6g})")
-            else:
-                lines.append(f"{label}: infinite")
+            lines.append(f"{label}: {lim['value']} (~ {lim['decimal']:.6g})")
     if v["left_sup_sq"] is not None:
         lines.append(f"left-ray transform bound (squared): {v['left_sup_sq']}")
     lines.append(f"modulus bound: {v['sup_modulus']}")

@@ -154,11 +154,12 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def integer_root_free_bound(p: Polynomial) -> int:
-    """Smallest canonical integer B with no real roots of p beyond |x| > B.
+    """An integer B with no real roots of p beyond |x| > B: the Cauchy bound.
 
-    Cauchy bound: every real root x satisfies |x| < 1 + max|c_i| / |c_lead|,
-    so beyond B the sign of p equals the sign of its leading term (adjusted
-    for direction). Constants get B = 1 (no roots at all).
+    Every real root x satisfies |x| < 1 + max|c_i| / |c_lead|, and B is
+    that bound rounded up, not the smallest such integer; beyond B the sign
+    of p equals the sign of its leading term (adjusted for direction).
+    Constants get B = 1 (no roots at all).
     """
     if p.is_zero:
         raise ValueError("zero polynomial has roots everywhere")
@@ -365,12 +366,20 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.ratio(self.num * other.num, self.den * other.den)
+        # Both factors are reduced, so only cross factors can cancel: two
+        # small GCDs instead of one over the full products.
+        if self.is_zero or other.is_zero:
+            return RationalFunction.constant(0)
+        g, h = poly_gcd(self.num, other.den), poly_gcd(other.num, self.den)
+        num = self.num.divmod(g)[0] * other.num.divmod(h)[0]
+        den = self.den.divmod(h)[0] * other.den.divmod(g)[0]
+        lead = den.leading
+        return RationalFunction(num.scale(1 / lead), den.scale(1 / lead))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction.ratio(self.num * other.den, self.den * other.num)
+        return self * RationalFunction(other.den, other.num)
 
     def scale(self, c: Scalar) -> "RationalFunction":
         return RationalFunction.ratio(self.num.scale(c), self.den)

@@ -14,6 +14,7 @@ floating-point oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .polycert import (
@@ -25,7 +26,7 @@ from .polycert import (
 )
 from .weights import (
     ConstantTail,
-    RationalTail,
+    TailSpec,
     WeightSpec,
     left_ray,
     tail_constant_value,
@@ -107,18 +108,30 @@ class TransformedWeights:
     classifier reports. Where d_n = d_{n+1} = 0 the transformed weight is 0
     (the operator annihilates e_n and stays inside the null space).
 
-    A tail form of None means the transformed weights vanish identically on
-    that side; ``flat_from`` is the smallest index m with g_n = 0 for every
-    n >= m (None when the right side never flattens).
+    On a varying tail with limit L the d-form is a nonzero rational function
+    (were it zero, the squared tail would be periodic, hence constant), so
+    d_{n+1}/d_n -> 1 and g_n^2 -> L^2; on a constant tail g_n^2 = 0. The
+    tail limits are read off the weights. A tail form of None means the
+    transformed weights vanish identically on that side; ``flat_from`` is
+    the smallest index m with g_n = 0 for every n >= m (None when the right
+    side never flattens).
     """
 
     spec: WeightSpec
     diag: CommutatorDiagonal
-    left_form: RationalFunction | None
-    right_form: RationalFunction | None
     left_limit_sq: Limit
     right_limit_sq: Limit
     flat_from: int | None
+
+    @cached_property
+    def left_form(self) -> RationalFunction | None:
+        """g_n^2 as a rational function, valid for n <= window_start - 2."""
+        return _gamma_form(self.spec.left_tail, self.diag.left_form)
+
+    @cached_property
+    def right_form(self) -> RationalFunction | None:
+        """g_n^2 as a rational function, valid for n >= window_end + 2."""
+        return _gamma_form(self.spec.right_tail, self.diag.right_form)
 
     def value_sq(self, n: int) -> Fraction | None:
         return self.values_sq(n, n + 1)[0][0]
@@ -147,8 +160,20 @@ class TransformedWeights:
         return out, diag
 
 
-def _gamma_form(beta: RationalFunction, d_form: RationalFunction) -> RationalFunction:
+def _gamma_form(tail: TailSpec, d_form: RationalFunction) -> RationalFunction | None:
+    """beta^2 d(n+1) / d(n) on a varying tail; None on a constant one."""
+    if tail_constant_value(tail) is not None:
+        return None
+    beta = tail.fn
     return beta * beta * d_form.shift(1) / d_form
+
+
+def _tail_limit_sq(tail: TailSpec, direction: int) -> Limit:
+    """Limit of g_n^2 along a tail: the squared weight limit, or 0 when the
+    tail is constant."""
+    if tail_constant_value(tail) is not None:
+        return Limit.finite(0)
+    return Limit.finite(limit_at_infinity(tail.fn, direction).value ** 2)
 
 
 def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
@@ -160,7 +185,7 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
     ]
     if nonzero_seams:
         return max(nonzero_seams)
-    if isinstance(spec.left_tail, RationalTail) and not diag.left_form.is_zero:
+    if tail_constant_value(spec.left_tail) is None:
         # Walk down from the window until the left form is nonzero; the form
         # has finitely many zeros, all within its root-free cutoff.
         n = spec.window_start - 1
@@ -174,54 +199,28 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
 
 
 def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> TransformedWeights:
-    """Assemble g_n^2 pointwise and symbolically, with both tail limits."""
-    left_form: RationalFunction | None = None
-    if isinstance(spec.left_tail, RationalTail) and not diag.left_form.is_zero:
-        left_form = _gamma_form(spec.left_tail.fn, diag.left_form)
-        left_limit = limit_at_infinity(left_form, -1)
-    else:
-        left_limit = Limit.finite(0)
-
-    flat_from = _flat_from(spec, diag)
-    right_form: RationalFunction | None = None
-    if flat_from is None:
-        assert isinstance(spec.right_tail, RationalTail)
-        right_form = _gamma_form(spec.right_tail.fn, diag.right_form)
-        right_limit = limit_at_infinity(right_form, 1)
-    else:
-        right_limit = Limit.finite(0)
-
+    """Assemble g_n^2 pointwise, with both tail limits and ``flat_from``."""
     return TransformedWeights(
         spec=spec,
         diag=diag,
-        left_form=left_form,
-        right_form=right_form,
-        left_limit_sq=left_limit,
-        right_limit_sq=right_limit,
-        flat_from=flat_from,
+        left_limit_sq=_tail_limit_sq(spec.left_tail, -1),
+        right_limit_sq=_tail_limit_sq(spec.right_tail, 1),
+        flat_from=_flat_from(spec, diag),
     )
 
 
-@dataclass(frozen=True)
-class RayBound:
-    bounded: bool
-    sup_sq: Fraction | None  # exact upper bound on g_n^2 over the ray
-
-
-def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> RayBound:
-    """Decide boundedness of {g_n : n <= upto} and certify an exact bound.
+def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> Fraction:
+    """Exact bound on {g_n^2 : n <= upto}, attained or equal to the limit.
 
     Requires d_n > 0 for every n <= upto (the caller certifies strict
     increase on that ray first). On the deep tail g^2 is a pole-free
-    rational function, so bounded is equivalent to a finite limit; the
-    returned bound is the max of the limit and the exact maxima on the
-    finite segment past all critical points.
+    rational function with a finite limit, so the bound is the max of the
+    limit and the exact values on the finite segment past all critical
+    points.
     """
     form = tw.left_form
     if form is None:
         raise ValueError("left ray is flat; boundedness requires d_n > 0 below upto")
-    if not tw.left_limit_sq.is_finite:
-        return RayBound(False, None)
 
     cutoff = ray_root_free_cutoff(
         Ray.le(tw.spec.window_start - 2), form.num, form.den, form.derivative_numerator()
@@ -231,19 +230,15 @@ def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> RayBound:
     values, _ = tw.values_sq(start, upto + 1)
     if None in values:
         raise ValueError(f"transformed weight undefined at n = {start + values.index(None)}")
-    return RayBound(True, max([tw.left_limit_sq.value, *values]))
+    return max([tw.left_limit_sq.value, *values])
 
 
-def sup_sq_global(tw: TransformedWeights) -> Fraction | None:
+def sup_sq_global(tw: TransformedWeights) -> Fraction:
     """Exact supremum of g_n^2 over every index where it is defined.
 
-    Returns None when either tail limit is infinite (unbounded transform).
     Indices where g is undefined (the invariance-obstruction spots) are
     skipped; they carry no weight value.
     """
-    if not (tw.left_limit_sq.is_finite and tw.right_limit_sq.is_finite):
-        return None
-
     spec = tw.spec
     lo = spec.window_start - 2
     hi = spec.window_end + 2

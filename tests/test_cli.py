@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from shiftcert.classifier import Criterion, VerdictClass
 from shiftcert.cli import MAX_DIM, main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
@@ -125,6 +126,13 @@ class TestClassifyCommand:
         for name in ("ex1.json", "ex3.json"):
             result = run_cli("classify", str(fixture_dir / name), "--format", "json")
             jsonschema.validate(json.loads(result.out), schema)
+
+    def test_schema_enums_match_engine(self, schema):
+        # A criterion or class the engine drops must leave the schema too.
+        verdict = schema["definitions"]["verdict"]["properties"]
+        criterion = [v for v in verdict["criterion"]["oneOf"] if "enum" in v]
+        assert verdict["class"]["enum"] == [c.value for c in VerdictClass]
+        assert criterion[0]["enum"] == [c.value for c in Criterion]
 
     def test_json_round_trip_byte_identical(self, fixture_dir):
         result = run_cli("classify", str(fixture_dir / "ex2.json"), "--format", "json")

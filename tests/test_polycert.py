@@ -122,6 +122,16 @@ class TestRationalFunction:
         g = f.shift(delta)
         assert g == RationalFunction.ratio(g.num, g.den)
 
+    @given(polys, nonzero_polys, polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=100, deadline=None)
+    def test_product_and_quotient_match_full_reduction(self, n1, d1, n2, d2, c):
+        # c is a cross factor, so the cancelling GCDs are often nontrivial.
+        f = RationalFunction.ratio(n1 * c, d1)
+        g = RationalFunction.ratio(n2, d2 * c)
+        assert f * g == RationalFunction.ratio(f.num * g.num, f.den * g.den)
+        if not g.is_zero:
+            assert f / g == RationalFunction.ratio(f.num * g.den, f.den * g.num)
+
     def test_constant_value(self):
         assert rf([3], [2]).constant_value() == Fraction(3, 2)
         assert rf([0]).constant_value() == 0

@@ -9,6 +9,7 @@ import pytest
 
 from shiftcert import (
     ConstantTail,
+    Limit,
     PoleOnRay,
     Polynomial,
     RationalFunction,
@@ -23,6 +24,7 @@ from shiftcert import (
     replay,
     sign_on_ray,
     sup_on_ray,
+    transformed_weights,
     validate,
 )
 from shiftcert.classifier import VerdictClass
@@ -149,6 +151,55 @@ class TestTailWitnessAgainstBruteForce:
         right = [n for n, _, last in witnesses if n >= last + 1]
         assert min(left) < 0 < max(left)
         assert min(right) < 0 < max(right)
+
+
+def random_bounded_tail(rng: random.Random, direction: int) -> RationalTail:
+    """num / den with deg num <= deg den <= 3, positive leading ratio toward
+    the tail's infinity, at a random shift; often not monotone."""
+    den_degree = rng.randint(0, 3)
+    num = [rng.randint(-6, 6) for _ in range(rng.randint(0, den_degree))]
+    num.append(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    den = [rng.randint(-6, 6) for _ in range(den_degree)] + [1]
+    if direction < 0:  # f(-n): the same shape toward -infinity
+        num = [c * (-1) ** i for i, c in enumerate(num)]
+        den = [c * (-1) ** i for i, c in enumerate(den)]
+    return RationalTail(RationalFunction.of(num, den).shift(rng.randint(-8, 8)))
+
+
+def random_bounded_tail_spec(rng: random.Random) -> WeightSpec:
+    """A valid spec with a random window and a random_bounded_tail on each
+    side, each tail redrawn until it validates on its own ray."""
+    start = rng.randint(-20, 20)
+    window = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+    flat = ConstantTail(Fraction(1))
+    left = right = None
+    while left is None or not validate(WeightSpec(start, window, left, flat)).ok:
+        left = random_bounded_tail(rng, -1)
+    while right is None or not validate(WeightSpec(start, window, flat, right)).ok:
+        right = random_bounded_tail(rng, 1)
+    return WeightSpec(start, window, left, right)
+
+
+class TestTransformLimitIsSquaredWeightLimit:
+    def test_random_rational_tails(self):
+        """The tail limits transformed_weights reads off the weights equal
+        the limits of the symbolic transform forms."""
+        rng = random.Random(7071)
+        not_hyponormal = 0
+        for _ in range(2000):
+            spec = random_bounded_tail_spec(rng)
+            tw = transformed_weights(spec, commutator_diagonal(spec))
+            for form, limit, direction in (
+                (tw.left_form, tw.left_limit_sq, -1),
+                (tw.right_form, tw.right_limit_sq, 1),
+            ):
+                if form is None:
+                    assert limit == Limit.finite(0)
+                else:
+                    assert limit == limit_at_infinity(form, direction)
+            # A negative seam entry certifies a spec that is not hyponormal.
+            not_hyponormal += min(tw.diag.seam_values) < 0
+        assert 100 < not_hyponormal < 1900
 
 
 class TestTelescoping:
