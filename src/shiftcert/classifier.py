@@ -28,19 +28,13 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby, zip_longest
 
-from .polycert import (
-    Limit,
-    RationalFunction,
-    Ray,
-    RaySign,
-    ray_root_free_cutoff,
-    sign_on_ray,
-)
+from .polycert import Limit, Ray, RaySign, ray_root_free_cutoff, sign_on_ray
 from .shiftcalc import (
     CommutatorDiagonal,
     TransformedWeights,
     bounded_on_left_ray,
     commutator_diagonal,
+    difference_form,
     transformed_weights,
 )
 from .weights import (
@@ -167,7 +161,7 @@ def _witness_key(n: int) -> tuple[int, int]:
 
 
 def _tail_violation(sgn: RaySign) -> int:
-    """Best (smallest-|n|) violating pair among a d-form's negative values.
+    """Best (smallest-|n|) violating pair among a tail's negative d_z.
 
     Negative d_z is the violated pair z - 1. Only called once sign analysis
     found a negative value on the ray, so there is at least one candidate.
@@ -176,18 +170,18 @@ def _tail_violation(sgn: RaySign) -> int:
 
 
 def _tail_structure(
-    tail: TailSpec, form: RationalFunction, ray: Ray
+    tail: TailSpec, ray: Ray
 ) -> tuple[Shape, Fraction | None, tuple[int, ...] | None, int | None]:
     """Shape, constant value, equal pairs and violating pair of one tail.
 
-    ``form`` is the tail's d-form and ``ray`` its domain. The equal pairs
-    are None for a constant tail (every deep pair is equal). A varying
-    tail's d-form is not identically zero.
+    ``ray`` holds the n with n and n - 1 in the tail, where d_n has the
+    sign of the first difference. The equal pairs are None for a constant
+    tail (every deep pair is equal).
     """
     const = tail_constant_value(tail)
     if const is not None:
         return Shape.CONSTANT, const, None, None
-    sgn = sign_on_ray(form, ray)
+    sgn = sign_on_ray(difference_form(tail.fn), ray)
     if sgn.nonnegative:
         return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
     return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
@@ -196,17 +190,17 @@ def _tail_structure(
 def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     """Certify |beta_n| <= |beta_{n+1}| for every integer n.
 
-    Tails are certified symbolically via ray-sign analysis of the exact
-    difference forms; the finitely many seam pairs are compared directly.
-    On failure the witness is the violating pair of smallest |n| (ties
-    toward negative).
+    Tails are certified by ray-sign analysis of their exact first
+    difference f(n) - f(n-1), which has the sign of d_n on a validated
+    tail; the seam pairs are compared directly. On failure the witness is
+    the violating pair of smallest |n| (ties toward negative).
     """
     diag = commutator_diagonal(spec)
     left_shape, left_value, left_equalities, left_witness = _tail_structure(
-        spec.left_tail, diag.left_form, left_ray(spec)
+        spec.left_tail, left_ray(spec)
     )
     right_shape, right_value, right_equalities, right_witness = _tail_structure(
-        spec.right_tail, diag.right_form, Ray.ge(spec.window_end + 2)
+        spec.right_tail, Ray.ge(spec.window_end + 2)
     )
     # Seam value i is d_n at n = seam_start + i, the pair n - 1.
     seams = list(enumerate(diag.seam_values, start=diag.seam_start - 1))

@@ -11,6 +11,7 @@ it from zero, so it sees no hyponormality failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -210,6 +211,9 @@ def _load_and_classify(path: str, err) -> tuple[WeightSpec, Verdict, dict] | int
     except SpecFileError as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_INPUT
+    except OSError as exc:
+        err.write(f"error: cannot read {path}: {exc.strerror}\n")
+        return EXIT_INPUT
     report = validate(spec)
     if not report.ok:
         for violation in report.violations:
@@ -316,6 +320,7 @@ def cmd_examples(args, out, err) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftcert",

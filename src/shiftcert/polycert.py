@@ -355,9 +355,15 @@ class RationalFunction:
         return None
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.ratio(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Knuth's addition (TAOCP 4.5.1): both summands are reduced and monic,
+        # so two GCDs of factors leave the sum reduced and monic.
+        g = poly_gcd(self.den, other.den)
+        d1, d2 = self.den.divmod(g)[0], other.den.divmod(g)[0]
+        t = self.num * d2 + other.num * d1
+        if t.is_zero:
+            return RationalFunction.constant(0)
+        h = poly_gcd(t, g)
+        return RationalFunction(t.divmod(h)[0], d1 * g.divmod(h)[0] * d2)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)

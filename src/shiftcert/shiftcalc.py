@@ -9,6 +9,10 @@ shift root(Q) T pinv_root(Q) is again a weighted shift; its squared weights
 drive every boundedness question, so the whole symbolic pipeline stays in
 exact rational arithmetic (square roots only ever appear in the
 floating-point oracle).
+
+On a tail with modulus function f > 0, d_n = Delta(n) * (f(n) + f(n-1))
+for the first difference Delta(n) = f(n) - f(n-1), which so carries the
+sign, zeros and negative indices of d: see :func:`difference_form`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .polycert import (
     ray_root_free_cutoff,
 )
 from .weights import (
-    ConstantTail,
     TailSpec,
     WeightSpec,
     left_ray,
@@ -51,24 +54,22 @@ def _differences(squares: list[Fraction]) -> list[Fraction]:
     return [a - b for b, a in zip(squares, squares[1:])]
 
 
-def _squared_difference_form(fn: RationalFunction) -> RationalFunction:
-    """f(n)^2 - f(n-1)^2 as a rational function."""
-    prev = fn.shift(-1)
-    return fn * fn - prev * prev
+def difference_form(fn: RationalFunction) -> RationalFunction:
+    """The first difference f(n) - f(n-1) as a rational function."""
+    return fn - fn.shift(-1)
 
 
 @dataclass(frozen=True)
 class CommutatorDiagonal:
-    """Exact diagonal d_n, pointwise plus symbolic tail forms.
+    """Exact diagonal d_n, pointwise.
 
-    ``left_form`` is valid for n <= window_start - 1 and ``right_form`` for
-    n >= window_end + 2; the seam values cover every index where the two
-    neighbouring moduli come from different regions.
+    The seam values cover every index where the two neighbouring moduli
+    come from different regions; beyond them, on n <= window_start - 1 and
+    n >= window_end + 2, d_n has the sign of the tail's
+    :func:`difference_form`.
     """
 
     spec: WeightSpec
-    left_form: RationalFunction
-    right_form: RationalFunction
     seam_start: int
     seam_values: tuple[Fraction, ...]
 
@@ -82,20 +83,9 @@ class CommutatorDiagonal:
 
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
-    def tail_form(tail) -> RationalFunction:
-        if isinstance(tail, ConstantTail):
-            return RationalFunction.constant(0)
-        return _squared_difference_form(tail.fn)
-
     first = spec.window_start
     seams = _differences(_moduli_sq(spec, first - 1, spec.window_end + 2))
-    return CommutatorDiagonal(
-        spec=spec,
-        left_form=tail_form(spec.left_tail),
-        right_form=tail_form(spec.right_tail),
-        seam_start=first,
-        seam_values=tuple(seams),
-    )
+    return CommutatorDiagonal(spec=spec, seam_start=first, seam_values=tuple(seams))
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,6 @@ class TransformedWeights:
     """
 
     spec: WeightSpec
-    diag: CommutatorDiagonal
     left_limit_sq: Limit
     right_limit_sq: Limit
     flat_from: int | None
@@ -126,12 +115,12 @@ class TransformedWeights:
     @cached_property
     def left_form(self) -> RationalFunction | None:
         """g_n^2 as a rational function, valid for n <= window_start - 2."""
-        return _gamma_form(self.spec.left_tail, self.diag.left_form)
+        return _gamma_form(self.spec.left_tail)
 
     @cached_property
     def right_form(self) -> RationalFunction | None:
         """g_n^2 as a rational function, valid for n >= window_end + 2."""
-        return _gamma_form(self.spec.right_tail, self.diag.right_form)
+        return _gamma_form(self.spec.right_tail)
 
     def value_sq(self, n: int) -> Fraction | None:
         return self.values_sq(n, n + 1)[0][0]
@@ -160,11 +149,13 @@ class TransformedWeights:
         return out, diag
 
 
-def _gamma_form(tail: TailSpec, d_form: RationalFunction) -> RationalFunction | None:
+def _gamma_form(tail: TailSpec) -> RationalFunction | None:
     """beta^2 d(n+1) / d(n) on a varying tail; None on a constant one."""
     if tail_constant_value(tail) is not None:
         return None
     beta = tail.fn
+    prev = beta.shift(-1)
+    d_form = (beta - prev) * (beta + prev)
     return beta * beta * d_form.shift(1) / d_form
 
 
@@ -186,12 +177,13 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
     if nonzero_seams:
         return max(nonzero_seams)
     if tail_constant_value(spec.left_tail) is None:
-        # Walk down from the window until the left form is nonzero; the form
-        # has finitely many zeros, all within its root-free cutoff.
+        # Walk down from the window until the first difference (zero where
+        # d_n is) is nonzero; its zeros all lie within its root-free cutoff.
+        delta = difference_form(spec.left_tail.fn)
         n = spec.window_start - 1
-        floor = -ray_root_free_cutoff(left_ray(spec), diag.left_form.num) - 1
+        floor = -ray_root_free_cutoff(left_ray(spec), delta.num) - 1
         while n >= floor:
-            if diag.left_form(n) != 0:
+            if delta(n) != 0:
                 return n
             n -= 1
     # Globally normal: every d_n vanishes.
@@ -202,7 +194,6 @@ def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> Transform
     """Assemble g_n^2 pointwise, with both tail limits and ``flat_from``."""
     return TransformedWeights(
         spec=spec,
-        diag=diag,
         left_limit_sq=_tail_limit_sq(spec.left_tail, -1),
         right_limit_sq=_tail_limit_sq(spec.right_tail, 1),
         flat_from=_flat_from(spec, diag),

@@ -26,7 +26,7 @@ from typing import Any
 from .polycert import RationalFunction
 from .weights import ConstantTail, RationalTail, TailSpec, WeightSpec
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class SpecFileError(ValueError):
@@ -38,7 +38,7 @@ class SpecFileError(ValueError):
 
 
 def parse_rational(text: str, field: str = "value") -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SpecFileError(field, f"malformed rational string {text!r}")
     if "/" in text:
         num_text, den_text = text.split("/")
@@ -144,9 +144,10 @@ def spec_to_dict(spec: WeightSpec, name: str | None = None, notes: str | None = 
 
 
 def load_spec(path: str | Path) -> tuple[WeightSpec, dict[str, str]]:
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(raw)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecFileError("file", f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError("file", f"invalid JSON: {exc}") from exc
     return spec_from_dict(obj)

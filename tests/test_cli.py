@@ -88,6 +88,18 @@ class TestClassifyCommand:
     def test_missing_file(self):
         assert run_cli("classify", "/nonexistent/path.json").code == 2
 
+    def test_non_utf8_file(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        result = run_cli("classify", str(bad))
+        assert result.code == 2
+        assert result.err.startswith("parse error: file: not UTF-8")
+
+    def test_directory_path(self, tmp_path):
+        result = run_cli("classify", str(tmp_path))
+        assert result.code == 2
+        assert result.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
     def test_parse_error_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

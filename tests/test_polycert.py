@@ -131,6 +131,15 @@ class TestRationalFunction:
         assert f * g == RationalFunction.ratio(f.num * g.num, f.den * g.den)
         if not g.is_zero:
             assert f / g == RationalFunction.ratio(f.num * g.den, f.den * g.num)
+        # Summands sharing the denominator factor c, which in the last pair
+        # cancels from the sum.
+        h = RationalFunction.ratio(n1, d1 * c)
+        y = RationalFunction.ratio(Polynomial.constant(1), c)
+        pairs = ((h, g), (f, g), (f + y, RationalFunction.ratio(n2, d2) - y))
+        for a, b in pairs:
+            cross = (a.num * b.den, b.num * a.den)
+            assert a + b == RationalFunction.ratio(cross[0] + cross[1], a.den * b.den)
+            assert a - b == RationalFunction.ratio(cross[0] - cross[1], a.den * b.den)
 
     def test_constant_value(self):
         assert rf([3], [2]).constant_value() == Fraction(3, 2)

@@ -27,7 +27,8 @@ from shiftcert import (
     transformed_weights,
     validate,
 )
-from shiftcert.classifier import VerdictClass
+from shiftcert.classifier import VerdictClass, _tail_violation
+from shiftcert.shiftcalc import difference_form
 from shiftcert.oracle import concordance, truncation_report
 
 from conftest import brute_force_ray_argmax, brute_force_ray_sign, random_labelled_spec
@@ -166,10 +167,11 @@ def random_bounded_tail(rng: random.Random, direction: int) -> RationalTail:
     return RationalTail(RationalFunction.of(num, den).shift(rng.randint(-8, 8)))
 
 
-def random_bounded_tail_spec(rng: random.Random) -> WeightSpec:
-    """A valid spec with a random window and a random_bounded_tail on each
-    side, each tail redrawn until it validates on its own ray."""
-    start = rng.randint(-20, 20)
+def random_bounded_tail_spec(rng: random.Random, reach: int = 20) -> WeightSpec:
+    """A valid spec with a random window starting in [-reach, reach] and a
+    random_bounded_tail on each side, each tail redrawn until it validates
+    on its own ray."""
+    start = rng.randint(-reach, reach)
     window = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
     flat = ConstantTail(Fraction(1))
     left = right = None
@@ -198,7 +200,7 @@ class TestTransformLimitIsSquaredWeightLimit:
                 else:
                     assert limit == limit_at_infinity(form, direction)
             # A negative seam entry certifies a spec that is not hyponormal.
-            not_hyponormal += min(tw.diag.seam_values) < 0
+            not_hyponormal += min(commutator_diagonal(spec).seam_values) < 0
         assert 100 < not_hyponormal < 1900
 
 
@@ -214,22 +216,51 @@ class TestTelescoping:
             assert total == spec.value(b) ** 2 - spec.value(a) ** 2
 
 
+def _tail_rays(spec: WeightSpec):
+    """Each tail with its d-form ray: the n with n and n - 1 in the tail."""
+    return (
+        (spec.left_tail, Ray.le(spec.window_start - 1)),
+        (spec.right_tail, Ray.ge(spec.window_end + 2)),
+    )
+
+
 class TestHyponormalityLink:
     def test_verdict_matches_diagonal_signs(self):
-        from shiftcert.weights import left_ray
-
         rng = random.Random(808)
         for _ in range(40):
             spec, _, _ = random_labelled_spec(rng)
             diag = commutator_diagonal(spec)
             sampled_nonneg = all(diag.entry(n) >= 0 for n in range(-60, 61))
-            left_ok = sign_on_ray(diag.left_form, left_ray(spec)).nonnegative
-            right_ok = sign_on_ray(
-                diag.right_form, Ray.ge(spec.window_end + 2)
-            ).nonnegative
-            assert check_hyponormal(spec).hyponormal == (
-                sampled_nonneg and left_ok and right_ok
+            tails_ok = all(
+                isinstance(tail, ConstantTail)
+                or sign_on_ray(difference_form(tail.fn), ray).nonnegative
+                for tail, ray in _tail_rays(spec)
             )
+            assert check_hyponormal(spec).hyponormal == (sampled_nonneg and tails_ok)
+
+
+class TestFirstDifferenceSignsTheDiagonal:
+    def test_random_positive_tails(self):
+        """On a positive tail, f(n) - f(n-1) and f(n)^2 - f(n-1)^2 get the
+        same sign kind, zeros and smallest-|n| violating pair."""
+        rng = random.Random(6161)
+        violations = zeros = 0
+        for _ in range(300):
+            spec = random_bounded_tail_spec(rng, reach=30)
+            for tail, ray in _tail_rays(spec):
+                if tail.fn.constant_value() is not None:
+                    continue
+                prev = tail.fn.shift(-1)
+                by_delta = sign_on_ray(difference_form(tail.fn), ray)
+                by_square = sign_on_ray(tail.fn * tail.fn - prev * prev, ray)
+                assert by_delta.kind == by_square.kind
+                assert by_delta.zeros == by_square.zeros
+                assert bool(by_delta.negatives) == bool(by_square.negatives)
+                if by_delta.negatives:
+                    assert _tail_violation(by_delta) == _tail_violation(by_square)
+                    violations += 1
+                zeros += bool(by_delta.zeros)
+        assert violations > 100 and zeros > 0
 
 
 class TestClassifierOracleConcordance:

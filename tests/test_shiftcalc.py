@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 from shiftcert import (
+    ConstantTail,
     NotHyponormalAtIndex,
     bounded_on_left_ray,
     commutator_diagonal,
     transformed_weights,
 )
 from shiftcert.fixtures import two_level
-from shiftcert.shiftcalc import sup_sq_global
+from shiftcert.shiftcalc import difference_form, sup_sq_global
 
 from conftest import make_flat_tail_spec, random_valid_spec
 
@@ -36,14 +37,26 @@ class TestCommutatorDiagonal:
                 assert value == diag.entry(diag.seam_start + i)
 
     def test_tail_forms_match_pointwise(self, fixture_specs):
+        """On each tail's d-form ray the first difference is the difference
+        of the moduli and has the sign of d_n."""
+        checked = 0
         for spec in fixture_specs.values():
             diag = commutator_diagonal(spec)
             lo = spec.window_start - 1
-            for n in range(lo - 1000, lo + 1):
-                assert diag.left_form(n) == diag.entry(n)
             hi = spec.window_end + 2
-            for n in range(hi, hi + 1000):
-                assert diag.right_form(n) == diag.entry(n)
+            for tail, ns in (
+                (spec.left_tail, range(lo - 1000, lo + 1)),
+                (spec.right_tail, range(hi, hi + 1000)),
+            ):
+                if isinstance(tail, ConstantTail):
+                    continue
+                delta = difference_form(tail.fn)
+                for n in ns:
+                    step = delta(n)
+                    assert step == spec.value(n) - spec.value(n - 1)
+                    assert (step > 0) - (step < 0) == (diag.entry(n) > 0) - (diag.entry(n) < 0)
+                checked += 1
+        assert checked == 4
 
     def test_telescoping_small(self, ex2):
         diag = commutator_diagonal(ex2)

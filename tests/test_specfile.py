@@ -31,7 +31,10 @@ class TestRationalStrings:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["1.5", "1 / 2", "a/b", "", "1/-2", "--1"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5", "1 / 2", "a/b", "", "1/-2", "--1", "5\n", "1/2\n", "\u0663", "\uff15"],
+    )
     def test_malformed_rejected(self, text):
         with pytest.raises(SpecFileError):
             parse_rational(text)
