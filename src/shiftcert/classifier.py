@@ -245,7 +245,8 @@ def _first_value_differing(spec: WeightSpec, start: int, target: Fraction) -> in
         deltas.append(fn.num - fn.den.scale(target))
     ceiling = ray_root_free_cutoff(right_ray(spec), *deltas) + 1
     while n <= ceiling:
-        if spec.value(n) != target:
+        p, q = spec.value_pair(n)
+        if p * target.denominator != q * target.numerator:
             return n
         n += 1
     raise AssertionError("no differing value found; sequence is constant")

@@ -253,6 +253,12 @@ def cmd_oracle(args, out, err) -> int:
     if isinstance(loaded, int):
         return loaded
     spec, verdict, meta = loaded
+    if verdict.certificate.sup_modulus**2 > Fraction(sys.float_info.max):
+        err.write(
+            "error: the oracle needs squared moduli within binary64 range: "
+            f"sup |beta_n|^2 exceeds {sys.float_info.max!r}\n"
+        )
+        return EXIT_INPUT
     half_width = (args.max_dim - 1) // 2
     tol = args.tol if args.tol is not None else default_tolerance(spec)
     sweep = None
@@ -262,8 +268,8 @@ def cmd_oracle(args, out, err) -> int:
         except ValueError:
             err.write(f"error: malformed sweep list {args.sweep!r}\n")
             return EXIT_INPUT
-        if sweep != sorted(sweep) or any(n < 2 for n in sweep):
-            err.write("error: sweep half-widths must be ascending and >= 2\n")
+        if any(b <= a for a, b in zip(sweep, sweep[1:])) or sweep[0] < 2:
+            err.write("error: sweep half-widths must be strictly ascending and >= 2\n")
             return EXIT_INPUT
         if 2 * sweep[-1] + 1 > MAX_DIM:
             err.write(

@@ -301,6 +301,8 @@ def truncation_report(
     Residuals compare the sparse-product commutator and conjugated shift
     against the exact diagonal and transformed weights; the comparison is
     the only place symbolic values enter (how Q and S are formed is not).
+    Each exact value becomes a float by one correctly rounded int / int
+    division of its pair, the nearest binary64 to it.
     """
     if tol is None:
         tol = default_tolerance(spec)
@@ -324,30 +326,30 @@ def truncation_report(
         s = transformed_shift(t, q, tol)
         # One exact evaluation per index gives g_n^2 for every interior n
         # with n + 1 interior, and d_n for every interior n.
-        exact_gamma_sq, exact_diag = tw.values_sq(interior.start, interior.stop - 1)
+        exact_gamma_sq, exact_diag = tw.pairs_sq(interior.start, interior.stop - 1)
     except (NotPSDError, NotHyponormalAtIndex):
         # Not hyponormal: numerically (Q has an entry below -tol) or only
         # exactly (a negative d_n within tol), so no conjugated operator.
         worst, where = min(zip(q_interior, interior))
         psd_failure_index = where if worst < -tol else None
         s = None
-        exact_diag = diag.entries(interior.start, interior.stop)
+        exact_diag = diag.entry_pairs(interior.start, interior.stop)
     else:
         gamma_residual = 0.0
         entries = np.diagonal(s, -1)[lo:hi].tolist()  # s[n+1, n]
         for n, entry, g_sq in zip(interior, entries, exact_gamma_sq):
             if g_sq is None:
                 continue
-            gamma_residual = max(gamma_residual, abs(entry - math.sqrt(float(g_sq))))
+            gamma_residual = max(gamma_residual, abs(entry - math.sqrt(g_sq[0] / g_sq[1])))
             if tw.flat_from is not None and n >= tw.flat_from:
                 flat = abs(entry)
                 flat_zero_max = flat if flat_zero_max is None else max(flat_zero_max, flat)
 
     q_diag_residual = 0.0
     q_diag_max = 0.0
-    for q_n, d_n in zip(q_interior, exact_diag):
+    for q_n, (d_num, d_den) in zip(q_interior, exact_diag):
         q_diag_max = max(q_diag_max, abs(q_n))
-        q_diag_residual = max(q_diag_residual, abs(q_n - float(d_n)))
+        q_diag_residual = max(q_diag_residual, abs(q_n - d_num / d_den))
     block = _as_sparse(q[lo : hi + 1, lo : hi + 1]).tocoo()
     q_offdiag_residual = float(np.abs(block.data[block.row != block.col]).max(initial=0.0))
 

@@ -1,5 +1,16 @@
 """Exact univariate polynomial and rational-function arithmetic over the
-rationals, with decidable sign and supremum analysis on integer rays.
+rationals, on an integer core, with decidable sign and supremum analysis on
+integer rays.
+
+A :class:`Polynomial` is integer coefficients over one positive
+denominator, in a canonical form. Ring operations, Taylor shifts,
+pseudo-division and the primitive-PRS GCD (Collins 1967; Knuth, TAOCP
+Vol. 2, 4.6.1) all run on Python ints, and evaluation at an integer is
+integer Horner. A :class:`RationalFunction` is reduced with a monic
+denominator, the form certificates report, and caches a pair of integer
+polynomials with the same ratio, so its value at an integer is an unreduced
+``(numerator, positive denominator)`` int pair. A ``Fraction`` is built
+only where a value leaves this module.
 
 :func:`sign_on_ray` and :func:`sup_on_ray` answer questions about a rational
 function at *every* integer of a half-line ``n <= a`` or ``n >= a`` as views
@@ -16,9 +27,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
+# An exact rational as (numerator, positive denominator), not reduced.
+Pair = tuple[int, int]
 
 
 class PoleOnRay(ValueError):
@@ -33,21 +47,80 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def pair_max(pairs: Iterable[Pair]) -> Pair:
+    """The largest of nonempty ``pairs``, compared by cross-multiplication."""
+    it = iter(pairs)
+    a, b = next(it)
+    for c, d in it:
+        if c * b > a * d:
+            a, b = c, d
+    return a, b
+
+
+def _canonical(ints: list[int], denom: int) -> "Polynomial":
+    """The polynomial sum(ints[i] n^i) / denom in canonical form."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if denom == 1 or not ints:
+        return Polynomial(tuple(ints))
+    g = math.gcd(denom, *ints)
+    if denom < 0:
+        g = -g
+    if g != 1:
+        ints = [c // g for c in ints]
+        denom //= g
+    return Polynomial(tuple(ints), denom)
+
+
+def _pseudo_divmod(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division (Knuth's Algorithm R): q, r and s = lc(v)^e with
+    s * u = q * v + r, deg r < deg v and e = max(deg u - deg v + 1, 0).
+    The remainder keeps its trailing zeros."""
+    m, n = len(u) - 1, len(v) - 1
+    if m < n:
+        return [], list(u), 1
+    lead = v[-1]
+    r = list(u)
+    q = [0] * (m - n + 1)
+    for k in range(m - n, -1, -1):
+        t = r[n + k]
+        q[k] = t * lead**k
+        for j in range(n + k - 1, k - 1, -1):
+            r[j] = lead * r[j] - t * v[j - k]
+        for j in range(k - 1, -1, -1):
+            r[j] *= lead
+    return q, r[:n], lead ** (m - n + 1)
+
+
+def _primitive(cs: list[int]) -> tuple[int, ...]:
+    """cs without trailing zeros, divided by its content."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return ()
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs)
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial, ascending coefficients, trailing nonzero.
+    """Dense univariate polynomial sum(ints[i] n^i) / denom.
 
-    The zero polynomial is the empty coefficient tuple and has degree -1.
+    ``ints`` ascend and end nonzero, ``denom`` is positive, and their gcd is
+    1, so equal polynomials have equal fields; the zero polynomial is
+    ``((), 1)`` and has degree -1. Build one with :meth:`of`; ``coeffs``
+    gives the rational coefficients. Evaluation at an integer is integer
+    Horner and returns an int when ``denom`` is 1.
     """
 
-    coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    denom: int = 1
 
     @staticmethod
     def of(*coeffs: Scalar) -> "Polynomial":
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
+        fs = [_frac(c) for c in coeffs]
+        denom = math.lcm(*(f.denominator for f in fs))
+        return _canonical([f.numerator * (denom // f.denominator) for f in fs], denom)
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -58,28 +131,40 @@ class Polynomial:
         return Polynomial.of(c)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denom) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.denom)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Polynomial.of(*a)
+        a, b = self.denom, other.denom
+        xs, ys = self.ints, other.ints
+        if a != b:
+            g = math.gcd(a, b)
+            xs = [c * (b // g) for c in xs]
+            ys = [c * (a // g) for c in ys]
+            a = a // g * b
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        out = list(xs)
+        for i, c in enumerate(ys):
+            out[i] += c
+        return _canonical(out, a)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-c for c in self.ints), self.denom)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -87,70 +172,61 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.ints):
                 out[i + j] += a * b
-        return Polynomial.of(*out)
+        return _canonical(out, self.denom * other.denom)
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = _frac(c)
-        if c == 0:
-            return Polynomial.zero()
-        return Polynomial(tuple(a * c for a in self.coeffs))
+        return _canonical([a * c.numerator for a in self.ints], self.denom * c.denominator)
 
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+    def __call__(self, x: Scalar) -> Scalar:
+        acc = 0
+        for c in reversed(self.ints):
             acc = acc * x + c
-        return acc
+        return acc if self.denom == 1 else Fraction(acc, self.denom)
 
     def compose_shift(self, delta: int) -> "Polynomial":
-        """Return q with q(n) = p(n + delta)."""
-        if delta == 0 or self.is_zero:
-            return self
-        # Horner in the shifted variable: p(n+delta) built highest term first.
-        acc = Polynomial.zero()
-        shift = Polynomial.of(delta, 1)
-        for c in reversed(self.coeffs):
-            acc = acc * shift + Polynomial.constant(c)
-        return acc
+        """Return q with q(n) = p(n + delta).
+
+        The integer Taylor shift is invertible over Z, so it keeps the
+        content and the form stays canonical.
+        """
+        c = list(self.ints)
+        if delta:
+            for i in range(len(c) - 1):
+                for j in range(len(c) - 2, i - 1, -1):
+                    c[j] += delta * c[j + 1]
+        return Polynomial(tuple(c), self.denom)
 
     def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial.zero()
-        return Polynomial.of(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return _canonical([i * c for i, c in enumerate(self.ints) if i > 0], self.denom)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder over Q[n], by pseudo-division on the ints."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q: list[Fraction] = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial.of(*q), Polynomial.of(*rem)
+        q, r, s = _pseudo_divmod(self.ints, other.ints)
+        denom = self.denom * s
+        return _canonical([c * other.denom for c in q], denom), _canonical(r, denom)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return _canonical(list(self.ints), self.ints[-1])
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over Q[n] (Euclid)."""
-    while not b.is_zero:
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero else a
+    """Monic greatest common divisor over Q[n]: the last nonzero member of
+    the primitive polynomial remainder sequence, made monic."""
+    u, v = _primitive(list(a.ints)), _primitive(list(b.ints))
+    while v:
+        u, v = v, _primitive(_pseudo_divmod(u, v)[1])
+    return Polynomial(u).monic()
 
 
 def integer_root_free_bound(p: Polynomial) -> int:
@@ -165,37 +241,33 @@ def integer_root_free_bound(p: Polynomial) -> int:
         raise ValueError("zero polynomial has roots everywhere")
     if p.degree == 0:
         return 1
-    lead = abs(p.leading)
-    biggest = max(abs(c) for c in p.coeffs[:-1])
-    return math.ceil(1 + biggest / lead)
+    lead = abs(p.ints[-1])
+    biggest = max(abs(c) for c in p.ints[:-1])
+    return 1 - (-biggest // lead)
 
 
 def asymptotic_sign(p: Polynomial, direction: int) -> int:
     """Sign of p(n) for n far out toward +inf (direction=+1) or -inf (-1)."""
     if p.is_zero:
         return 0
-    s = 1 if p.leading > 0 else -1
+    s = 1 if p.ints[-1] > 0 else -1
     if direction < 0 and p.degree % 2 == 1:
         s = -s
     return s
-
-
-def _negate_variable(p: Polynomial) -> Polynomial:
-    return Polynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.coeffs)))
 
 
 def _no_roots_beyond(p: Polynomial, m: int, direction: int) -> bool:
     """Certify that p has no real roots x with direction*x > m (Descartes).
 
     Substituting x = direction * (m + t) reduces the claim to "no positive
-    roots of q(t)"; zero sign changes among q's coefficients certify that
-    exactly.
+    roots of q(t)"; zero sign changes among q's integer coefficients
+    certify that exactly (negating t flips the odd ones when direction < 0).
     """
-    q = p.compose_shift(direction * m)
+    q = p.compose_shift(direction * m).ints
     if direction < 0:
-        q = _negate_variable(q)
-    has_positive = any(c > 0 for c in q.coeffs)
-    has_negative = any(c < 0 for c in q.coeffs)
+        q = [-c if i % 2 else c for i, c in enumerate(q)]
+    has_positive = any(c > 0 for c in q)
+    has_negative = any(c < 0 for c in q)
     return not (has_positive and has_negative)
 
 
@@ -315,11 +387,22 @@ class RationalFunction:
 
     Reduction by the polynomial GCD plus the monic normalization make the
     representation canonical, so structural equality means functional
-    equality.
+    equality. ``cleared`` holds the same ratio as two integer polynomials,
+    which every evaluation uses.
     """
 
     num: Polynomial
     den: Polynomial
+
+    @cached_property
+    def cleared(self) -> tuple[Polynomial, Polynomial]:
+        """Polynomials with integer coefficients and the ratio num / den."""
+        a, b = self.num.denom, self.den.denom
+        g = math.gcd(a, b)
+        return (
+            Polynomial(tuple(c * (b // g) for c in self.num.ints)),
+            Polynomial(tuple(c * (a // g) for c in self.den.ints)),
+        )
 
     @staticmethod
     def ratio(num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -351,7 +434,7 @@ class RationalFunction:
         if self.num.is_zero:
             return Fraction(0)
         if self.num.degree == 0 and self.den.degree == 0:
-            return self.num.coeffs[0] / self.den.coeffs[0]
+            return self.num.leading / self.den.leading
         return None
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -396,11 +479,18 @@ class RationalFunction:
             self.num.compose_shift(delta), self.den.compose_shift(delta)
         )
 
-    def __call__(self, n: Scalar) -> Fraction:
-        d = self.den(n)
+    def pair(self, n: int) -> Pair:
+        """f(n) as an int pair, denominator evaluated first; raises
+        ZeroDivisionError at a pole."""
+        num, den = self.cleared
+        d = den(n)
         if d == 0:
             raise ZeroDivisionError(f"pole at n = {n}")
-        return self.num(n) / d
+        v = num(n)
+        return (v, d) if d > 0 else (-v, -d)
+
+    def __call__(self, n: Scalar) -> Fraction:
+        return Fraction(*self.pair(n))
 
     def derivative_numerator(self) -> Polynomial:
         """Numerator of f'; its sign is the sign of f' off the poles."""
@@ -420,22 +510,23 @@ def limit_at_infinity(f: RationalFunction, direction: int) -> Limit:
     return Limit.infinite(sign)
 
 
-def _walk(f: RationalFunction, ray: Ray, *polys: Polynomial) -> tuple[int, Iterator[tuple[int, Fraction]]]:
+def _walk(f: RationalFunction, ray: Ray, *polys: Polynomial) -> tuple[int, Iterator[tuple[int, Pair]]]:
     """The cutoff certified for f's numerator, denominator and ``polys``,
-    and an iterator over (n, f(n)) for each integer n of the ray's segment
-    up to it.
+    and an iterator over (n, f(n) as a :data:`Pair`) for each integer n of
+    the ray's segment up to it.
 
     The segment holds every integer pole on the ray, and the walk ascends,
     so :class:`PoleOnRay` is raised at the lowest.
     """
     cutoff = ray_root_free_cutoff(ray, f.num, f.den, *polys)
 
-    def values() -> Iterator[tuple[int, Fraction]]:
+    def values() -> Iterator[tuple[int, Pair]]:
         for n in ray.segment_to(cutoff):
-            d = f.den(n)
-            if d == 0:
-                raise PoleOnRay(n)
-            yield n, f.num(n) / d
+            try:
+                v = f.pair(n)
+            except ZeroDivisionError:
+                raise PoleOnRay(n) from None
+            yield n, v
 
     return cutoff, values()
 
@@ -455,7 +546,7 @@ def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
     zeros: list[int] = []
     negatives: list[int] = []
     pos: int | None = None
-    for n, v in values:
+    for n, (v, _) in values:
         if v == 0:
             zeros.append(n)
         elif v > 0:
@@ -493,7 +584,7 @@ def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction | None:
     if f.num.is_zero:
         return Fraction(0)
     _, values = _walk(f, ray, f.derivative_numerator())
-    best = max(v for _, v in values)
+    best = Fraction(*pair_max(v for _, v in values))
     lim = limit_at_infinity(f, ray.direction)
     if not lim.is_finite and lim.sign is not None and lim.sign > 0:
         return None

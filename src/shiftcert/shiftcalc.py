@@ -8,7 +8,9 @@ shift root(Q) T pinv_root(Q) is again a weighted shift; its squared weights
 
 drive every boundedness question, so the whole symbolic pipeline stays in
 exact rational arithmetic (square roots only ever appear in the
-floating-point oracle).
+floating-point oracle). One range evaluator computes moduli, d_n and g_n
+as unreduced int pairs (:data:`~shiftcert.polycert.Pair`); a ``Fraction``
+is built only for the values the public methods return.
 
 On a tail with modulus function f > 0, d_n = Delta(n) * (f(n) + f(n-1))
 for the first difference Delta(n) = f(n) - f(n-1), which so carries the
@@ -23,9 +25,11 @@ from fractions import Fraction
 
 from .polycert import (
     Limit,
+    Pair,
     RationalFunction,
     Ray,
     limit_at_infinity,
+    pair_max,
     ray_root_free_cutoff,
 )
 from .weights import (
@@ -45,13 +49,16 @@ class NotHyponormalAtIndex(ValueError):
         self.value = value
 
 
-def _moduli_sq(spec: WeightSpec, start: int, stop: int) -> list[Fraction]:
+def _moduli_sq(spec: WeightSpec, start: int, stop: int) -> list[Pair]:
     """|beta_n|^2 for start <= n < stop, one exact evaluation per index."""
-    return [v * v for v in map(spec.value, range(start, stop))]
+    return [(p * p, q * q) for p, q in map(spec.value_pair, range(start, stop))]
 
 
-def _differences(squares: list[Fraction]) -> list[Fraction]:
-    return [a - b for b, a in zip(squares, squares[1:])]
+def _differences(squares: list[Pair]) -> list[Pair]:
+    return [
+        (c - a, b) if b == d else (c * b - a * d, b * d)
+        for (a, b), (c, d) in zip(squares, squares[1:])
+    ]
 
 
 def difference_form(fn: RationalFunction) -> RationalFunction:
@@ -79,13 +86,19 @@ class CommutatorDiagonal:
 
     def entries(self, start: int, stop: int) -> list[Fraction]:
         """``entry(n)`` for start <= n < stop, each modulus evaluated once."""
+        return [Fraction(*d) for d in self.entry_pairs(start, stop)]
+
+    def entry_pairs(self, start: int, stop: int) -> list[Pair]:
+        """``entries`` as int pairs."""
         return _differences(_moduli_sq(self.spec, start - 1, stop))
 
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
     first = spec.window_start
     seams = _differences(_moduli_sq(spec, first - 1, spec.window_end + 2))
-    return CommutatorDiagonal(spec=spec, seam_start=first, seam_values=tuple(seams))
+    return CommutatorDiagonal(
+        spec=spec, seam_start=first, seam_values=tuple(Fraction(*d) for d in seams)
+    )
 
 
 @dataclass(frozen=True)
@@ -132,18 +145,27 @@ class TransformedWeights:
         where it would raise, plus the diagonal entries d_n for
         start <= n <= stop they were computed from. Each exact modulus is
         evaluated once."""
+        values, diag = self.pairs_sq(start, stop)
+        return (
+            [None if v is None else Fraction(*v) for v in values],
+            [Fraction(*d) for d in diag],
+        )
+
+    def pairs_sq(self, start: int, stop: int) -> tuple[list[Pair | None], list[Pair]]:
+        """``values_sq`` as int pairs."""
         squares = _moduli_sq(self.spec, start - 1, stop + 1)
         diag = _differences(squares)
-        out: list[Fraction | None] = []
+        out: list[Pair | None] = []
         for k, n in enumerate(range(start, stop)):
-            d, d_next = diag[k], diag[k + 1]
-            if d < 0 or d_next < 0:
-                idx = n if d < 0 else n + 1
-                raise NotHyponormalAtIndex(idx, min(d, d_next))
-            if d > 0:
-                out.append(squares[k + 1] * d_next / d)
-            elif d_next == 0:
-                out.append(Fraction(0))
+            (a, b), (c, e) = diag[k], diag[k + 1]
+            if a < 0 or c < 0:
+                idx = n if a < 0 else n + 1
+                raise NotHyponormalAtIndex(idx, min(Fraction(a, b), Fraction(c, e)))
+            if a > 0:
+                s, t = squares[k + 1]
+                out.append((s * c * b, t * e * a))
+            elif c == 0:
+                out.append((0, 1))
             else:
                 out.append(None)
         return out, diag
@@ -183,7 +205,7 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
         n = spec.window_start - 1
         floor = -ray_root_free_cutoff(left_ray(spec), delta.num) - 1
         while n >= floor:
-            if delta(n) != 0:
+            if delta.pair(n)[0] != 0:
                 return n
             n -= 1
     # Globally normal: every d_n vanishes.
@@ -218,10 +240,10 @@ def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> Fraction:
     )
     start = min(-cutoff, upto)
 
-    values, _ = tw.values_sq(start, upto + 1)
+    values, _ = tw.pairs_sq(start, upto + 1)
     if None in values:
         raise ValueError(f"transformed weight undefined at n = {start + values.index(None)}")
-    return max([tw.left_limit_sq.value, *values])
+    return max(tw.left_limit_sq.value, Fraction(*pair_max(values)))
 
 
 def sup_sq_global(tw: TransformedWeights) -> Fraction:
@@ -242,6 +264,6 @@ def sup_sq_global(tw: TransformedWeights) -> Fraction:
         else:
             hi = cutoff
 
-    values, _ = tw.values_sq(lo, hi + 1)
-    limits = [tw.left_limit_sq.value, tw.right_limit_sq.value]
-    return max(v for v in [Fraction(0), *values, *limits] if v is not None)
+    values, _ = tw.pairs_sq(lo, hi + 1)
+    best = pair_max(v for v in [(0, 1), *values] if v is not None)
+    return max(Fraction(*best), tw.left_limit_sq.value, tw.right_limit_sq.value)

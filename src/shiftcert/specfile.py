@@ -10,7 +10,9 @@ A spec file is a UTF-8 JSON object with exactly these fields:
     name, notes    optional strings
 
 Rational strings are bit-exact and locale-free: optional sign, digits,
-optional "/denominator" (omitted denominator means 1), no whitespace.
+optional "/denominator" (omitted denominator means 1), no whitespace. Each
+integer part is held to Python's integer string conversion limit
+(``sys.get_int_max_str_digits()``, 4,300 digits by default).
 Polynomial coefficient lists are ascending (index i holds the coefficient
 of n^i). Unknown fields are rejected.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -40,6 +43,9 @@ class SpecFileError(ValueError):
 def parse_rational(text: str, field: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SpecFileError(field, f"malformed rational string {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(part.lstrip("+-")) > limit for part in text.split("/")):
+        raise SpecFileError(field, f"an integer in the rational string has more than {limit} digits")
     if "/" in text:
         num_text, den_text = text.split("/")
         den = int(den_text)
@@ -148,7 +154,7 @@ def load_spec(path: str | Path) -> tuple[WeightSpec, dict[str, str]]:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SpecFileError("file", f"not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise SpecFileError("file", f"invalid JSON: {exc}") from exc
     return spec_from_dict(obj)
 

@@ -4,7 +4,8 @@ A :class:`WeightSpec` tiles the integers into three regions: an explicit
 window of positive rationals and two closed-form tails (a positive constant,
 or a rational function with a finite limit). Everything downstream -- the
 self-commutator diagonal, the transformed weights, the classification
-certificates -- evaluates these moduli exactly.
+certificates -- evaluates these moduli exactly, as int pairs
+(:meth:`WeightSpec.value_pair`).
 
 Weights are stored as moduli: every criterion used here depends only on
 |beta_n|, and a bilateral shift is unitarily equivalent to the shift with
@@ -18,6 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from .polycert import (
+    Pair,
     PoleOnRay,
     RationalFunction,
     Ray,
@@ -55,18 +57,27 @@ class WeightSpec:
     def window_end(self) -> int:
         return self.window_start + len(self.window_values) - 1
 
+    def value_pair(self, n: int) -> Pair:
+        """Exact modulus |beta_n| as an unreduced (numerator, positive
+        denominator) int pair."""
+        if self.window_start <= n <= self.window_end:
+            v = self.window_values[n - self.window_start]
+        else:
+            tail = self.left_tail if n < self.window_start else self.right_tail
+            if not isinstance(tail, ConstantTail):
+                return tail.fn.pair(n)
+            v = tail.value
+        return v.numerator, v.denominator
+
     def value(self, n: int) -> Fraction:
         """Exact modulus |beta_n|."""
-        if self.window_start <= n <= self.window_end:
-            return self.window_values[n - self.window_start]
-        tail = self.left_tail if n < self.window_start else self.right_tail
-        if isinstance(tail, ConstantTail):
-            return tail.value
-        return tail.fn(n)
+        return Fraction(*self.value_pair(n))
 
     def value_float(self, n: int) -> float:
-        """Nearest binary64 to the exact modulus."""
-        return float(self.value(n))
+        """Nearest binary64 to the exact modulus: one correctly rounded
+        int / int division."""
+        p, q = self.value_pair(n)
+        return p / q
 
 
 def tail_constant_value(tail: TailSpec) -> Fraction | None:

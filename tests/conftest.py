@@ -165,6 +165,38 @@ def random_valid_spec(rng: random.Random) -> WeightSpec:
     return random_labelled_spec(rng)[0]
 
 
+def fraction_horner(coeffs, x) -> Fraction:
+    """Reference evaluation: Horner's rule in Fraction arithmetic on
+    ascending rational coefficients."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + Fraction(c)
+    return acc
+
+
+def fraction_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Reference long division over Q on ascending coefficient lists without
+    trailing zeros; b is nonzero. The remainder has no trailing zeros."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        factor = rem[-1] / b[-1]
+        quot[k] = factor
+        for i, c in enumerate(b):
+            rem[k + i] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def euclid_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Reference monic GCD over Q: Euclid's algorithm on Fraction lists."""
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
 def int_cleared_coeffs(p) -> list[int]:
     """Coefficients scaled by the denominator lcm: integer Horner preserves
     signs and zeros while staying far faster than Fraction arithmetic."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -117,6 +119,26 @@ class TestClassifyCommand:
         assert result.code == 2
         assert "den" in result.err
 
+    @pytest.mark.parametrize("command", ["classify", "oracle"])
+    def test_oversized_rational_is_a_parse_error(self, tmp_path, command):
+        spec = tmp_path / "long.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": ["1" * 5001],
+                    "left_tail": {"kind": "constant", "value": "1"},
+                    "right_tail": {"kind": "constant", "value": "2"},
+                }
+            ),
+            encoding="utf-8",
+        )
+        result = run_cli(command, str(spec))
+        assert result.code == 2
+        assert result.err.startswith("parse error: window_values[0]: ")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in result.err
+        assert result.out == ""
+
     def test_validation_error_exit(self, tmp_path):
         bad = tmp_path / "unbounded.json"
         bad.write_text(
@@ -225,6 +247,66 @@ class TestOracleCommand:
             "oracle", str(fixture_dir / "ex1.json"), "--sweep", "40,10"
         )
         assert result.code == 2
+
+    @pytest.mark.parametrize("sweep", ["4,4", "4,8,8"])
+    def test_repeated_sweep_width_rejected(self, fixture_dir, monkeypatch, sweep):
+        import shiftcert.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "truncation_report", _no_truncation)
+        result = run_cli("oracle", str(fixture_dir / "ex1.json"), "--sweep", sweep)
+        assert result.code == 2
+        assert "strictly ascending" in result.err
+        assert result.out == ""
+
+    @staticmethod
+    def _level_spec(tmp_path, level: int) -> Path:
+        spec = tmp_path / "big.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": ["1", str(level)],
+                    "left_tail": {"kind": "constant", "value": "1"},
+                    "right_tail": {"kind": "constant", "value": str(level)},
+                }
+            ),
+            encoding="utf-8",
+        )
+        return spec
+
+    @pytest.mark.parametrize("exponent", [160, 200, 400])
+    @pytest.mark.parametrize("tol_args", [(), ("--tol", "1e-9")])
+    def test_moduli_beyond_binary64_rejected(self, tmp_path, monkeypatch, exponent, tol_args):
+        import shiftcert.cli as cli_module
+
+        spec = self._level_spec(tmp_path, 10**exponent)
+        assert run_cli("classify", str(spec)).code == 0
+        monkeypatch.setattr(cli_module, "truncation_report", _no_truncation)
+        result = run_cli("oracle", str(spec), "--max-dim", "41", *tol_args)
+        assert result.code == 2
+        assert result.err.startswith("error: the oracle needs squared moduli within binary64 range")
+        assert result.out == ""
+
+    @pytest.mark.parametrize("excess, rejected", [(0, False), (1, True)])
+    def test_binary64_gate_is_exact(self, tmp_path, monkeypatch, excess, rejected):
+        # isqrt(max)^2 is at most the largest double and (isqrt(max)+1)^2 is
+        # above it: only the second is refused before any truncation.
+        import shiftcert.cli as cli_module
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        level = math.isqrt(int(sys.float_info.max)) + excess
+        spec = self._level_spec(tmp_path, level)
+        monkeypatch.setattr(cli_module, "truncation_report", reached)
+        if rejected:
+            assert run_cli("oracle", str(spec), "--tol", "1e-9").code == 2
+        else:
+            with pytest.raises(Reached):
+                run_cli("oracle", str(spec), "--tol", "1e-9")
 
     def test_verdict_content_matches_between_formats(self, fixture_dir):
         text = run_cli("classify", str(fixture_dir / "ex3.json")).out

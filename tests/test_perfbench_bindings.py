@@ -22,8 +22,11 @@ import sys
 from pathlib import Path
 
 from shiftcert.cli import main
-from shiftcert.fixtures import example_one
+from shiftcert.fixtures import example_one, example_two
+from shiftcert.oracle import build_truncation
+from shiftcert.shiftcalc import commutator_diagonal, transformed_weights
 from shiftcert.specfile import dump_spec
+from shiftcert.weights import RationalTail
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +69,43 @@ def test_traced_oracle_call_keeps_the_dense_result_contract(tmp_path):
     err = _load("run").norm_rel_err(path, json.loads(out.getvalue())["oracle"])
     assert isinstance(err, float)
     assert err < 1e-6
+
+
+def test_traced_exact_evaluations_cover_every_rational_tail_index(tmp_path):
+    """``polycert.exact_evals`` counts calls of ``Polynomial.__call__``, so
+    each exact consumer of a truncation must evaluate through it: at least
+    once per index that lies on a rational tail."""
+    spec = example_two()  # rational tails on both sides
+    half_width = 30
+
+    def rational_indices(start: int, stop: int) -> int:
+        return sum(
+            isinstance(spec.left_tail if n < spec.window_start else spec.right_tail, RationalTail)
+            for n in range(start, stop)
+            if not spec.window_start <= n <= spec.window_end
+        )
+
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    with tracer.active():
+        build_truncation(spec, half_width, 1e-9)
+    assert tracer.counters.exact_evals >= rational_indices(-half_width, half_width)
+
+    tw = transformed_weights(spec, commutator_diagonal(spec))
+    tracer = spans.Tracer()
+    with tracer.active():
+        tw.values_sq(-half_width, half_width)
+    assert tracer.counters.exact_evals >= rational_indices(-half_width, half_width)
+
+    # Through the CLI: a wider truncation costs at least one evaluation per
+    # extra rational-tail index, for the matrix and again for the residuals.
+    path = tmp_path / "ex2.json"
+    dump_spec(spec, path)
+    counts = []
+    for dim in (41, 241):
+        tracer = spans.Tracer()
+        with tracer.active(), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["oracle", str(path), "--max-dim", str(dim)]) == 0
+        counts.append(tracer.counters.exact_evals)
+    extra = rational_indices(-120, 120) - rational_indices(-20, 20)
+    assert counts[1] - counts[0] >= 2 * extra

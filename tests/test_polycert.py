@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from shiftcert.polycert import (
     sup_on_ray,
 )
 
+from conftest import euclid_gcd, fraction_divmod, fraction_horner
+
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=6
 )
@@ -33,6 +36,83 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 def rf(num, den=(1,)) -> RationalFunction:
     return RationalFunction.of(num, den)
+
+
+# Rational coefficients with numerators and denominators up to 2^200.
+wide_fractions = st.one_of(
+    small_fractions,
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+)
+wide_coeffs = st.lists(wide_fractions, min_size=0, max_size=6)
+eval_points = st.one_of(st.integers(-20, 20), st.integers(-(10**40), 10**40))
+
+
+class TestIntegerCore:
+    """The integer core against Fraction references kept in conftest."""
+
+    @given(wide_coeffs, eval_points)
+    @settings(max_examples=300, deadline=None)
+    def test_evaluation_matches_fraction_horner(self, cs, n):
+        p = Polynomial.of(*cs)
+        value = p(n)
+        assert value == fraction_horner(cs, n)
+        if p.denom == 1:
+            assert type(value) is int
+
+    @given(wide_coeffs, wide_coeffs.filter(lambda cs: any(cs)), eval_points)
+    @settings(max_examples=200, deadline=None)
+    def test_rational_pair_matches_fraction_horner(self, num, den, n):
+        f = RationalFunction.of(num, den)
+        reduced_den = fraction_horner(f.den.coeffs, n)
+        if reduced_den == 0:
+            with pytest.raises(ZeroDivisionError):
+                f.pair(n)
+            return
+        p, q = f.pair(n)
+        assert q > 0
+        assert Fraction(p, q) == f(n) == fraction_horner(f.num.coeffs, n) / reduced_den
+        if fraction_horner(den, n) != 0:  # off the cancelled common roots
+            assert f(n) == fraction_horner(num, n) / fraction_horner(den, n)
+
+    @given(wide_coeffs)
+    @settings(max_examples=150, deadline=None)
+    def test_coeffs_round_trip(self, cs):
+        p = Polynomial.of(*cs)
+        while cs and cs[-1] == 0:
+            cs = cs[:-1]
+        assert p.coeffs == tuple(cs)
+        assert p.denom > 0
+        assert math.gcd(p.denom, *p.ints) == 1
+
+    @given(polys, nonzero_polys, st.integers(-5, 5), wide_fractions.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_polynomials_built_differently_are_identical(self, p, q, delta, c):
+        routes = [
+            (p * q).divmod(q)[0],
+            (p + q) - q,
+            p.compose_shift(delta).compose_shift(-delta),
+            p.scale(c).scale(1 / c),
+            Polynomial.of(*p.coeffs, 0, 0),
+        ]
+        for built in routes:
+            assert built == p
+            assert hash(built) == hash(p)
+            assert (built.ints, built.denom) == (p.ints, p.denom)
+
+    @given(wide_coeffs, wide_coeffs.filter(lambda cs: any(cs)))
+    @settings(max_examples=150, deadline=None)
+    def test_divmod_matches_long_division(self, a, b):
+        p, d = Polynomial.of(*a), Polynomial.of(*b)
+        q, r = p.divmod(d)
+        ref_q, ref_r = fraction_divmod(list(p.coeffs), list(d.coeffs))
+        assert q.coeffs == tuple(c for c in Polynomial.of(*ref_q).coeffs)
+        assert r.coeffs == tuple(ref_r)
+
+    @given(polys, polys, polys)
+    @settings(max_examples=150, deadline=None)
+    def test_prs_gcd_matches_euclid(self, a, b, common):
+        a, b = a * common, b * common
+        assert list(poly_gcd(a, b).coeffs) == euclid_gcd(list(a.coeffs), list(b.coeffs))
 
 
 class TestPolynomialArithmetic:

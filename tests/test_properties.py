@@ -28,7 +28,8 @@ from shiftcert import (
     validate,
 )
 from shiftcert.classifier import VerdictClass, _tail_violation
-from shiftcert.shiftcalc import difference_form
+from shiftcert.shiftcalc import NotHyponormalAtIndex, difference_form
+from shiftcert.weights import scale_spec
 from shiftcert.oracle import concordance, truncation_report
 
 from conftest import brute_force_ray_argmax, brute_force_ray_sign, random_labelled_spec
@@ -202,6 +203,63 @@ class TestTransformLimitIsSquaredWeightLimit:
             # A negative seam entry certifies a spec that is not hyponormal.
             not_hyponormal += min(commutator_diagonal(spec).seam_values) < 0
         assert 100 < not_hyponormal < 1900
+
+
+def _fraction_gammas(spec: WeightSpec, start: int, stop: int):
+    """Reference g_n^2 for start <= n < stop and d_n for start <= n <= stop,
+    in Fraction arithmetic; ("raises", n, d_n) where the range evaluator
+    must raise NotHyponormalAtIndex."""
+    squares = [spec.value(n) ** 2 for n in range(start - 1, stop + 1)]
+    diag = [b - a for a, b in zip(squares, squares[1:])]
+    gammas = []
+    for k, n in enumerate(range(start, stop)):
+        d, d_next = diag[k], diag[k + 1]
+        if d < 0 or d_next < 0:
+            return ("raises", n if d < 0 else n + 1, min(d, d_next)), diag
+        if d > 0:
+            gammas.append(squares[k + 1] * d_next / d)
+        else:
+            gammas.append(Fraction(0) if d_next == 0 else None)
+    return gammas, diag
+
+
+class TestRangeEvaluatorAgainstFractions:
+    """Int pairs and floats of the range evaluator against Fraction
+    arithmetic, on random specs, some scaled by large-bit rationals."""
+
+    def _specs(self):
+        rng = random.Random(3141)
+        for i in range(240):
+            spec = random_labelled_spec(rng)[0] if i % 2 else random_bounded_tail_spec(rng)
+            if i % 3 == 0:
+                spec = scale_spec(spec, Fraction(rng.randint(1, 2**120), rng.randint(1, 2**90)))
+            yield spec
+
+    def test_pairs_and_floats_match_fractions(self):
+        raised = 0
+        for spec in self._specs():
+            lo, hi = spec.window_start - 6, spec.window_end + 7
+            for n in range(lo, hi):
+                p, q = spec.value_pair(n)
+                assert q > 0 and Fraction(p, q) == spec.value(n)
+                assert spec.value_float(n) == float(spec.value(n))
+            diag = commutator_diagonal(spec)
+            expected, expected_diag = _fraction_gammas(spec, lo, hi)
+            assert [Fraction(*d) for d in diag.entry_pairs(lo, hi + 1)] == expected_diag
+            assert diag.entries(lo, hi + 1) == expected_diag
+            tw = transformed_weights(spec, diag)
+            if isinstance(expected, tuple):
+                with pytest.raises(NotHyponormalAtIndex) as excinfo:
+                    tw.pairs_sq(lo, hi)
+                assert (excinfo.value.index, excinfo.value.value) == expected[1:]
+                raised += 1
+                continue
+            pairs, pair_diag = tw.pairs_sq(lo, hi)
+            assert [None if v is None else Fraction(*v) for v in pairs] == expected
+            assert all(v is None or v[1] > 0 for v in pairs)
+            assert [Fraction(*d) for d in pair_diag] == expected_diag
+            assert tw.values_sq(lo, hi) == (expected, expected_diag)
+        assert raised > 10
 
 
 class TestTelescoping:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,18 @@ class TestRationalStrings:
         with pytest.raises(SpecFileError) as excinfo:
             parse_rational("1/0")
         assert "zero denominator" in str(excinfo.value)
+
+    @pytest.mark.parametrize("text", ["1" * 5001, "-1" + "0" * 5000, "1/" + "7" * 5001])
+    def test_oversized_integer_rejected(self, text):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SpecFileError) as excinfo:
+            parse_rational(text, "window_values[0]")
+        assert excinfo.value.field == "window_values[0]"
+        assert f"more than {limit} digits" in str(excinfo.value)
+
+    def test_integer_at_the_digit_limit_parses(self):
+        text = "9" * sys.get_int_max_str_digits()
+        assert parse_rational(text) == int(text)
 
     @pytest.mark.parametrize("value", [Fraction(2), Fraction(-5, 7), Fraction(0)])
     def test_round_trip(self, value):
@@ -122,6 +135,13 @@ class TestFiles:
         spec, meta = load_spec(path)
         assert spec == fixture_specs["ex1"]
         assert meta["name"] == "ex1"
+
+    def test_oversized_integer_literal(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"window_start": ' + "1" * 5001 + "}", encoding="utf-8")
+        with pytest.raises(SpecFileError) as excinfo:
+            load_spec(path)
+        assert excinfo.value.field == "file"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
