@@ -16,6 +16,12 @@ strict part. Every tail the spec format expresses has a finite limit L and,
 when it varies, a nonzero d-form, so its transformed weights tend to L^2:
 they are always bounded, and the structure alone decides.
 
+That structure is one certified fact: which pairs |beta_n|, |beta_{n+1}|
+are equal and which rise strictly. :func:`check_hyponormal` lists the equal
+pairs from the zeros of each tail's first difference and from the seam
+values, and every rule past hyponormality reads that pattern through
+:meth:`HyponormalityCheck.first_rise`; none evaluates a modulus again.
+
 Every verdict carries a :class:`Certificate` holding the certified
 structure, the witnesses, exact limits and bounds, and replayable spot
 checks; :func:`replay` recomputes all of it from scratch.
@@ -28,7 +34,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby, zip_longest
 
-from .polycert import Limit, Ray, RaySign, ray_root_free_cutoff, sign_on_ray
+# ray_root_free_cutoff is unused here: perfbench/spans.py wraps it in this module.
+from .polycert import Limit, Ray, RaySign, ray_root_free_cutoff, sign_on_ray  # noqa: F401
 from .shiftcalc import (
     CommutatorDiagonal,
     TransformedWeights,
@@ -38,12 +45,10 @@ from .shiftcalc import (
     transformed_weights,
 )
 from .weights import (
-    RationalTail,
     TailSpec,
     ValidationReport,
     WeightSpec,
     left_ray,
-    right_ray,
     tail_constant_value,
     validate,
 )
@@ -144,9 +149,13 @@ class Verdict:
 class HyponormalityCheck:
     """Outcome of :func:`check_hyponormal`, with the diagonal it was built on.
 
-    ``equal_pairs`` lists, ascending, every equal pair outside a constant
-    left tail; a constant right tail contributes only its first pair. It
-    is empty when the shift is not hyponormal.
+    Once hyponormality holds the moduli are nondecreasing, so every pair
+    is equal or a strict rise, and that pair pattern is all the rules past
+    hyponormality read, through :meth:`first_rise`. ``equal_pairs`` lists,
+    ascending, every equal pair outside a constant left tail; a constant
+    right tail contributes only its first pair, window_end + 1, and makes
+    every pair from there on equal. It is empty when the shift is not
+    hyponormal.
     """
 
     hyponormal: bool
@@ -154,6 +163,23 @@ class HyponormalityCheck:
     profile: StructureProfile | None
     diag: CommutatorDiagonal
     equal_pairs: tuple[int, ...]
+
+    def first_rise(self, pair: int) -> int | None:
+        """Smallest p >= pair with |beta_p| < |beta_{p+1}|, or None when
+        every pair from ``pair`` on is equal. Needs hyponormality."""
+        profile = self.profile
+        assert profile is not None
+        spec = self.diag.spec
+        if profile.left_shape == Shape.CONSTANT:
+            pair = max(pair, spec.window_start - 1)
+        for e in self.equal_pairs:
+            if e > pair:
+                break
+            if e == pair:
+                pair += 1
+        if profile.right_shape == Shape.CONSTANT and pair > spec.window_end:
+            return None
+        return pair
 
 
 def _witness_key(n: int) -> tuple[int, int]:
@@ -236,29 +262,6 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     return HyponormalityCheck(True, None, profile, diag, tuple(equal_pairs))
 
 
-def _first_value_differing(spec: WeightSpec, start: int, target: Fraction) -> int:
-    """Smallest n >= start with |beta_n| != target (must exist)."""
-    n = start
-    deltas = []
-    if isinstance(spec.right_tail, RationalTail):
-        fn = spec.right_tail.fn
-        deltas.append(fn.num - fn.den.scale(target))
-    ceiling = ray_root_free_cutoff(right_ray(spec), *deltas) + 1
-    while n <= ceiling:
-        p, q = spec.value_pair(n)
-        if p * target.denominator != q * target.numerator:
-            return n
-        n += 1
-    raise AssertionError("no differing value found; sequence is constant")
-
-
-def _flat_pair_index(diag: CommutatorDiagonal, equal_pairs: tuple[int, ...]) -> int | None:
-    """Minimal j with |beta_{j-1}| < |beta_j| = |beta_{j+1}| < |beta_{j+2}|."""
-    return next(
-        (e for e in equal_pairs if diag.entry(e) > 0 and diag.entry(e + 2) > 0), None
-    )
-
-
 def _replay_points(
     spec: WeightSpec,
     diag: CommutatorDiagonal,
@@ -271,8 +274,9 @@ def _replay_points(
     for n in beta_indices:
         v = spec.value(n)
         points.append(ReplayPoint("beta_sq", n, v * v))
-    d_values = diag.entries(first, last + 2)
-    points += [ReplayPoint("d", n, d) for n, d in enumerate(d_values, start=first)]
+    points += [
+        ReplayPoint("d", n, d) for n, d in enumerate(diag.seam_values, start=diag.seam_start)
+    ]
     if tw is not None:
         gamma_indices = sorted(
             set([first - 2, first - 1, first, last + 1, last + 2] + extra_indices)
@@ -334,27 +338,23 @@ def classify(spec: WeightSpec) -> Verdict:
     assert profile is not None
 
     if profile.left_shape == Shape.CONSTANT:
-        c = profile.left_value
-        assert c is not None
-        globally_constant = all(v == c for v in spec.window_values) and (
-            profile.right_shape == Shape.CONSTANT and profile.right_value == c
-        )
-        if globally_constant:
+        # Constant left ray: near subnormal would force normality, so the
+        # first strict rise, if any, obstructs it.
+        rise = check.first_rise(spec.window_start - 1)
+        if rise is None:
             return build(VerdictClass.NORMAL, profile=profile)
-        # Constant left ray: near subnormal would force normality, and the
-        # sequence is not constant, so the first strict rise obstructs it.
-        first_exceed = _first_value_differing(spec, spec.window_start, c)
         return build(
             VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
             criterion=Criterion.CONSTANT_LEFT,
             profile=profile,
-            witness=first_exceed,
-            left_run_end=first_exceed - 1,
+            witness=rise + 1,
+            left_run_end=rise,
         )
 
     tw = transformed_weights(spec, diag)
 
-    if profile.first_equality is None:
+    k = profile.first_equality
+    if k is None:
         return build(
             VerdictClass.NEAR_SUBNORMAL,
             criterion=Criterion.STRICT_INCREASE,
@@ -362,17 +362,8 @@ def classify(spec: WeightSpec) -> Verdict:
             tw=tw,
         )
 
-    k = profile.first_equality
-    top = spec.value(k)
-    flat_right = True
-    for n in range(k + 1, spec.window_end + 1):
-        if spec.value(n) != top:
-            flat_right = False
-            break
-    if flat_right and tail_constant_value(spec.right_tail) != top:
-        flat_right = False
-
-    if flat_right:
+    rise = check.first_rise(k)
+    if rise is None:
         return build(
             VerdictClass.NEAR_SUBNORMAL,
             criterion=Criterion.FLAT_TAIL,
@@ -383,7 +374,9 @@ def classify(spec: WeightSpec) -> Verdict:
             extra_points=[k - 1, k],
         )
 
-    j0 = _flat_pair_index(diag, check.equal_pairs)
+    # Isolated flat pair: |beta_{j-1}| < |beta_j| = |beta_{j+1}| < |beta_{j+2}|.
+    isolated = (e for e in check.equal_pairs if check.first_rise(e - 1) == e - 1)
+    j0 = next((e for e in isolated if check.first_rise(e + 1) == e + 1), None)
     if j0 is not None:
         return build(
             VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
@@ -395,12 +388,11 @@ def classify(spec: WeightSpec) -> Verdict:
             tw=tw,
             extra_points=[j0 - 1],
         )
-    unequal = _first_value_differing(spec, k + 1, top)
     return build(
         VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
         criterion=Criterion.FLAT_TAIL_VIOLATION,
         profile=profile,
-        witness=unequal,
+        witness=rise + 1,
         first_equality=k,
         tw=tw,
     )

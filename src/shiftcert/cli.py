@@ -223,11 +223,36 @@ def _load_and_classify(path: str, err) -> tuple[WeightSpec, Verdict, dict] | int
     return spec, verdict, meta
 
 
+def _beyond_binary64(value: Fraction) -> bool:
+    return abs(value) > Fraction(sys.float_info.max)
+
+
+def _non_finite(obj: Any, path: str) -> str | None:
+    """Path of the first float in a report part that is not finite."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = [(f"{path}.{key}", value) for key, value in obj.items()]
+    elif isinstance(obj, list):
+        items = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
+    else:
+        return None
+    return next(filter(None, (_non_finite(value, where) for where, value in items)), None)
+
+
 def cmd_classify(args, out, err) -> int:
     loaded = _load_and_classify(args.path, err)
     if isinstance(loaded, int):
         return loaded
     spec, verdict, meta = loaded
+    for side in ("left", "right"):
+        limit = getattr(verdict.certificate, f"{side}_limit_sq")
+        if limit is not None and _beyond_binary64(limit.value):
+            err.write(
+                f"error: the report's decimal field needs binary64: the {side} "
+                f"transform limit (squared) exceeds {sys.float_info.max!r}\n"
+            )
+            return EXIT_INPUT
     replayed = replay(verdict.certificate, spec)
     if not replayed.consistent:
         err.write(f"internal inconsistency: certificate replay failed: {replayed.detail}\n")
@@ -253,7 +278,7 @@ def cmd_oracle(args, out, err) -> int:
     if isinstance(loaded, int):
         return loaded
     spec, verdict, meta = loaded
-    if verdict.certificate.sup_modulus**2 > Fraction(sys.float_info.max):
+    if _beyond_binary64(verdict.certificate.sup_modulus**2):
         err.write(
             "error: the oracle needs squared moduli within binary64 range: "
             f"sup |beta_n|^2 exceeds {sys.float_info.max!r}\n"
@@ -279,11 +304,14 @@ def cmd_oracle(args, out, err) -> int:
             return EXIT_INPUT
     report = truncation_report(spec, verdict, half_width, tol, sweep)
     agreement, notes = concordance(verdict, report)
+    oracle_part = _oracle_to_dict(report, agreement, notes)
+    where = _non_finite(oracle_part, "oracle")
+    if where is not None:
+        err.write(f"error: {where} in the report is not a finite binary64 number\n")
+        return EXIT_INPUT
     source = {"path": args.path, **meta}
     annotations = [meta["notes"]] if "notes" in meta else []
-    payload = build_report(
-        verdict, source, annotations, _oracle_to_dict(report, agreement, notes)
-    )
+    payload = build_report(verdict, source, annotations, oracle_part)
     _emit(payload, args.format, out)
     return EXIT_INCONSISTENT if agreement == "disagrees" else EXIT_OK
 

@@ -193,8 +193,14 @@ def invariance_violations(
     shift maps a null vector out of the null space.
     """
     image = (_as_sparse(q) @ _sparse_shift(t)).tocoo()
-    column_sq = np.bincount(image.col, weights=image.data * image.data, minlength=t.dim)
-    norms = np.sqrt(column_sq)
+    # Scale each column by a power of two near its largest magnitude before
+    # squaring, so no square overflows or underflows; the scaling is exact.
+    peak = np.zeros(t.dim)
+    np.maximum.at(peak, image.col, np.abs(image.data))
+    _, exponent = np.frexp(peak)
+    scaled = np.ldexp(image.data, -exponent[image.col])
+    column_sq = np.bincount(image.col, weights=scaled * scaled, minlength=t.dim)
+    norms = np.ldexp(np.sqrt(column_sq), exponent)
     rows = np.arange(t.row_of(t.interior().start), t.row_of(t.interior().stop))
     null = np.abs(np.diagonal(q)[rows]) <= tol
     hits = rows[null & (norms[rows] > math.sqrt(tol))]
@@ -220,6 +226,10 @@ def largest_singular_value(s: np.ndarray) -> float:
     below the tolerances any caller asserts.
     """
     a = _as_sparse(s, -1)
+    # Iterate on S scaled by a power of two near its largest magnitude, so
+    # no sum of squares overflows; the scaling is exact and undone at the end.
+    _, exponent = math.frexp(float(np.abs(a.data).max(initial=0.0)))
+    a.data = np.ldexp(a.data, -exponent)
     gram = (a.T @ a).tocsr()
     rng = np.random.default_rng(NORM_SEED)
     v = rng.standard_normal(s.shape[1])
@@ -240,7 +250,7 @@ def largest_singular_value(s: np.ndarray) -> float:
             if reference >= 0.0 and abs(estimate - reference) <= NORM_REL_TOL * estimate:
                 break
             reference = estimate
-    return math.sqrt(estimate)
+    return math.ldexp(math.sqrt(estimate), exponent)
 
 
 def norm_sweep(

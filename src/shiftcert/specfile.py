@@ -55,10 +55,22 @@ def parse_rational(text: str, field: str = "value") -> Fraction:
     return Fraction(int(text))
 
 
+def _decimal(n: int) -> str:
+    """Decimal digits of n, of any length: ``str`` refuses integers past the
+    conversion limit, so a longer one is printed as two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], field: str) -> None:

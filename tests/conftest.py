@@ -154,6 +154,77 @@ RECIPES = (
 )
 
 
+def _tied_form(rng: random.Random, m: int, low: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Numerator of f(x) = (L x^2 - a x + b) / x^2 with f(m) = f(m + 1) = low,
+    the minimum of f over the integers x >= 1, strictly increasing from
+    m + 1 on; returns it with a. Setting b = a m (m + 1) / (2m + 1) makes
+    the pair tie, and then f(m) = L - a / (2m + 1)."""
+    a = rand_fraction(rng)
+    b = a * m * (m + 1) / (2 * m + 1)
+    return [b, -a, low + a / (2 * m + 1)], a
+
+
+def tied_right_tail(rng: random.Random, window_end: int, low: Fraction) -> RationalTail:
+    """Right tail with |beta_{e+1}| = |beta_{e+2}| = low (e = window_end),
+    strictly increasing from there."""
+    m = rng.randint(1, 4)
+    num, _ = _tied_form(rng, m, low)
+    return RationalTail(RationalFunction.of(num, [0, 0, 1]).shift(m - window_end - 1))
+
+
+def tied_left_tail(rng: random.Random, window_start: int, top: Fraction) -> RationalTail:
+    """Left tail with |beta_{s-2}| = |beta_{s-1}| = top (s = window_start),
+    strictly decreasing toward -infinity to a positive limit: top minus the
+    right-hand form, reflected so that its tie lands on the pair s - 2."""
+    m = rng.randint(1, 4)
+    num, a = _tied_form(rng, m, Fraction(0))
+    while a >= top * (2 * m + 1):  # keep the limit top - a / (2m + 1) positive
+        num, a = _tied_form(rng, m, Fraction(0))
+    # g(n) = top - f(m + s - 1 - n): negate f's numerator, add top, reflect.
+    g = [top - num[2], -num[1], -num[0]]
+    reflected = RationalFunction.of([c * (-1) ** i for i, c in enumerate(g[::-1])], [0, 0, 1])
+    return RationalTail(reflected.shift(-(m + window_start - 1)))
+
+
+def make_plateau_spec(rng: random.Random) -> WeightSpec:
+    """A hyponormal spec rich in equal moduli: a rising left tail (or a
+    constant one), a window where each step ties or rises, and a right
+    tail equal to the window's top, above it, or rising. Rising tails may
+    tie with the window across the seam or on their own first pair."""
+    start = rng.randint(-4, 4)
+    shape = rng.randrange(3)
+    if shape == 0:
+        base = rand_fraction(rng)
+        left: ConstantTail | RationalTail = ConstantTail(base)
+    elif shape == 1:
+        left = increasing_left_tail(rng, start)
+        base = left.fn(start - 1)
+    else:
+        base = rand_fraction(rng) + 1
+        left = tied_left_tail(rng, start, base)
+    values = []
+    current = base
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            current += rand_fraction(rng)
+        values.append(current)
+    window = tuple(values)
+    end = start + len(window) - 1
+    top = window[-1]
+    shape = rng.randrange(4)
+    if shape == 0:
+        right: ConstantTail | RationalTail = ConstantTail(top)
+    elif shape == 1:
+        right = ConstantTail(top + rand_fraction(rng))
+    elif shape == 2:
+        right = increasing_right_tail(rng, end, top)
+    else:
+        right = tied_right_tail(rng, end, top + rng.choice((0, rand_fraction(rng))))
+    spec = WeightSpec(start, window, left, right)
+    assert validate(spec).ok
+    return spec
+
+
 def random_labelled_spec(rng: random.Random):
     maker, klass, criterion = RECIPES[rng.randrange(len(RECIPES))]
     spec = maker(rng)

@@ -21,7 +21,7 @@ from shiftcert import (
 )
 from shiftcert.classifier import Criterion, Relation, ReplayPoint, Shape, VerdictClass
 
-from conftest import RECIPES, random_labelled_spec
+from conftest import RECIPES, make_plateau_spec, random_labelled_spec
 
 
 class TestCheckHyponormal:
@@ -204,6 +204,69 @@ class TestClassifyStructure:
             # exclusive surfaces.
             if verdict.klass == VerdictClass.NEAR_SUBNORMAL:
                 assert verdict.certificate.flat_pair_index is None
+
+
+PLATEAU_REACH = 8  # pairs scanned past each window edge; every tie lies closer
+
+
+def brute_force_rules(spec: WeightSpec):
+    """The rules past hyponormality, re-derived by comparing ``spec.value``
+    at every index within PLATEAU_REACH of the window: returns
+    (criterion, witness, first_equality, left_run_end, flat_pair_index)
+    and a first-rise function over the scanned pairs. Every generated tie
+    lies within the reach, and past it each tail rises strictly, unless
+    it is constant."""
+    lo = spec.window_start - PLATEAU_REACH
+    hi = spec.window_end + PLATEAU_REACH
+    values = {n: spec.value(n) for n in range(lo, hi + 2)}
+    rises = {p: values[p] < values[p + 1] for p in range(lo, hi + 1)}
+    assert all(values[p] <= values[p + 1] for p in rises)
+
+    def first_rise(pair: int) -> int | None:
+        return next((p for p in range(pair, hi + 1) if rises[p]), None)
+
+    if isinstance(spec.left_tail, ConstantTail):
+        rise = first_rise(spec.window_start - 1)
+        if rise is None:
+            return (None, None, None, None, None), first_rise
+        return (Criterion.CONSTANT_LEFT, rise + 1, None, rise, None), first_rise
+    equal = [p for p in rises if not rises[p]]
+    if not equal:
+        return (Criterion.STRICT_INCREASE, None, None, None, None), first_rise
+    k = equal[0]
+    rise = first_rise(k)
+    if rise is None:
+        return (Criterion.FLAT_TAIL, None, k, None, None), first_rise
+    isolated = [e for e in equal if lo < e < hi and rises[e - 1] and rises[e + 1]]
+    if isolated:
+        return (Criterion.FLAT_PAIR, isolated[0], k, None, isolated[0]), first_rise
+    return (Criterion.FLAT_TAIL_VIOLATION, rise + 1, k, None, None), first_rise
+
+
+class TestRulesReadThePairPattern:
+    """Plateau-rich specs: each rule's outcome and ``first_rise`` agree
+    with a brute-force scan of the moduli."""
+
+    def test_plateau_specs_against_brute_force(self):
+        rng = random.Random(8080)
+        seen = set()
+        for _ in range(600):
+            spec = make_plateau_spec(rng)
+            expected, first_rise = brute_force_rules(spec)
+            cert = classify(spec).certificate
+            got = (
+                cert.criterion,
+                cert.witness,
+                cert.first_equality,
+                cert.left_run_end,
+                cert.flat_pair_index,
+            )
+            assert got == expected, spec
+            check = check_hyponormal(spec)
+            for pair in range(spec.window_start - 6, spec.window_end + 6):
+                assert check.first_rise(pair) == first_rise(pair), (spec, pair)
+            seen.add(cert.verdict_class if cert.criterion is None else cert.criterion)
+        assert seen == {VerdictClass.NORMAL, *Criterion}
 
 
 class TestLeftTailEquality:

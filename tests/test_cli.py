@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -156,6 +157,57 @@ class TestClassifyCommand:
         assert result.code == 2
         assert "unbounded" in result.err.lower() or "deg" in result.err.lower()
 
+    def test_integer_past_the_str_limit_is_printed(self, tmp_path, schema):
+        # N^2 has 5,999 digits, past Python's 4,300-digit str() limit,
+        # though N itself parses.
+        n = 10**2999 + 7
+        spec = tmp_path / "long-level.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": ["1", str(n)],
+                    "left_tail": {"kind": "constant", "value": "1"},
+                    "right_tail": {"kind": "constant", "value": str(n)},
+                }
+            ),
+            encoding="utf-8",
+        )
+        result = run_cli("classify", str(spec), "--format", "json")
+        assert result.code == 0, result.err
+        payload = json.loads(result.out)
+        jsonschema.validate(payload, schema)
+        points = {(p["kind"], p["index"]): p["value"] for p in payload["verdict"]["replay_points"]}
+        assert points[("beta_sq", 1)] == f"1{'0' * 2997}14{'0' * 2997}49"
+
+    def test_squared_limit_past_binary64_is_named(self, tmp_path):
+        # Left tail 10^200 - 1/(n - 1): its squared limit 10^400 has no
+        # binary64 value for the report's decimal field.
+        big = 10**200
+        spec = tmp_path / "big-limit.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": [str(2 * big)],
+                    "left_tail": {
+                        "kind": "rational",
+                        "num": [str(-big - 1), str(big)],
+                        "den": ["-1", "1"],
+                    },
+                    "right_tail": {"kind": "constant", "value": str(2 * big)},
+                }
+            ),
+            encoding="utf-8",
+        )
+        result = run_cli("classify", str(spec), "--format", "json")
+        assert result.code == 2
+        assert result.err.startswith(
+            "error: the report's decimal field needs binary64: "
+            "the left transform limit (squared) exceeds"
+        )
+        assert result.out == ""
+
     def test_report_validates_against_schema(self, fixture_dir, schema):
         for name in ("ex1.json", "ex3.json"):
             result = run_cli("classify", str(fixture_dir / name), "--format", "json")
@@ -286,6 +338,61 @@ class TestOracleCommand:
         assert result.code == 2
         assert result.err.startswith("error: the oracle needs squared moduli within binary64 range")
         assert result.out == ""
+
+    @pytest.mark.parametrize(
+        "low, high, magnitude",
+        [(1, 10**80, 1e160), (1, 10**110, 1e220), (10**150, 2 * 10**150, None)],
+        ids=["1-1e80", "1-1e110", "1e150-2e150"],
+    )
+    def test_invariance_magnitude_is_finite_or_named(self, tmp_path, schema, low, high, magnitude):
+        # The magnitude is |d| * |beta| at the seam: its square overflows
+        # binary64 in the first two cases, the value itself in the third.
+        spec = tmp_path / "levels.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": [str(low), str(high)],
+                    "left_tail": {"kind": "constant", "value": str(low)},
+                    "right_tail": {"kind": "constant", "value": str(high)},
+                }
+            ),
+            encoding="utf-8",
+        )
+        result = run_cli("oracle", str(spec), "--max-dim", "41", "--format", "json")
+        if magnitude is None:
+            assert result.code == 2
+            assert result.err == (
+                "error: oracle.invariance_violations[0].magnitude in the report "
+                "is not a finite binary64 number\n"
+            )
+            assert result.out == ""
+            return
+        assert result.code == 0, result.err
+        payload = json.loads(result.out)
+        jsonschema.validate(payload, schema)
+        (violation,) = payload["oracle"]["invariance_violations"]
+        assert violation["magnitude"] == pytest.approx(magnitude, rel=1e-12)
+
+    def test_norm_trace_survives_large_moduli(self, tmp_path):
+        # ex2 scaled by 10^80: the power iteration's sums of squares pass
+        # 1e308, yet the trace must scale with the moduli.
+        from shiftcert.fixtures import example_two
+        from shiftcert.specfile import dump_spec
+        from shiftcert.weights import scale_spec
+
+        argv = ("--max-dim", "61", "--sweep", "8,16", "--format", "json")
+        traces = []
+        for name, factor in (("plain", 1), ("scaled", 10**80)):
+            path = tmp_path / f"{name}.json"
+            dump_spec(scale_spec(example_two(), Fraction(factor)), path)
+            result = run_cli("oracle", str(path), *argv)
+            assert result.code == 0, result.err
+            payload = json.loads(result.out)
+            assert payload["oracle"]["concordance"] == "agrees"
+            traces.append([item["estimate"] for item in payload["oracle"]["norm_trace"]])
+        plain, scaled = traces
+        assert scaled == pytest.approx([1e80 * v for v in plain], rel=1e-9)
 
     @pytest.mark.parametrize("excess, rejected", [(0, False), (1, True)])
     def test_binary64_gate_is_exact(self, tmp_path, monkeypatch, excess, rejected):

@@ -150,7 +150,7 @@ def test_oracle_report_bytes_match(case, monkeypatch):
 # Exact polynomial evaluations that classifying every golden spec takes:
 # each ray question walks its segment once. A change that walks more must
 # say why and raise this.
-GOLDEN_CLASSIFY_EVALS = 1462
+GOLDEN_CLASSIFY_EVALS = 1370
 
 
 def test_classify_walk_count(monkeypatch):
