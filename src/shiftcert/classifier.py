@@ -270,10 +270,11 @@ def _replay_points(
 ) -> tuple[ReplayPoint, ...]:
     first, last = spec.window_start, spec.window_end
     points: list[ReplayPoint] = []
-    beta_indices = sorted({first - 1, first, last, last + 1})
-    for n in beta_indices:
-        v = spec.value(n)
-        points.append(ReplayPoint("beta_sq", n, v * v))
+    # The seam moduli start at index first - 1.
+    points += [
+        ReplayPoint("beta_sq", n, Fraction(*diag.seam_moduli_sq[n - first + 1]))
+        for n in sorted({first - 1, first, last, last + 1})
+    ]
     points += [
         ReplayPoint("d", n, d) for n, d in enumerate(diag.seam_values, start=diag.seam_start)
     ]

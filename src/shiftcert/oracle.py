@@ -16,20 +16,26 @@ costs a few O(D^2) passes over memory instead of O(D^3) arithmetic.
 Interior means |n| <= N - 2 throughout: the first and last basis vectors
 lose a neighbour to the truncation, so edge rows of the commutator are
 artifacts of the compression, not of the operator.
+
+Each function that needs numpy or scipy imports it in its own body: the
+``classify`` and ``examples`` commands import this module through the CLI
+but never call into the numeric stack, so they run on the standard library
+alone and skip its import time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
-
-import numpy as np
-from scipy.sparse import csr_matrix
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .classifier import Certificate, Verdict, VerdictClass
 from .shiftcalc import NotHyponormalAtIndex, commutator_diagonal, transformed_weights
 from .weights import WeightSpec, validate
+
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy.sparse import csr_matrix
 
 WeightRule = Callable[[int], float]
 WeightSource = Union[WeightSpec, WeightRule]
@@ -86,6 +92,9 @@ class Truncation:
 def _diagonal_csr(band: np.ndarray, offset: int, dim: int) -> csr_matrix:
     """The dim x dim matrix whose diagonal at ``offset`` is ``band``, in CSR
     form holding only the nonzero entries."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
     k = np.flatnonzero(band)
     rows = k + max(-offset, 0)
     cols = k + max(offset, 0)
@@ -96,6 +105,9 @@ def _as_sparse(m: np.ndarray, offset: int = 0) -> csr_matrix:
     """CSR form of dense m. When a nonzero count shows that every nonzero
     lies on the diagonal at ``offset``, it is read off that diagonal
     instead of by csr_matrix's slower scan of all entries."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
     band = np.diagonal(m, offset)
     if np.count_nonzero(m) == np.count_nonzero(band):
         return _diagonal_csr(band, offset, m.shape[0])
@@ -104,10 +116,14 @@ def _as_sparse(m: np.ndarray, offset: int = 0) -> csr_matrix:
 
 def _sparse_shift(t: Truncation) -> csr_matrix:
     """T in CSR form, read off its subdiagonal without scanning the matrix."""
+    import numpy as np
+
     return _diagonal_csr(np.diagonal(t.matrix, -1), -1, t.dim)
 
 
 def build_truncation(source: WeightSource, half_width: int, tol: float) -> Truncation:
+    import numpy as np
+
     if half_width < 2:
         raise ValueError("half width must be at least 2")
     rule = as_weight_rule(source)
@@ -146,6 +162,8 @@ def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndar
     subdiagonal matrix are), and masking its edge keeps it so; any
     off-diagonal nonzero is rejected.
     """
+    import numpy as np
+
     if q.shape[0] != q.shape[1]:
         raise ValueError("matrix must be square")
     d = np.diagonal(q)
@@ -164,11 +182,15 @@ def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndar
 def pinv_root(q: np.ndarray, tol: float) -> np.ndarray:
     """Moore-Penrose inverse of the PSD square root: spectrum -> d^(-1/2),
     with eigenvalues at or below tol sent to zero."""
+    import numpy as np
+
     return _spectral_apply(q, tol, lambda d: 1.0 / np.sqrt(d))
 
 
 def psd_root(q: np.ndarray, tol: float) -> np.ndarray:
     """PSD square root with the same eigenvalue threshold."""
+    import numpy as np
+
     return _spectral_apply(q, tol, np.sqrt)
 
 
@@ -192,6 +214,8 @@ def invariance_violations(
     sparse product Q T; magnitudes above sqrt(tol) are violations: the
     shift maps a null vector out of the null space.
     """
+    import numpy as np
+
     image = (_as_sparse(q) @ _sparse_shift(t)).tocoo()
     # Scale each column by a power of two near its largest magnitude before
     # squaring, so no square overflows or underflows; the scaling is exact.
@@ -225,6 +249,8 @@ def largest_singular_value(s: np.ndarray) -> float:
     like 1/iterations, so the iteration cap bounds the residual error well
     below the tolerances any caller asserts.
     """
+    import numpy as np
+
     a = _as_sparse(s, -1)
     # Iterate on S scaled by a power of two near its largest magnitude, so
     # no sum of squares overflows; the scaling is exact and undone at the end.
@@ -299,6 +325,20 @@ def _needed_interior(cert: Certificate) -> int:
     return max(spec_indices) + 2
 
 
+def _root_of_pair(num: int, den: int) -> float:
+    """sqrt(num / den) for a non-negative int pair, also where num / den
+    itself is past the largest double: the quotient is taken over
+    den * 4^k and its root scaled back by 2^k. k = 0 unless the quotient is
+    at least 2^1021, and a power-of-two scaling is exact, so the result is
+    the root of the correctly rounded quotient wherever that exists; inf
+    where the root itself is past binary64."""
+    k = max(0, (num.bit_length() - den.bit_length()) // 2 - 510)
+    try:
+        return math.ldexp(math.sqrt(num / (den << 2 * k)), k)
+    except OverflowError:
+        return math.inf
+
+
 def truncation_report(
     spec: WeightSpec,
     verdict: Verdict,
@@ -314,6 +354,8 @@ def truncation_report(
     Each exact value becomes a float by one correctly rounded int / int
     division of its pair, the nearest binary64 to it.
     """
+    import numpy as np
+
     if tol is None:
         tol = default_tolerance(spec)
     t = build_truncation(spec, half_width, tol)
@@ -350,7 +392,7 @@ def truncation_report(
         for n, entry, g_sq in zip(interior, entries, exact_gamma_sq):
             if g_sq is None:
                 continue
-            gamma_residual = max(gamma_residual, abs(entry - math.sqrt(g_sq[0] / g_sq[1])))
+            gamma_residual = max(gamma_residual, abs(entry - _root_of_pair(*g_sq)))
             if tw.flat_from is not None and n >= tw.flat_from:
                 flat = abs(entry)
                 flat_zero_max = flat if flat_zero_max is None else max(flat_zero_max, flat)

@@ -73,12 +73,15 @@ class CommutatorDiagonal:
     The seam values cover every index where the two neighbouring moduli
     come from different regions; beyond them, on n <= window_start - 1 and
     n >= window_end + 2, d_n has the sign of the tail's
-    :func:`difference_form`.
+    :func:`difference_form`. ``seam_moduli_sq`` keeps the squared moduli
+    they were computed from, |beta_n|^2 for seam_start - 1 <= n <=
+    window_end + 1, as int pairs.
     """
 
     spec: WeightSpec
     seam_start: int
     seam_values: tuple[Fraction, ...]
+    seam_moduli_sq: tuple[Pair, ...]
 
     def entry(self, n: int) -> Fraction:
         """d_n = |beta_n|^2 - |beta_{n-1}|^2, exactly."""
@@ -95,9 +98,12 @@ class CommutatorDiagonal:
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
     first = spec.window_start
-    seams = _differences(_moduli_sq(spec, first - 1, spec.window_end + 2))
+    squares = _moduli_sq(spec, first - 1, spec.window_end + 2)
     return CommutatorDiagonal(
-        spec=spec, seam_start=first, seam_values=tuple(Fraction(*d) for d in seams)
+        spec=spec,
+        seam_start=first,
+        seam_values=tuple(Fraction(*d) for d in _differences(squares)),
+        seam_moduli_sq=tuple(squares),
     )
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import shiftcert
 from shiftcert.classifier import Criterion, VerdictClass
 from shiftcert.cli import MAX_DIM, main
 
@@ -394,6 +397,45 @@ class TestOracleCommand:
         plain, scaled = traces
         assert scaled == pytest.approx([1e80 * v for v in plain], rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "step, top, residual",
+        [(200, 100, math.sqrt(0.5) * 1e200), (1000, 150, None)],
+        ids=["g-7e199", "g-7e649"],
+    )
+    def test_transformed_weight_past_binary64(self, tmp_path, schema, step, top, residual):
+        # Window (1, 1 + 10^-step, 10^top): d_1 is about 2 * 10^-step and
+        # d_2 about 10^(2 top), so g_1^2 is about 5 * 10^(2 top + step - 1),
+        # past binary64 in both cases, while every squared modulus is within
+        # it. The root g_1 is within binary64 in the first case only.
+        tiny = 10**step
+        spec = tmp_path / "steep.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": ["1", f"{tiny + 1}/{tiny}", str(10**top)],
+                    "left_tail": {"kind": "constant", "value": "1"},
+                    "right_tail": {"kind": "constant", "value": str(10**top)},
+                }
+            ),
+            encoding="utf-8",
+        )
+        result = run_cli("oracle", str(spec), "--max-dim", "41", "--format", "json")
+        if residual is None:
+            assert result.code == 2
+            assert result.err == (
+                "error: oracle.gamma_residual in the report is not a finite binary64 number\n"
+            )
+            assert result.out == ""
+            return
+        assert result.code == 0, result.err
+        payload = json.loads(result.out)
+        jsonschema.validate(payload, schema)
+        oracle = payload["oracle"]
+        assert oracle["concordance"] == "agrees"
+        # The truncation sees d_1 as null, so the residual is g_1 itself.
+        assert oracle["gamma_residual"] == pytest.approx(residual, rel=1e-12)
+
     @pytest.mark.parametrize("excess, rejected", [(0, False), (1, True)])
     def test_binary64_gate_is_exact(self, tmp_path, monkeypatch, excess, rejected):
         # isqrt(max)^2 is at most the largest double and (isqrt(max)+1)^2 is
@@ -463,3 +505,30 @@ class TestOracleCommand:
         assert oracle["concordance"] == agreement
         assert oracle["gamma_residual"] is None
         assert oracle["norm_trace"] == []  # no conjugated operator to sweep
+
+
+class TestStandardLibraryOnly:
+    def test_classify_and_examples_leave_numpy_unloaded(self, fixture_dir):
+        # A fresh interpreter: this test session has imported numpy already.
+        script = f"""
+import contextlib, io, sys
+import shiftcert, shiftcert.cli
+from shiftcert.cli import main
+
+path = {str(fixture_dir / "ex2.json")!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["classify", path, "--format", "json"]) == 0
+    assert main(["examples"]) == 0
+numeric = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+assert not numeric, numeric[:5]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["oracle", path, "--max-dim", "41"]) == 0
+assert "numpy" in sys.modules and "scipy.sparse" in sys.modules
+"""
+        src = str(Path(shiftcert.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
