@@ -25,7 +25,6 @@ from .polycert import (
     RationalFunction,
     Ray,
     RaySign,
-    SignKind,
     integer_root_free_bound,
     limit_at_infinity,
     sign_on_ray,
@@ -67,7 +66,6 @@ __all__ = [
     "Ray",
     "RaySign",
     "ReplayResult",
-    "SignKind",
     "SpecFileError",
     "StructureProfile",
     "TransformedWeights",

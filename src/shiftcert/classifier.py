@@ -208,7 +208,7 @@ def _tail_structure(
     if const is not None:
         return Shape.CONSTANT, const, None, None
     sgn = sign_on_ray(difference_form(tail.fn), ray)
-    if sgn.nonnegative:
+    if not sgn.negatives:
         return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
     return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
 
@@ -228,8 +228,8 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     right_shape, right_value, right_equalities, right_witness = _tail_structure(
         spec.right_tail, Ray.ge(spec.window_end + 2)
     )
-    # Seam value i is d_n at n = seam_start + i, the pair n - 1.
-    seams = list(enumerate(diag.seam_values, start=diag.seam_start - 1))
+    # Seam value i is d_n at n = window_start + i, the pair n - 1.
+    seams = list(enumerate(diag.seam_values, start=spec.window_start - 1))
     violations = [w for w in (left_witness, right_witness) if w is not None]
     violations += [pair for pair, d in seams if d < 0]
     if violations:
@@ -276,7 +276,7 @@ def _replay_points(
         for n in sorted({first - 1, first, last, last + 1})
     ]
     points += [
-        ReplayPoint("d", n, d) for n, d in enumerate(diag.seam_values, start=diag.seam_start)
+        ReplayPoint("d", n, d) for n, d in enumerate(diag.seam_values, start=first)
     ]
     if tw is not None:
         gamma_indices = sorted(

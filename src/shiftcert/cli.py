@@ -1,11 +1,12 @@
 """Command-line interface: classify, oracle cross-check, fixture export.
 
-Exit codes: 0 = classified (any class); 2 = parse or validation failure;
-3 = certificate replay failure or oracle disagreement. A replay failure
-is an internal inconsistency and never occurs on well-formed input. The
-oracle can disagree on well-formed input when the exact engine finds a
-negative d_n that lies within the oracle's tol: the truncation cannot tell
-it from zero, so it sees no hyponormality failure.
+Exit codes: 0 = classified (any class); 2 = parse or validation failure,
+or an ``oracle`` run without numpy or scipy installed; 3 = certificate
+replay failure or oracle disagreement. A replay failure is an internal
+inconsistency and never occurs on well-formed input. The oracle can
+disagree on well-formed input when the exact engine finds a negative d_n
+that lies within the oracle's tol: the truncation cannot tell it from
+zero, so it sees no hyponormality failure.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ MAX_DIM = 5001
 def _limit_to_dict(limit: Limit | None) -> dict | None:
     if limit is None:
         return None
-    assert limit.value is not None  # transform limits are always finite
     return {
         "kind": "finite",
         "value": format_rational(limit.value),
@@ -303,6 +303,12 @@ def cmd_oracle(args, out, err) -> int:
                 f"{2 * sweep[-1] + 1}, above the ceiling {MAX_DIM}\n"
             )
             return EXIT_INPUT
+    try:
+        import numpy  # noqa: F401
+        import scipy.sparse  # noqa: F401
+    except ImportError as exc:
+        err.write(f"error: the oracle needs {exc.name or exc}, which cannot be imported\n")
+        return EXIT_INPUT
     report = truncation_report(spec, verdict, half_width, tol, sweep)
     agreement, notes = concordance(verdict, report)
     oracle_part = _oracle_to_dict(report, agreement, notes)
@@ -395,11 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, sys.stdout, sys.stderr)
-    except InvalidSpec as exc:
-        sys.stderr.write(f"validation error: {exc}\n")
-        return EXIT_INPUT
+    return args.func(args, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

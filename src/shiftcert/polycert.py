@@ -19,13 +19,15 @@ search, certifying with Descartes' rule of signs that no real root lies
 beyond M toward the ray's direction, so beyond M every certified polynomial
 keeps its asymptotic sign; the walk then evaluates each integer of the
 finite rest of the ray once, exactly, ascending and denominator first.
+The answers are what the engine reads: a nonzero function's zeros and
+negative values (:class:`RaySign`), and the supremum and limit of a
+function with deg num <= deg den, both finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -247,9 +249,8 @@ def integer_root_free_bound(p: Polynomial) -> int:
 
 
 def asymptotic_sign(p: Polynomial, direction: int) -> int:
-    """Sign of p(n) for n far out toward +inf (direction=+1) or -inf (-1)."""
-    if p.is_zero:
-        return 0
+    """Sign of a nonzero p(n) for n far out toward +inf (direction=+1) or
+    -inf (-1)."""
     s = 1 if p.ints[-1] > 0 else -1
     if direction < 0 and p.degree % 2 == 1:
         s = -s
@@ -335,50 +336,26 @@ def ray_root_free_cutoff(ray: Ray, *polys: Polynomial) -> int:
     return cutoff
 
 
-class SignKind(Enum):
-    STRICTLY_POSITIVE = "strictly-positive"
-    STRICTLY_NEGATIVE = "strictly-negative"
-    IDENTICALLY_ZERO = "identically-zero"
-    HAS_ZEROS = "has-zeros"  # finitely many zeros, all nonzero values one sign
-    MIXED = "mixed"
-
-
 @dataclass(frozen=True)
 class RaySign:
-    kind: SignKind
-    zeros: tuple[int, ...] = ()
-    positive_witness: int | None = None
-    negative_witness: int | None = None
-    # Each walked n with f(n) < 0, then the far witness if f < 0 beyond.
-    negatives: tuple[int, ...] = ()
+    """Where a nonzero rational function vanishes and where it is negative
+    on the integers of a ray.
 
-    @property
-    def nonnegative(self) -> bool:
-        return self.kind in (
-            SignKind.STRICTLY_POSITIVE,
-            SignKind.IDENTICALLY_ZERO,
-        ) or (self.kind == SignKind.HAS_ZEROS and self.negative_witness is None)
+    ``zeros`` ascend; ``negatives`` holds each walked n with f(n) < 0,
+    ascending, then one integer beyond the cutoff when f is negative there
+    (it is then negative on the whole rest of the ray). Every other integer
+    of the ray has f(n) > 0.
+    """
+
+    zeros: tuple[int, ...]
+    negatives: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Limit:
-    """Limit of a rational function at +inf or -inf."""
+    """The finite limit of a rational function at infinity."""
 
-    kind: str  # "finite" | "infinite"
-    value: Fraction | None = None
-    sign: int | None = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @staticmethod
-    def finite(v: Scalar) -> "Limit":
-        return Limit("finite", _frac(v))
-
-    @staticmethod
-    def infinite(sign: int) -> "Limit":
-        return Limit("infinite", None, sign)
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -497,17 +474,13 @@ class RationalFunction:
         return self.num.derivative() * self.den - self.num * self.den.derivative()
 
 
-def limit_at_infinity(f: RationalFunction, direction: int) -> Limit:
-    """Limit of f(n) as n -> +inf (direction=+1) or -inf (direction=-1)."""
-    if f.num.is_zero:
-        return Limit.finite(0)
+def limit_at_infinity(f: RationalFunction) -> Limit:
+    """Limit of f(n) as n -> +inf and as n -> -inf, which are equal when
+    finite; raises ValueError when deg num > deg den."""
     dn, dd = f.num.degree, f.den.degree
-    if dn < dd:
-        return Limit.finite(0)
-    if dn == dd:
-        return Limit.finite(f.num.leading / f.den.leading)
-    sign = asymptotic_sign(f.num, direction) * asymptotic_sign(f.den, direction)
-    return Limit.infinite(sign)
+    if dn > dd:
+        raise ValueError("deg(num) > deg(den): the function has no finite limit")
+    return Limit(f.num.leading / f.den.leading if dn == dd else Fraction(0))
 
 
 def _walk(f: RationalFunction, ray: Ray, *polys: Polynomial) -> tuple[int, Iterator[tuple[int, Pair]]]:
@@ -532,65 +505,38 @@ def _walk(f: RationalFunction, ray: Ray, *polys: Polynomial) -> tuple[int, Itera
 
 
 def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
-    """Exact sign classification of {f(n) : n integer on the ray}.
+    """Exact zeros and negative values of f on the integers of the ray.
 
     Beyond the certified root-free cutoff of numerator and denominator the
     sign is the asymptotic sign; the finitely many remaining integers are
-    evaluated exactly. Raises :class:`PoleOnRay` if the denominator vanishes at an
-    integer of the ray.
+    evaluated exactly. Raises ValueError for the zero function and
+    :class:`PoleOnRay` if the denominator vanishes at an integer of the ray.
     """
     if f.num.is_zero:
-        return RaySign(SignKind.IDENTICALLY_ZERO)
-
+        raise ValueError("the zero function has no sign on a ray")
     cutoff, values = _walk(f, ray)
     zeros: list[int] = []
     negatives: list[int] = []
-    pos: int | None = None
     for n, (v, _) in values:
         if v == 0:
             zeros.append(n)
-        elif v > 0:
-            pos = pos if pos is not None else n
-        else:
+        elif v < 0:
             negatives.append(n)
-    tail_sign = asymptotic_sign(f.num, ray.direction) * asymptotic_sign(
-        f.den, ray.direction
-    )
-    far = ray.beyond(cutoff)
-    if tail_sign > 0 and pos is None:
-        pos = far
-    elif tail_sign < 0:
-        negatives.append(far)
-    neg = negatives[0] if negatives else None
-
-    if pos is not None and neg is not None:
-        return RaySign(SignKind.MIXED, tuple(zeros), pos, neg, tuple(negatives))
-    if zeros:
-        return RaySign(SignKind.HAS_ZEROS, tuple(zeros), pos, neg, tuple(negatives))
-    if pos is not None:
-        return RaySign(SignKind.STRICTLY_POSITIVE, (), pos, None)
-    return RaySign(SignKind.STRICTLY_NEGATIVE, (), None, neg, tuple(negatives))
+    if asymptotic_sign(f.num, ray.direction) != asymptotic_sign(f.den, ray.direction):
+        negatives.append(ray.beyond(cutoff))
+    return RaySign(tuple(zeros), tuple(negatives))
 
 
-def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction | None:
-    """Exact supremum of f over the integers of the ray (None = +infinity).
+def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction:
+    """Exact supremum of f over the integers of the ray.
 
     Walks up to one certified root-free cutoff for the numerator and
     denominator of f and the numerator of f' (the function is monotone once
     past every critical point), so the supremum is either attained on the
-    finite evaluated segment or equals the limit at infinity. The walk runs
-    even for a limit of +infinity, to raise :class:`PoleOnRay` on a pole.
+    finite evaluated segment or equals the limit at infinity. The walk comes
+    first, so a pole on the ray raises :class:`PoleOnRay` before the
+    ValueError of a function with deg num > deg den.
     """
-    if f.num.is_zero:
-        return Fraction(0)
     _, values = _walk(f, ray, f.derivative_numerator())
     best = Fraction(*pair_max(v for _, v in values))
-    lim = limit_at_infinity(f, ray.direction)
-    if not lim.is_finite and lim.sign is not None and lim.sign > 0:
-        return None
-    if lim.is_finite:
-        assert lim.value is not None
-        best = max(best, lim.value)
-    # lim = -infinity: f decreases monotonically beyond the cutoff, so the
-    # evaluated segment already contains the supremum.
-    return best
+    return max(best, limit_at_infinity(f).value)

@@ -71,15 +71,15 @@ class CommutatorDiagonal:
     """Exact diagonal d_n, pointwise.
 
     The seam values cover every index where the two neighbouring moduli
-    come from different regions; beyond them, on n <= window_start - 1 and
+    come from different regions, seam value i being d_n at
+    n = window_start + i; beyond them, on n <= window_start - 1 and
     n >= window_end + 2, d_n has the sign of the tail's
     :func:`difference_form`. ``seam_moduli_sq`` keeps the squared moduli
-    they were computed from, |beta_n|^2 for seam_start - 1 <= n <=
+    they were computed from, |beta_n|^2 for window_start - 1 <= n <=
     window_end + 1, as int pairs.
     """
 
     spec: WeightSpec
-    seam_start: int
     seam_values: tuple[Fraction, ...]
     seam_moduli_sq: tuple[Pair, ...]
 
@@ -97,11 +97,9 @@ class CommutatorDiagonal:
 
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
-    first = spec.window_start
-    squares = _moduli_sq(spec, first - 1, spec.window_end + 2)
+    squares = _moduli_sq(spec, spec.window_start - 1, spec.window_end + 2)
     return CommutatorDiagonal(
         spec=spec,
-        seam_start=first,
         seam_values=tuple(Fraction(*d) for d in _differences(squares)),
         seam_moduli_sq=tuple(squares),
     )
@@ -187,12 +185,12 @@ def _gamma_form(tail: TailSpec) -> RationalFunction | None:
     return beta * beta * d_form.shift(1) / d_form
 
 
-def _tail_limit_sq(tail: TailSpec, direction: int) -> Limit:
+def _tail_limit_sq(tail: TailSpec) -> Limit:
     """Limit of g_n^2 along a tail: the squared weight limit, or 0 when the
     tail is constant."""
     if tail_constant_value(tail) is not None:
-        return Limit.finite(0)
-    return Limit.finite(limit_at_infinity(tail.fn, direction).value ** 2)
+        return Limit(Fraction(0))
+    return Limit(limit_at_infinity(tail.fn).value ** 2)
 
 
 def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
@@ -200,7 +198,7 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
     if tail_constant_value(spec.right_tail) is None:
         return None
     nonzero_seams = [
-        diag.seam_start + i for i, v in enumerate(diag.seam_values) if v != 0
+        spec.window_start + i for i, v in enumerate(diag.seam_values) if v != 0
     ]
     if nonzero_seams:
         return max(nonzero_seams)
@@ -222,8 +220,8 @@ def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> Transform
     """Assemble g_n^2 pointwise, with both tail limits and ``flat_from``."""
     return TransformedWeights(
         spec=spec,
-        left_limit_sq=_tail_limit_sq(spec.left_tail, -1),
-        right_limit_sq=_tail_limit_sq(spec.right_tail, 1),
+        left_limit_sq=_tail_limit_sq(spec.left_tail),
+        right_limit_sq=_tail_limit_sq(spec.right_tail),
         flat_from=_flat_from(spec, diag),
     )
 

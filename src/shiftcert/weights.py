@@ -8,8 +8,8 @@ certificates -- evaluates these moduli exactly, as int pairs
 (:meth:`WeightSpec.value_pair`).
 
 Weights are stored as moduli: every criterion used here depends only on
-|beta_n|, and a bilateral shift is unitarily equivalent to the shift with
-nonnegative weights.
+|beta_n|, and a bilateral shift is unitarily equivalent to the shift whose
+weights are those moduli.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .polycert import (
     PoleOnRay,
     RationalFunction,
     Ray,
-    SignKind,
     sign_on_ray,
     sup_on_ray,
 )
@@ -135,6 +134,9 @@ def _validate_tail(tail: TailSpec, ray: Ray, side: str) -> tuple[list[Violation]
             )
         )
         return violations, None
+    if fn.is_zero:
+        violations.append(Violation("nonpositive-tail", f"{side} tail: not strictly positive"))
+        return violations, None
     try:
         sign = sign_on_ray(fn, ray)
     except PoleOnRay as exc:
@@ -142,18 +144,14 @@ def _validate_tail(tail: TailSpec, ray: Ray, side: str) -> tuple[list[Violation]
             Violation("tail-pole", f"{side} tail denominator vanishes at n = {exc.index}")
         )
         return violations, None
-    if sign.kind != SignKind.STRICTLY_POSITIVE:
-        if sign.zeros:
-            where = f"zero weight at n = {sign.zeros[0]}"
-        elif sign.negative_witness is not None:
-            where = f"negative value at n = {sign.negative_witness}"
-        else:
-            where = "not strictly positive"
-        violations.append(Violation("nonpositive-tail", f"{side} tail: {where}"))
-        return violations, None
-    sup = sup_on_ray(fn, ray)
-    assert sup is not None  # deg num <= deg den guarantees a finite limit
-    return violations, sup
+    if sign.zeros:
+        where = f"zero weight at n = {sign.zeros[0]}"
+    elif sign.negatives:
+        where = f"negative value at n = {sign.negatives[0]}"
+    else:
+        return violations, sup_on_ray(fn, ray)
+    violations.append(Violation("nonpositive-tail", f"{side} tail: {where}"))
+    return violations, None
 
 
 def validate(spec: WeightSpec) -> ValidationReport:

@@ -507,6 +507,14 @@ class TestOracleCommand:
         assert oracle["norm_trace"] == []  # no conjugated operator to sweep
 
 
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this shiftcert."""
+    src = str(Path(shiftcert.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
 class TestStandardLibraryOnly:
     def test_classify_and_examples_leave_numpy_unloaded(self, fixture_dir):
         # A fresh interpreter: this test session has imported numpy already.
@@ -525,10 +533,20 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["oracle", path, "--max-dim", "41"]) == 0
 assert "numpy" in sys.modules and "scipy.sparse" in sys.modules
 """
-        src = str(Path(shiftcert.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
+        done = _run_fresh(script)
         assert done.returncode == 0, done.stderr
+
+    def test_oracle_without_numpy_is_an_input_error(self, fixture_dir):
+        # A None entry in sys.modules makes "import numpy" fail, as it does
+        # where numpy is not installed.
+        script = f"""
+import sys
+sys.modules["numpy"] = None
+from shiftcert.cli import main
+sys.exit(main(["oracle", {str(fixture_dir / "ex2.json")!r}, "--max-dim", "41"]))
+"""
+        done = _run_fresh(script)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:") and "numpy" in done.stderr
+        assert done.stderr.count("\n") == 1

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcert.polycert import (
+    CUTOFF_SEARCH_START,
     Limit,
     PoleOnRay,
     Polynomial,
     RationalFunction,
     Ray,
-    SignKind,
+    RaySign,
     integer_root_free_bound,
     limit_at_infinity,
     poly_gcd,
@@ -265,31 +266,30 @@ class TestRootFreeBound:
 class TestSignOnRay:
     def test_positive_reciprocal_on_negatives(self):
         result = sign_on_ray(rf([-1], [0, 1]), Ray.le(-1))
-        assert result.kind == SignKind.STRICTLY_POSITIVE
+        assert result == RaySign(zeros=(), negatives=())
 
     def test_zero_recorded_with_mixed_signs(self):
         # n^2 - 4 on n >= 1: negative at 1, zero at 2, positive after.
         result = sign_on_ray(rf([-4, 0, 1]), Ray.ge(1))
-        assert result.kind == SignKind.MIXED
-        assert result.zeros == (2,)
-        assert result.negative_witness == 1
+        assert result == RaySign(zeros=(2,), negatives=(1,))
 
     def test_zero_with_single_sign(self):
         # (n - 2)^2 on n >= 0: zero at 2, positive elsewhere.
         result = sign_on_ray(rf([4, -4, 1]), Ray.ge(0))
-        assert result.kind == SignKind.HAS_ZEROS
-        assert result.zeros == (2,)
-        assert result.negative_witness is None
+        assert result == RaySign(zeros=(2,), negatives=())
 
     def test_identity_is_mixed_on_le_three(self):
+        # n on n <= 3: zero at 0, negative at every n <= -1 (the walked ones,
+        # then one beyond the cutoff), positive at 1, 2 and 3.
         result = sign_on_ray(rf([0, 1]), Ray.le(3))
-        assert result.kind == SignKind.MIXED
-        assert 0 in result.zeros
-        assert result.positive_witness is not None
-        assert result.negative_witness is not None
+        assert result.zeros == (0,)
+        negatives = result.negatives
+        assert list(negatives[:-1]) == list(range(negatives[0], 0))
+        assert negatives[-1] == negatives[0] - 1
 
     def test_identically_zero(self):
-        assert sign_on_ray(rf([0]), Ray.ge(5)).kind == SignKind.IDENTICALLY_ZERO
+        with pytest.raises(ValueError):
+            sign_on_ray(rf([0]), Ray.ge(5))
 
     def test_pole_reported(self):
         with pytest.raises(PoleOnRay) as excinfo:
@@ -298,23 +298,25 @@ class TestSignOnRay:
 
     def test_ray_entirely_beyond_bound(self):
         result = sign_on_ray(rf([-1, 1]), Ray.ge(1000))  # n - 1 far right
-        assert result.kind == SignKind.STRICTLY_POSITIVE
+        assert result == RaySign(zeros=(), negatives=())
 
 
 class TestLimits:
     def test_degree_deficit_gives_zero(self):
-        assert limit_at_infinity(rf([1], [0, 1]), -1) == Limit.finite(0)
+        assert limit_at_infinity(rf([1], [0, 1])) == Limit(Fraction(0))
 
     def test_equal_degrees_give_lead_ratio(self):
-        assert limit_at_infinity(rf([-1, 2], [0, 1]), 1) == Limit.finite(2)
+        assert limit_at_infinity(rf([-1, 2], [0, 1])) == Limit(Fraction(2))
 
     def test_degree_excess_is_infinite(self):
-        lim = limit_at_infinity(rf([0, 0, 1], [1, 1]), 1)
-        assert lim == Limit.infinite(1)
+        # An infinite limit is no answer: the function is rejected.
+        with pytest.raises(ValueError):
+            limit_at_infinity(rf([0, 0, 1], [1, 1]))
 
     def test_infinite_sign_flips_toward_minus_infinity(self):
-        lim = limit_at_infinity(rf([0, 0, 0, 1], [1]), -1)  # n^3
-        assert lim == Limit.infinite(-1)
+        # n^3 tends to -infinity on the left: rejected like any degree excess.
+        with pytest.raises(ValueError):
+            limit_at_infinity(rf([0, 0, 0, 1], [1]))
 
     @pytest.mark.parametrize(
         "f, direction, value, tail_bound",
@@ -325,8 +327,7 @@ class TestLimits:
         ],
     )
     def test_limit_agrees_with_far_evaluation(self, f, direction, value, tail_bound):
-        lim = limit_at_infinity(f, direction)
-        assert lim == Limit.finite(value)
+        assert limit_at_infinity(f) == Limit(value)
         far = f(direction * 10**9)
         assert abs(far - value) < tail_bound
 
@@ -344,16 +345,26 @@ class TestSupOnRay:
         assert sup_on_ray(rf([-1, 2], [0, 1]), Ray.ge(1)) == 2
 
     def test_hump_past_the_root_bound_is_found(self):
-        # (n - 30)(n - 50) has its minimum between 30 and 50; on n >= 0 the
-        # negated function peaks out there, far beyond the coefficient-free
-        # segment near the origin.
-        f = rf([-1500, 80, -1], [1])
+        # -(n - 30)(n - 50) / (n^2 + 1) is positive only between 30 and 50
+        # and peaks at 96/1445 at n = 38, beyond CUTOFF_SEARCH_START.
+        f = rf([-1500, 80, -1], [1, 0, 1])
         sup = sup_on_ray(f, Ray.ge(0))
         brute = max(f(n) for n in range(0, 200))
-        assert sup == brute
+        assert sup == brute == f(38) == Fraction(96, 1445)
+        assert 38 > CUTOFF_SEARCH_START
 
     def test_unbounded(self):
-        assert sup_on_ray(rf([0, 0, 1], [1, 1]), Ray.ge(0)) is None
+        with pytest.raises(ValueError):
+            sup_on_ray(rf([0, 0, 1], [1, 1]), Ray.ge(0))
+
+    def test_pole_comes_before_degree_excess(self):
+        # n^2 / (n + 3) on n <= 0 has no finite limit and a pole at -3; the
+        # walk runs first, so the pole is what gets reported.
+        with pytest.raises(PoleOnRay) as excinfo:
+            sup_on_ray(rf([0, 0, 1], [3, 1]), Ray.le(0))
+        assert excinfo.value.index == -3
+        with pytest.raises(ValueError, match="no finite limit"):
+            sup_on_ray(rf([0, 0, 1], [3, 1]), Ray.ge(0))
 
     @given(
         st.lists(small_fractions, min_size=1, max_size=4),
@@ -368,11 +379,13 @@ class TestSupOnRay:
             return
         f = RationalFunction.ratio(Polynomial.of(*num), den_poly)
         ray = Ray.le(a) if is_le else Ray.ge(a)
+        if f.num.degree > f.den.degree:
+            with pytest.raises(ValueError):
+                sup_on_ray(f, ray)
+            return
         try:
             sup = sup_on_ray(f, ray)
         except PoleOnRay:
-            return
-        if sup is None:
             return
         step = -1 if is_le else 1
         for offset in range(0, 300):

@@ -63,6 +63,24 @@ class TestValidate:
         report = validate(spec)
         assert any(v.code == "nonpositive-tail" for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "side, num, den, detail",
+        [
+            ("left", [-3, 1], [1, 0, 1], "left tail: negative value at n = -4"),
+            ("left", [-2, 0, -1], [1, 0, 1], "left tail: negative value at n = -3"),
+            ("right", [-7, 1], [1, 0, 1], "right tail: zero weight at n = 7"),
+            ("left", [0], [1], "left tail: not strictly positive"),
+            ("left", [-1], [5, 1], "left tail denominator vanishes at n = -5"),
+        ],
+    )
+    def test_tail_violation_detail(self, side, num, den, detail):
+        # The first zero, else the first negative value of the walk, is named.
+        tail = RationalTail(RationalFunction.of(num, den))
+        one = ConstantTail(Fraction(1))
+        left, right = (tail, one) if side == "left" else (one, tail)
+        report = validate(WeightSpec(0, (Fraction(1),), left, right))
+        assert [v.detail for v in report.violations] == [detail]
+
     def test_degree_cap(self):
         coeffs = [0] * 18 + [1]
         spec = WeightSpec(
