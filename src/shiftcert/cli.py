@@ -42,11 +42,11 @@ EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
 # Largest truncation dimension the oracle command accepts, for --max-dim and
-# for every 2 * half_width + 1 in --sweep. The oracle's public functions
-# return dense dim x dim arrays, and a call keeps up to about eight of them
-# alive: the largest allowed call (--max-dim 5001 --sweep 2500 on ex2) peaked
-# at 1.3 GB resident, measured on a 2-vCPU x86-64 VM, against an estimated
-# 1.9 GB at dim 6001.
+# for every 2 * half_width + 1 in --sweep. An oracle call holds only sparse
+# forms, so memory no longer binds: the largest allowed call (--max-dim 5001
+# --sweep 2500 on ex2) peaks at 54 MB resident, measured on a 2-vCPU x86-64
+# VM. Time does: that call takes about 8 s, nearly all of it the norm
+# sweep's power iteration, whose cost per width grows with the dimension.
 MAX_DIM = 5001
 
 

@@ -8,10 +8,12 @@ the two halves of the near-subnormality criterion empirically: invariance
 of the numerical null space, and boundedness of the conjugated operator
 across growing truncations.
 
-Every public function takes and returns dense 2-D arrays. The products run
-on ``scipy.sparse`` forms, read off the one occupied diagonal where a
-nonzero count shows there is only one, so a truncation of dimension D
-costs a few O(D^2) passes over memory instead of O(D^3) arithmetic.
+The pipeline runs on ``scipy.sparse`` CSR forms from the truncation's one
+occupied diagonal to the report: ``truncation_report`` and ``norm_sweep``
+chain the private stages below and never build a dense dim x dim array, so
+a truncation of dimension D costs O(D) time and memory. The public names
+are dense views of the same stages: each takes or returns dense 2-D arrays
+and converts once at its boundary.
 
 Interior means |n| <= N - 2 throughout: the first and last basis vectors
 lose a neighbour to the truncation, so edge rows of the commutator are
@@ -66,20 +68,28 @@ def default_tolerance(spec: WeightSpec) -> float:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Dense compression of the shift to span{e_-N, ..., e_N}.
+    """Compression of the shift to span{e_-N, ..., e_N}, stored as its one
+    occupied diagonal.
 
-    Basis index n lives at matrix row/column n + N. The matrix carries
-    |beta_n| at the subdiagonal slot (row n+1+N, column n+N) for
-    -N <= n <= N-1 and zeros elsewhere.
+    Basis index n lives at matrix row/column n + N. ``subdiagonal[n + N]``
+    is |beta_n|, the entry at row n+1+N, column n+N, for -N <= n <= N-1;
+    every other entry is zero. ``matrix`` is the dense (2N+1)x(2N+1) view,
+    built on each access; the oracle's own stages never read it.
     """
 
     half_width: int
-    matrix: np.ndarray
+    subdiagonal: np.ndarray
     tol: float
 
     @property
     def dim(self) -> int:
         return 2 * self.half_width + 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        import numpy as np
+
+        return np.diag(self.subdiagonal, -1)
 
     def row_of(self, n: int) -> int:
         return n + self.half_width
@@ -89,16 +99,16 @@ class Truncation:
         return range(-self.half_width + 2, self.half_width - 1)
 
 
-def _diagonal_csr(band: np.ndarray, offset: int, dim: int) -> csr_matrix:
-    """The dim x dim matrix whose diagonal at ``offset`` is ``band``, in CSR
-    form holding only the nonzero entries."""
+def _diagonal_csr(band: np.ndarray, offset: int, shape: tuple[int, int]) -> csr_matrix:
+    """The matrix whose diagonal at ``offset`` is ``band``, in CSR form
+    holding only the nonzero entries."""
     import numpy as np
     from scipy.sparse import csr_matrix
 
     k = np.flatnonzero(band)
     rows = k + max(-offset, 0)
     cols = k + max(offset, 0)
-    return csr_matrix((band[k], (rows, cols)), shape=(dim, dim))
+    return csr_matrix((band[k], (rows, cols)), shape=shape)
 
 
 def _as_sparse(m: np.ndarray, offset: int = 0) -> csr_matrix:
@@ -110,15 +120,13 @@ def _as_sparse(m: np.ndarray, offset: int = 0) -> csr_matrix:
 
     band = np.diagonal(m, offset)
     if np.count_nonzero(m) == np.count_nonzero(band):
-        return _diagonal_csr(band, offset, m.shape[0])
+        return _diagonal_csr(band, offset, m.shape)
     return csr_matrix(m)
 
 
 def _sparse_shift(t: Truncation) -> csr_matrix:
-    """T in CSR form, read off its subdiagonal without scanning the matrix."""
-    import numpy as np
-
-    return _diagonal_csr(np.diagonal(t.matrix, -1), -1, t.dim)
+    """T in CSR form, read off its stored subdiagonal."""
+    return _diagonal_csr(t.subdiagonal, -1, (t.dim, t.dim))
 
 
 def build_truncation(source: WeightSource, half_width: int, tol: float) -> Truncation:
@@ -127,17 +135,20 @@ def build_truncation(source: WeightSource, half_width: int, tol: float) -> Trunc
     if half_width < 2:
         raise ValueError("half width must be at least 2")
     rule = as_weight_rule(source)
-    dim = 2 * half_width + 1
-    mat = np.zeros((dim, dim))
-    for n in range(-half_width, half_width):
-        mat[n + 1 + half_width, n + half_width] = rule(n)
-    return Truncation(half_width, mat, tol)
+    indices = range(-half_width, half_width)
+    subdiagonal = np.fromiter(map(rule, indices), dtype=float, count=len(indices))
+    return Truncation(half_width, subdiagonal, tol)
+
+
+def _commutator(t: Truncation) -> csr_matrix:
+    """Q = T*T - TT* by explicit sparse products."""
+    tm = _sparse_shift(t)
+    return (tm.T @ tm - tm @ tm.T).tocsr()
 
 
 def commutator(t: Truncation) -> np.ndarray:
-    """Q = T*T - TT* by explicit sparse products."""
-    tm = _sparse_shift(t)
-    return (tm.T @ tm - tm @ tm.T).toarray()
+    """Dense view of the sparse-product commutator Q = T*T - TT*."""
+    return _commutator(t).toarray()
 
 
 def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
@@ -155,19 +166,31 @@ def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
     return masked
 
 
-def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _spectral(
+    q: csr_matrix,
+    tol: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    edge: int | None = None,
+) -> csr_matrix:
     """Apply f to the spectrum of diagonal PSD q, thresholding at tol.
 
-    The commutator of a shift truncation is diagonal (the products of a
-    subdiagonal matrix are), and masking its edge keeps it so; any
-    off-diagonal nonzero is rejected.
+    The row and column of slot ``edge``, if given, are masked first, as
+    :func:`mask_truncation_edge` does. The commutator of a shift truncation
+    is diagonal (the products of a subdiagonal matrix are), and masking its
+    edge keeps it so; any off-diagonal nonzero is rejected. The count is of
+    stored values that are nonzero, since a sparse product may store zeros.
     """
     import numpy as np
 
     if q.shape[0] != q.shape[1]:
         raise ValueError("matrix must be square")
-    d = np.diagonal(q)
-    if np.count_nonzero(q) != np.count_nonzero(d):
+    entries = q.tocoo()
+    off = entries.row != entries.col
+    d = q.diagonal()
+    if edge is not None:
+        off &= (entries.row != edge) & (entries.col != edge)
+        d[edge] = 0.0
+    if np.count_nonzero(entries.data[off]):
         raise ValueError("matrix must be diagonal")
     if d.min(initial=0.0) < -tol:
         raise NotPSDError(
@@ -176,7 +199,13 @@ def _spectral_apply(q: np.ndarray, tol: float, f: Callable[[np.ndarray], np.ndar
     out = np.zeros_like(d)
     keep = d > tol
     out[keep] = f(d[keep])
-    return np.diag(out)
+    return _diagonal_csr(out, 0, q.shape)
+
+
+def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    return 1.0 / np.sqrt(d)
 
 
 def pinv_root(q: np.ndarray, tol: float) -> np.ndarray:
@@ -184,24 +213,52 @@ def pinv_root(q: np.ndarray, tol: float) -> np.ndarray:
     with eigenvalues at or below tol sent to zero."""
     import numpy as np
 
-    return _spectral_apply(q, tol, lambda d: 1.0 / np.sqrt(d))
+    return np.diag(_spectral(_as_sparse(q), tol, _inverse_sqrt).diagonal())
 
 
 def psd_root(q: np.ndarray, tol: float) -> np.ndarray:
     """PSD square root with the same eigenvalue threshold."""
     import numpy as np
 
-    return _spectral_apply(q, tol, np.sqrt)
+    return np.diag(_spectral(_as_sparse(q), tol, np.sqrt).diagonal())
+
+
+def _conjugate(t: Truncation, q: csr_matrix, tol: float) -> csr_matrix:
+    """root(Q) T pinv_root(Q) by explicit sparse products, with the e_N slot
+    of Q masked."""
+    import numpy as np
+
+    edge = t.row_of(t.half_width)
+    root = _spectral(q, tol, np.sqrt, edge)
+    inverse = _spectral(q, tol, _inverse_sqrt, edge)
+    return root @ _sparse_shift(t) @ inverse
 
 
 def transformed_shift(t: Truncation, q: np.ndarray, tol: float) -> np.ndarray:
     """root(Q) T pinv_root(Q): the conjugated shift whose subdiagonal must
     reproduce the transformed weights (root-inverse acts on the source side,
-    matching the weight law b_n * sqrt(d_{n+1} / d_n))."""
-    masked = mask_truncation_edge(t, q)
-    root = _as_sparse(psd_root(masked, tol))
-    inverse = _as_sparse(pinv_root(masked, tol))
-    return (root @ _sparse_shift(t) @ inverse).toarray()
+    matching the weight law b_n * sqrt(d_{n+1} / d_n)). Dense view."""
+    return _conjugate(t, _as_sparse(q), tol).toarray()
+
+
+def _invariance_probe(t: Truncation, q: csr_matrix, tol: float) -> list[tuple[int, float]]:
+    """Column norms of the sparse product Q T at the interior null indices
+    of Q; see :func:`invariance_violations`."""
+    import numpy as np
+
+    image = (q @ _sparse_shift(t)).tocoo()
+    # Scale each column by a power of two near its largest magnitude before
+    # squaring, so no square overflows or underflows; the scaling is exact.
+    peak = np.zeros(t.dim)
+    np.maximum.at(peak, image.col, np.abs(image.data))
+    _, exponent = np.frexp(peak)
+    scaled = np.ldexp(image.data, -exponent[image.col])
+    column_sq = np.bincount(image.col, weights=scaled * scaled, minlength=t.dim)
+    norms = np.ldexp(np.sqrt(column_sq), exponent)
+    rows = np.arange(t.row_of(t.interior().start), t.row_of(t.interior().stop))
+    null = np.abs(q.diagonal()[rows]) <= tol
+    hits = rows[null & (norms[rows] > math.sqrt(tol))]
+    return list(zip((hits - t.half_width).tolist(), norms[hits].tolist()))
 
 
 def invariance_violations(
@@ -214,21 +271,7 @@ def invariance_violations(
     sparse product Q T; magnitudes above sqrt(tol) are violations: the
     shift maps a null vector out of the null space.
     """
-    import numpy as np
-
-    image = (_as_sparse(q) @ _sparse_shift(t)).tocoo()
-    # Scale each column by a power of two near its largest magnitude before
-    # squaring, so no square overflows or underflows; the scaling is exact.
-    peak = np.zeros(t.dim)
-    np.maximum.at(peak, image.col, np.abs(image.data))
-    _, exponent = np.frexp(peak)
-    scaled = np.ldexp(image.data, -exponent[image.col])
-    column_sq = np.bincount(image.col, weights=scaled * scaled, minlength=t.dim)
-    norms = np.ldexp(np.sqrt(column_sq), exponent)
-    rows = np.arange(t.row_of(t.interior().start), t.row_of(t.interior().stop))
-    null = np.abs(np.diagonal(q)[rows]) <= tol
-    hits = rows[null & (norms[rows] > math.sqrt(tol))]
-    return list(zip((hits - t.half_width).tolist(), norms[hits].tolist()))
+    return _invariance_probe(t, _as_sparse(q), tol)
 
 
 # Stopping rule and start vector of largest_singular_value's power iteration.
@@ -238,27 +281,18 @@ NORM_MAX_ITER = 150_000
 NORM_SEED = 7
 
 
-def largest_singular_value(s: np.ndarray) -> float:
-    """Largest singular value by power iteration on S^T S.
-
-    The conjugated shift is effectively bidiagonal, so each step costs
-    O(dim) after extracting the sparse structure (S^T S is assembled once
-    as a sparse product). Iteration stops when the Rayleigh estimate
-    changes by less than NORM_REL_TOL over a window of steps; spectra whose
-    top clusters (transformed weights approaching their limit) converge
-    like 1/iterations, so the iteration cap bounds the residual error well
-    below the tolerances any caller asserts.
-    """
+def _power_norm(s: csr_matrix) -> float:
+    """Largest singular value of sparse s; see :func:`largest_singular_value`."""
     import numpy as np
 
-    a = _as_sparse(s, -1)
     # Iterate on S scaled by a power of two near its largest magnitude, so
     # no sum of squares overflows; the scaling is exact and undone at the end.
-    _, exponent = math.frexp(float(np.abs(a.data).max(initial=0.0)))
+    _, exponent = math.frexp(float(np.abs(s.data).max(initial=0.0)))
+    a = s.copy()
     a.data = np.ldexp(a.data, -exponent)
     gram = (a.T @ a).tocsr()
     rng = np.random.default_rng(NORM_SEED)
-    v = rng.standard_normal(s.shape[1])
+    v = rng.standard_normal(a.shape[1])
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return 0.0
@@ -279,6 +313,20 @@ def largest_singular_value(s: np.ndarray) -> float:
     return math.ldexp(math.sqrt(estimate), exponent)
 
 
+def largest_singular_value(s: np.ndarray) -> float:
+    """Largest singular value by power iteration on S^T S.
+
+    The conjugated shift is effectively bidiagonal, so each step costs
+    O(dim) after extracting the sparse structure (S^T S is assembled once
+    as a sparse product). Iteration stops when the Rayleigh estimate
+    changes by less than NORM_REL_TOL over a window of steps; spectra whose
+    top clusters (transformed weights approaching their limit) converge
+    like 1/iterations, so the iteration cap bounds the residual error well
+    below the tolerances any caller asserts.
+    """
+    return _power_norm(_as_sparse(s, -1))
+
+
 def norm_sweep(
     source: WeightSource, half_widths: Sequence[int], tol: float
 ) -> list[tuple[int, float]]:
@@ -290,9 +338,8 @@ def norm_sweep(
     trace: list[tuple[int, float]] = []
     for half_width in half_widths:
         t = build_truncation(source, half_width, tol)
-        q = commutator(t)
-        s = transformed_shift(t, q, tol)
-        trace.append((half_width, largest_singular_value(s)))
+        s = _conjugate(t, _commutator(t), tol)
+        trace.append((half_width, _power_norm(s)))
     return trace
 
 
@@ -359,7 +406,7 @@ def truncation_report(
     if tol is None:
         tol = default_tolerance(spec)
     t = build_truncation(spec, half_width, tol)
-    q = commutator(t)
+    q = _commutator(t)
     diag = commutator_diagonal(spec)
     tw = transformed_weights(spec, diag)
 
@@ -370,12 +417,12 @@ def truncation_report(
 
     interior = t.interior()
     lo, hi = t.row_of(interior.start), t.row_of(interior.stop - 1)
-    q_interior = np.diagonal(q)[lo : hi + 1].tolist()
+    q_interior = q.diagonal()[lo : hi + 1].tolist()
     gamma_residual: float | None = None
     flat_zero_max: float | None = None
     psd_failure_index: int | None = None
     try:
-        s = transformed_shift(t, q, tol)
+        s = _conjugate(t, q, tol)
         # One exact evaluation per index gives g_n^2 for every interior n
         # with n + 1 interior, and d_n for every interior n.
         exact_gamma_sq, exact_diag = tw.pairs_sq(interior.start, interior.stop - 1)
@@ -388,7 +435,7 @@ def truncation_report(
         exact_diag = diag.entry_pairs(interior.start, interior.stop)
     else:
         gamma_residual = 0.0
-        entries = np.diagonal(s, -1)[lo:hi].tolist()  # s[n+1, n]
+        entries = s.diagonal(-1)[lo:hi].tolist()  # s[n+1, n]
         for n, entry, g_sq in zip(interior, entries, exact_gamma_sq):
             if g_sq is None:
                 continue
@@ -402,10 +449,10 @@ def truncation_report(
     for q_n, (d_num, d_den) in zip(q_interior, exact_diag):
         q_diag_max = max(q_diag_max, abs(q_n))
         q_diag_residual = max(q_diag_residual, abs(q_n - d_num / d_den))
-    block = _as_sparse(q[lo : hi + 1, lo : hi + 1]).tocoo()
+    block = q[lo : hi + 1, lo : hi + 1].tocoo()
     q_offdiag_residual = float(np.abs(block.data[block.row != block.col]).max(initial=0.0))
 
-    violations = tuple(invariance_violations(t, q, tol))
+    violations = tuple(_invariance_probe(t, q, tol))
     # No transformed operator, no norm trace: the PSD failure already
     # witnesses the violated hyponormality.
     trace = tuple(norm_sweep(spec, sweep, tol)) if sweep and s is not None else ()

@@ -1,16 +1,18 @@
-"""Truncation oracle: dense commutators, spectral roots, invariance, norms."""
+"""Truncation oracle: sparse-product commutators, spectral roots, invariance,
+norms, and the dense views of each stage."""
 
 from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shiftcert import classify, commutator_diagonal, transformed_weights
-from shiftcert.fixtures import two_level
+from shiftcert.fixtures import flat_pair, two_level
 from shiftcert.oracle import (
     NotPSDError,
     build_truncation,
@@ -266,3 +268,38 @@ class TestReportAndConcordance:
         agreement, notes = concordance(verdict, report)
         assert report.insufficient_interior
         assert agreement == "not-claimed"
+
+
+class TestSparsePipeline:
+    """``truncation_report`` and ``norm_sweep`` chain sparse stages; the
+    public dense names are views of the same stages."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [two_level(Fraction(1), Fraction(2)), flat_pair()],
+        ids=["two_level", "flat_pair"],
+    )
+    def test_report_holds_no_dense_truncation(self, spec):
+        # One dense 2001 x 2001 float64 array is 30.5 MiB.
+        verdict = classify(spec)
+        truncation_report(spec, verdict, 10)  # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            truncation_report(spec, verdict, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "flatpair"])
+    def test_dense_views_match_the_report_path(self, name, fixture_specs):
+        spec = fixture_specs[name]
+        verdict = classify(spec)
+        tol = default_tolerance(spec)
+        t = build_truncation(spec, 30, tol)
+        q = commutator(t)
+        report = truncation_report(spec, verdict, 30, tol)
+        assert invariance_violations(t, q, tol) == list(report.invariance_violations)
+        if verdict.klass.value == "near-subnormal":
+            dense = largest_singular_value(transformed_shift(t, q, tol))
+            assert dense == norm_sweep(spec, [30], tol)[0][1]
