@@ -1,7 +1,7 @@
 """Command-line interface: classify, oracle cross-check, fixture export.
 
 Exit codes: 0 = classified (any class); 2 = parse or validation failure,
-or an ``oracle`` run without numpy or scipy installed; 3 = certificate
+or an ``oracle`` run without numpy installed; 3 = certificate
 replay failure or oracle disagreement. A replay failure is an internal
 inconsistency and never occurs on well-formed input. The oracle can
 disagree on well-formed input when the exact engine finds a negative d_n
@@ -42,12 +42,19 @@ EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
 
 # Largest truncation dimension the oracle command accepts, for --max-dim and
-# for every 2 * half_width + 1 in --sweep. An oracle call holds only sparse
-# forms, so memory no longer binds: the largest allowed call (--max-dim 5001
-# --sweep 2500 on ex2) peaks at 54 MB resident, measured on a 2-vCPU x86-64
-# VM. Time does: that call takes about 8 s, nearly all of it the norm
-# sweep's power iteration, whose cost per width grows with the dimension.
+# for every 2 * half_width + 1 in --sweep. An oracle call holds only band
+# vectors, so memory does not bind: the largest allowed call (--max-dim 5001
+# --sweep 2500 on ex2) peaks at 38 MB resident, measured on a 2-vCPU x86-64
+# VM. Time does: that call takes about 5 s, most of it the norm sweep's
+# power iteration, whose cost per width grows with the dimension.
 MAX_DIM = 5001
+# Largest sum of the dimensions 2 * half_width + 1 over a --sweep list, so a
+# sweep's work is bounded: each width runs at most NORM_MAX_ITER power
+# iteration steps. Worst cases at --max-dim 5001 on ex2, same VM, with the
+# stopping rule switched off so that every width runs all its steps: 102 s
+# for the 98 widths 2, 3, ..., 99 (sum 9996), 7.7 s for 2499,2500 (sum
+# 10000). With the stopping rule: 5.1 s and 8.6 s.
+MAX_SWEEP_DIM_SUM = 2 * MAX_DIM
 
 
 def _limit_to_dict(limit: Limit | None) -> dict | None:
@@ -303,9 +310,14 @@ def cmd_oracle(args, out, err) -> int:
                 f"{2 * sweep[-1] + 1}, above the ceiling {MAX_DIM}\n"
             )
             return EXIT_INPUT
+        total = sum(2 * h + 1 for h in sweep)
+        if total > MAX_SWEEP_DIM_SUM:
+            err.write(
+                f"error: sweep dimensions sum to {total}, above the budget {MAX_SWEEP_DIM_SUM}\n"
+            )
+            return EXIT_INPUT
     try:
         import numpy  # noqa: F401
-        import scipy.sparse  # noqa: F401
     except ImportError as exc:
         err.write(f"error: the oracle needs {exc.name or exc}, which cannot be imported\n")
         return EXIT_INPUT

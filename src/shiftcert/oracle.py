@@ -1,28 +1,28 @@
 """Independent floating-point verification on finite truncations.
 
 The oracle builds the (2N+1)x(2N+1) compression of the shift, forms the
-self-commutator by explicit sparse products of that matrix (never from the
+self-commutator by explicit matrix products of that matrix (never from the
 diagonal formula -- the point is independence from the symbolic engine),
 takes the thresholded PSD root and Moore-Penrose root-inverse, and probes
 the two halves of the near-subnormality criterion empirically: invariance
 of the numerical null space, and boundedness of the conjugated operator
 across growing truncations.
 
-The pipeline runs on ``scipy.sparse`` CSR forms from the truncation's one
-occupied diagonal to the report: ``truncation_report`` and ``norm_sweep``
-chain the private stages below and never build a dense dim x dim array, so
-a truncation of dimension D costs O(D) time and memory. The public names
-are dense views of the same stages: each takes or returns dense 2-D arrays
-and converts once at its boundary.
+Every matrix the pipeline forms is a band: a map from diagonal offset to
+the numpy vector on that diagonal, multiplied by one generic band product.
+``truncation_report`` and ``norm_sweep`` never build a dense dim x dim
+array, so a truncation of dimension D costs O(D) time and memory. The
+public names are dense views of the same stages: each takes or returns
+dense 2-D arrays and converts once at its boundary.
 
 Interior means |n| <= N - 2 throughout: the first and last basis vectors
 lose a neighbour to the truncation, so edge rows of the commutator are
 artifacts of the compression, not of the operator.
 
-Each function that needs numpy or scipy imports it in its own body: the
-``classify`` and ``examples`` commands import this module through the CLI
-but never call into the numeric stack, so they run on the standard library
-alone and skip its import time.
+numpy is the oracle's only dependency, and each function that needs it
+imports it in its own body: the ``classify`` and ``examples`` commands
+import this module through the CLI but never call into numpy, so they run
+on the standard library alone and skip its import time.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .weights import WeightSpec, validate
 
 if TYPE_CHECKING:
     import numpy as np
-    from scipy.sparse import csr_matrix
+    Band = dict[int, np.ndarray]  # offset k -> np.diagonal(m, k)
 
 WeightRule = Callable[[int], float]
 WeightSource = Union[WeightSpec, WeightRule]
@@ -99,34 +99,46 @@ class Truncation:
         return range(-self.half_width + 2, self.half_width - 1)
 
 
-def _diagonal_csr(band: np.ndarray, offset: int, shape: tuple[int, int]) -> csr_matrix:
-    """The matrix whose diagonal at ``offset`` is ``band``, in CSR form
-    holding only the nonzero entries."""
+def _band_product(a: Band, b: Band, dim: int) -> Band:
+    """A @ B for dim x dim bands, entry j of diagonal k being
+    m[j + max(-k, 0), j + max(k, 0)]. Entry (r, r + ka + kb) adds
+    A[r, r + ka] * B[r + ka, r + ka + kb] onto a zero start, ka ascending,
+    as a CSR product sums over a row of A: one term gives that product
+    exactly. Overflow gives inf without a warning, as a compiled kernel does.
+    """
     import numpy as np
-    from scipy.sparse import csr_matrix
 
-    k = np.flatnonzero(band)
-    rows = k + max(-offset, 0)
-    cols = k + max(offset, 0)
-    return csr_matrix((band[k], (rows, cols)), shape=shape)
+    out: Band = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ka in sorted(a):
+            for kb in sorted(b):
+                k = ka + kb
+                # The rows r at which A[r, r + ka] and B[r + ka, r + k] exist.
+                lo, hi = max(0, -ka, -k), min(dim, dim - ka, dim - k)
+                if lo >= hi:
+                    continue
+                sa, sb, sc = max(-ka, 0), max(-kb, 0) - ka, max(-k, 0)
+                if k not in out:
+                    out[k] = np.zeros(dim - abs(k))
+                out[k][lo - sc : hi - sc] += a[ka][lo - sa : hi - sa] * b[kb][lo - sb : hi - sb]
+    return out
 
 
-def _as_sparse(m: np.ndarray, offset: int = 0) -> csr_matrix:
-    """CSR form of dense m. When a nonzero count shows that every nonzero
-    lies on the diagonal at ``offset``, it is read off that diagonal
-    instead of by csr_matrix's slower scan of all entries."""
+def _band_of(m: np.ndarray) -> Band:
+    """Band of dense square m: its main diagonal and each holding a nonzero."""
     import numpy as np
-    from scipy.sparse import csr_matrix
 
-    band = np.diagonal(m, offset)
-    if np.count_nonzero(m) == np.count_nonzero(band):
-        return _diagonal_csr(band, offset, m.shape)
-    return csr_matrix(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    rows, cols = np.nonzero(m)
+    return {k: np.diagonal(m, k) for k in sorted({0, *(cols - rows).tolist()})}
 
 
-def _sparse_shift(t: Truncation) -> csr_matrix:
-    """T in CSR form, read off its stored subdiagonal."""
-    return _diagonal_csr(t.subdiagonal, -1, (t.dim, t.dim))
+def _dense(m: Band) -> np.ndarray:
+    """Dense view of band m."""
+    import numpy as np
+
+    return sum(np.diag(v, k) for k, v in m.items())
 
 
 def build_truncation(source: WeightSource, half_width: int, tol: float) -> Truncation:
@@ -140,15 +152,19 @@ def build_truncation(source: WeightSource, half_width: int, tol: float) -> Trunc
     return Truncation(half_width, subdiagonal, tol)
 
 
-def _commutator(t: Truncation) -> csr_matrix:
-    """Q = T*T - TT* by explicit sparse products."""
-    tm = _sparse_shift(t)
-    return (tm.T @ tm - tm @ tm.T).tocsr()
+def _commutator(t: Truncation) -> Band:
+    """Q = T*T - TT* by explicit band products."""
+    import numpy as np
+
+    shift, adjoint = {-1: t.subdiagonal}, {1: t.subdiagonal}
+    gram, cogram = _band_product(adjoint, shift, t.dim), _band_product(shift, adjoint, t.dim)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return {k: gram.get(k, 0.0) - cogram.get(k, 0.0) for k in gram.keys() | cogram.keys()}
 
 
 def commutator(t: Truncation) -> np.ndarray:
-    """Dense view of the sparse-product commutator Q = T*T - TT*."""
-    return _commutator(t).toarray()
+    """Dense view of the band-product commutator Q = T*T - TT*."""
+    return _dense(_commutator(t))
 
 
 def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
@@ -167,31 +183,27 @@ def mask_truncation_edge(t: Truncation, q: np.ndarray) -> np.ndarray:
 
 
 def _spectral(
-    q: csr_matrix,
+    q: Band,
     tol: float,
     f: Callable[[np.ndarray], np.ndarray],
     edge: int | None = None,
-) -> csr_matrix:
+) -> Band:
     """Apply f to the spectrum of diagonal PSD q, thresholding at tol.
 
     The row and column of slot ``edge``, if given, are masked first, as
     :func:`mask_truncation_edge` does. The commutator of a shift truncation
     is diagonal (the products of a subdiagonal matrix are), and masking its
-    edge keeps it so; any off-diagonal nonzero is rejected. The count is of
-    stored values that are nonzero, since a sparse product may store zeros.
+    edge keeps it so; any nonzero off the main diagonal is rejected.
     """
     import numpy as np
 
-    if q.shape[0] != q.shape[1]:
-        raise ValueError("matrix must be square")
-    entries = q.tocoo()
-    off = entries.row != entries.col
-    d = q.diagonal()
+    for k in q.keys() - {0}:
+        rows = np.flatnonzero(q[k]) + max(-k, 0)  # the rows of its nonzeros
+        if np.any((rows != edge) & (rows + k != edge)):  # edge None: any row
+            raise ValueError("matrix must be diagonal")
+    d = q[0].copy()
     if edge is not None:
-        off &= (entries.row != edge) & (entries.col != edge)
         d[edge] = 0.0
-    if np.count_nonzero(entries.data[off]):
-        raise ValueError("matrix must be diagonal")
     if d.min(initial=0.0) < -tol:
         raise NotPSDError(
             f"diagonal entry {d.min():g} below -tol at index {int(d.argmin())}"
@@ -199,7 +211,7 @@ def _spectral(
     out = np.zeros_like(d)
     keep = d > tol
     out[keep] = f(d[keep])
-    return _diagonal_csr(out, 0, q.shape)
+    return {0: out}
 
 
 def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
@@ -211,67 +223,60 @@ def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
 def pinv_root(q: np.ndarray, tol: float) -> np.ndarray:
     """Moore-Penrose inverse of the PSD square root: spectrum -> d^(-1/2),
     with eigenvalues at or below tol sent to zero."""
-    import numpy as np
-
-    return np.diag(_spectral(_as_sparse(q), tol, _inverse_sqrt).diagonal())
+    return _dense(_spectral(_band_of(q), tol, _inverse_sqrt))
 
 
 def psd_root(q: np.ndarray, tol: float) -> np.ndarray:
     """PSD square root with the same eigenvalue threshold."""
     import numpy as np
 
-    return np.diag(_spectral(_as_sparse(q), tol, np.sqrt).diagonal())
+    return _dense(_spectral(_band_of(q), tol, np.sqrt))
 
 
-def _conjugate(t: Truncation, q: csr_matrix, tol: float) -> csr_matrix:
-    """root(Q) T pinv_root(Q) by explicit sparse products, with the e_N slot
+def _conjugate(t: Truncation, q: Band, tol: float) -> Band:
+    """root(Q) T pinv_root(Q) by explicit band products, with the e_N slot
     of Q masked."""
     import numpy as np
 
     edge = t.row_of(t.half_width)
     root = _spectral(q, tol, np.sqrt, edge)
     inverse = _spectral(q, tol, _inverse_sqrt, edge)
-    return root @ _sparse_shift(t) @ inverse
+    return _band_product(_band_product(root, {-1: t.subdiagonal}, t.dim), inverse, t.dim)
 
 
 def transformed_shift(t: Truncation, q: np.ndarray, tol: float) -> np.ndarray:
     """root(Q) T pinv_root(Q): the conjugated shift whose subdiagonal must
     reproduce the transformed weights (root-inverse acts on the source side,
     matching the weight law b_n * sqrt(d_{n+1} / d_n)). Dense view."""
-    return _conjugate(t, _as_sparse(q), tol).toarray()
+    return _dense(_conjugate(t, _band_of(q), tol))
 
 
-def _invariance_probe(t: Truncation, q: csr_matrix, tol: float) -> list[tuple[int, float]]:
-    """Column norms of the sparse product Q T at the interior null indices
+def _invariance_probe(t: Truncation, q: Band, tol: float) -> list[tuple[int, float]]:
+    """Column norms of the band product Q T at the interior null indices
     of Q; see :func:`invariance_violations`."""
     import numpy as np
 
-    image = (q @ _sparse_shift(t)).tocoo()
-    # Scale each column by a power of two near its largest magnitude before
-    # squaring, so no square overflows or underflows; the scaling is exact.
-    peak = np.zeros(t.dim)
-    np.maximum.at(peak, image.col, np.abs(image.data))
-    _, exponent = np.frexp(peak)
-    scaled = np.ldexp(image.data, -exponent[image.col])
-    column_sq = np.bincount(image.col, weights=scaled * scaled, minlength=t.dim)
-    norms = np.ldexp(np.sqrt(column_sq), exponent)
+    # Entry j of diagonal k lies in column j + max(k, 0). hypot neither
+    # overflows nor underflows on the way, and hypot(0, x) is |x| exactly.
+    norms = np.zeros(t.dim)
+    for k, v in _band_product(q, {-1: t.subdiagonal}, t.dim).items():
+        cols = norms[max(k, 0) : max(k, 0) + v.size]
+        np.hypot(cols, v, out=cols)
     rows = np.arange(t.row_of(t.interior().start), t.row_of(t.interior().stop))
-    null = np.abs(q.diagonal()[rows]) <= tol
+    null = np.abs(q[0][rows]) <= tol
     hits = rows[null & (norms[rows] > math.sqrt(tol))]
     return list(zip((hits - t.half_width).tolist(), norms[hits].tolist()))
 
 
-def invariance_violations(
-    t: Truncation, q: np.ndarray, tol: float
-) -> list[tuple[int, float]]:
+def invariance_violations(t: Truncation, q: np.ndarray, tol: float) -> list[tuple[int, float]]:
     """Null-space invariance probe.
 
     For every interior basis index n with |Q[n][n]| <= tol (numerically in
     the null space), measure ||Q (T e_n)||, the norm of column n of the
-    sparse product Q T; magnitudes above sqrt(tol) are violations: the
+    band product Q T; magnitudes above sqrt(tol) are violations: the
     shift maps a null vector out of the null space.
     """
-    return _invariance_probe(t, _as_sparse(q), tol)
+    return _invariance_probe(t, _band_of(q), tol)
 
 
 # Stopping rule and start vector of largest_singular_value's power iteration.
@@ -281,26 +286,31 @@ NORM_MAX_ITER = 150_000
 NORM_SEED = 7
 
 
-def _power_norm(s: csr_matrix) -> float:
-    """Largest singular value of sparse s; see :func:`largest_singular_value`."""
+def _band_apply(m: Band, v: np.ndarray) -> np.ndarray:
+    """m @ v for m holding its main diagonal: one elementwise product per
+    stored diagonal, so one in all for a diagonal m."""
+    w = m[0] * v
+    for k in m.keys() - {0}:
+        w[max(-k, 0) : max(-k, 0) + m[k].size] += m[k] * v[max(k, 0) : max(k, 0) + m[k].size]
+    return w
+
+
+def _power_norm(s: Band, dim: int) -> float:
+    """Largest singular value of band s; see :func:`largest_singular_value`."""
     import numpy as np
 
     # Iterate on S scaled by a power of two near its largest magnitude, so
     # no sum of squares overflows; the scaling is exact and undone at the end.
-    _, exponent = math.frexp(float(np.abs(s.data).max(initial=0.0)))
-    a = s.copy()
-    a.data = np.ldexp(a.data, -exponent)
-    gram = (a.T @ a).tocsr()
+    _, exponent = math.frexp(float(np.abs(np.concatenate(list(s.values()))).max(initial=0.0)))
+    a = {k: np.ldexp(v, -exponent) for k, v in s.items()}
+    gram = _band_product({-k: v for k, v in a.items()}, a, dim)
     rng = np.random.default_rng(NORM_SEED)
-    v = rng.standard_normal(a.shape[1])
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return 0.0
-    v /= norm
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
     estimate = 0.0
     reference = -1.0
     for it in range(1, NORM_MAX_ITER + 1):
-        w = gram @ v
+        w = _band_apply(gram, v)
         norm = float(math.sqrt(w @ w))
         if norm == 0.0:
             return 0.0
@@ -314,17 +324,15 @@ def _power_norm(s: csr_matrix) -> float:
 
 
 def largest_singular_value(s: np.ndarray) -> float:
-    """Largest singular value by power iteration on S^T S.
+    """Largest singular value of square s by power iteration on S^T S.
 
-    The conjugated shift is effectively bidiagonal, so each step costs
-    O(dim) after extracting the sparse structure (S^T S is assembled once
-    as a sparse product). Iteration stops when the Rayleigh estimate
-    changes by less than NORM_REL_TOL over a window of steps; spectra whose
-    top clusters (transformed weights approaching their limit) converge
-    like 1/iterations, so the iteration cap bounds the residual error well
-    below the tolerances any caller asserts.
+    For the conjugated shift, a single subdiagonal, S^T S is diagonal and a
+    step is one O(dim) product. Iteration stops when the Rayleigh estimate
+    changes by less than NORM_REL_TOL over a window of steps; a clustered
+    top converges like 1/iterations, and the iteration cap bounds the
+    residual error well below the tolerances any caller asserts.
     """
-    return _power_norm(_as_sparse(s, -1))
+    return _power_norm(_band_of(s), s.shape[0])
 
 
 def norm_sweep(
@@ -339,7 +347,7 @@ def norm_sweep(
     for half_width in half_widths:
         t = build_truncation(source, half_width, tol)
         s = _conjugate(t, _commutator(t), tol)
-        trace.append((half_width, _power_norm(s)))
+        trace.append((half_width, _power_norm(s, t.dim)))
     return trace
 
 
@@ -359,17 +367,10 @@ class TruncationReport:
 
 
 def _needed_interior(cert: Certificate) -> int:
-    spec_indices = [0]
-    for value in (
-        cert.witness,
-        cert.first_equality,
-        cert.flat_pair_index,
-        cert.left_run_end,
-        cert.flat_from,
-    ):
-        if value is not None:
-            spec_indices.append(abs(value))
-    return max(spec_indices) + 2
+    indices = (
+        cert.witness, cert.first_equality, cert.flat_pair_index, cert.left_run_end, cert.flat_from
+    )
+    return max([0, *(abs(n) for n in indices if n is not None)]) + 2
 
 
 def _root_of_pair(num: int, den: int) -> float:
@@ -395,7 +396,7 @@ def truncation_report(
 ) -> TruncationReport:
     """Cross-validate the symbolic engine on one truncation.
 
-    Residuals compare the sparse-product commutator and conjugated shift
+    Residuals compare the band-product commutator and conjugated shift
     against the exact diagonal and transformed weights; the comparison is
     the only place symbolic values enter (how Q and S are formed is not).
     Each exact value becomes a float by one correctly rounded int / int
@@ -411,13 +412,11 @@ def truncation_report(
     tw = transformed_weights(spec, diag)
 
     window_span = max(abs(spec.window_start), abs(spec.window_end + 1))
-    insufficient = (half_width - 2) < max(
-        _needed_interior(verdict.certificate), window_span + 2
-    )
+    insufficient = half_width - 2 < max(_needed_interior(verdict.certificate), window_span + 2)
 
     interior = t.interior()
     lo, hi = t.row_of(interior.start), t.row_of(interior.stop - 1)
-    q_interior = q.diagonal()[lo : hi + 1].tolist()
+    q_interior = q[0][lo : hi + 1].tolist()
     gamma_residual: float | None = None
     flat_zero_max: float | None = None
     psd_failure_index: int | None = None
@@ -435,7 +434,7 @@ def truncation_report(
         exact_diag = diag.entry_pairs(interior.start, interior.stop)
     else:
         gamma_residual = 0.0
-        entries = s.diagonal(-1)[lo:hi].tolist()  # s[n+1, n]
+        entries = s[-1][lo:hi].tolist()  # s[n+1, n]
         for n, entry, g_sq in zip(interior, entries, exact_gamma_sq):
             if g_sq is None:
                 continue
@@ -449,8 +448,9 @@ def truncation_report(
     for q_n, (d_num, d_den) in zip(q_interior, exact_diag):
         q_diag_max = max(q_diag_max, abs(q_n))
         q_diag_residual = max(q_diag_residual, abs(q_n - d_num / d_den))
-    block = q[lo : hi + 1, lo : hi + 1].tocoo()
-    q_offdiag_residual = float(np.abs(block.data[block.row != block.col]).max(initial=0.0))
+    # Entry j of diagonal k lies in the interior block for lo <= j <= hi - |k|.
+    off_block = [np.abs(v[lo : hi + 1 - abs(k)]) for k, v in q.items() if k]
+    q_offdiag_residual = float(np.concatenate([*off_block, [0.0]]).max())
 
     violations = tuple(_invariance_probe(t, q, tol))
     # No transformed operator, no norm trace: the PSD failure already

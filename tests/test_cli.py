@@ -16,7 +16,7 @@ import pytest
 
 import shiftcert
 from shiftcert.classifier import Criterion, VerdictClass
-from shiftcert.cli import MAX_DIM, main
+from shiftcert.cli import MAX_DIM, MAX_SWEEP_DIM_SUM, main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 
@@ -297,6 +297,33 @@ class TestOracleCommand:
         assert f"above the ceiling {MAX_DIM}" in result.err
         assert result.out == ""
 
+    def test_sweep_budget(self, fixture_dir, monkeypatch):
+        # Half widths 2, 3, ...: the longest such sweep within the budget
+        # reaches the oracle, and one more width is refused before it.
+        import shiftcert.cli as cli_module
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        widths = [2]
+        while sum(2 * h + 1 for h in widths) + 2 * (widths[-1] + 1) + 1 <= MAX_SWEEP_DIM_SUM:
+            widths.append(widths[-1] + 1)
+        within, over = ",".join(map(str, widths)), ",".join(map(str, widths + [widths[-1] + 1]))
+        monkeypatch.setattr(cli_module, "truncation_report", reached)
+        with pytest.raises(Reached):
+            run_cli("oracle", str(fixture_dir / "ex1.json"), "--sweep", within)
+        monkeypatch.setattr(cli_module, "truncation_report", _no_truncation)
+        result = run_cli("oracle", str(fixture_dir / "ex1.json"), "--sweep", over)
+        assert result.code == 2
+        total = sum(2 * h + 1 for h in widths + [widths[-1] + 1])
+        assert result.err == (
+            f"error: sweep dimensions sum to {total}, above the budget {MAX_SWEEP_DIM_SUM}\n"
+        )
+        assert result.out == ""
+
     def test_bad_sweep_rejected(self, fixture_dir):
         result = run_cli(
             "oracle", str(fixture_dir / "ex1.json"), "--sweep", "40,10"
@@ -436,6 +463,51 @@ class TestOracleCommand:
         # The truncation sees d_1 as null, so the residual is g_1 itself.
         assert oracle["gamma_residual"] == pytest.approx(residual, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "window, code, err",
+        [
+            (
+                [str(10**150), str(2 * 10**150)],
+                2,
+                "error: oracle.invariance_violations[0].magnitude in the report "
+                "is not a finite binary64 number\n",
+            ),
+            (
+                ["1", f"{10**1000 + 1}/{10**1000}", str(10**150)],
+                2,
+                "error: oracle.gamma_residual in the report is not a finite binary64 number\n",
+            ),
+            (["1", str(10**152)], 0, ""),
+        ],
+        ids=["1e150-2e150", "g-7e649", "1-1e152"],
+    )
+    def test_overflow_prints_no_warning(self, tmp_path, window, code, err):
+        # Products past binary64 become inf in silence; only the report's
+        # own line names a non-finite field. Levels 1 and 10^152 overflow
+        # only in the edge column of Q T, outside the report. A fresh
+        # interpreter, because pytest captures warnings in-process.
+        spec = tmp_path / "overflow.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": window,
+                    "left_tail": {"kind": "constant", "value": window[0]},
+                    "right_tail": {"kind": "constant", "value": window[-1]},
+                }
+            ),
+            encoding="utf-8",
+        )
+        script = f"""
+import contextlib, io, sys
+from shiftcert.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["oracle", {str(spec)!r}, "--max-dim", "41", "--format", "json"])
+sys.exit(code)
+"""
+        done = _run_fresh(script)
+        assert (done.returncode, done.stderr) == (code, err)
+
     @pytest.mark.parametrize("excess, rejected", [(0, False), (1, True)])
     def test_binary64_gate_is_exact(self, tmp_path, monkeypatch, excess, rejected):
         # isqrt(max)^2 is at most the largest double and (isqrt(max)+1)^2 is
@@ -531,10 +603,33 @@ numeric = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")
 assert not numeric, numeric[:5]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["oracle", path, "--max-dim", "41"]) == 0
-assert "numpy" in sys.modules and "scipy.sparse" in sys.modules
+assert "numpy" in sys.modules
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
         done = _run_fresh(script)
         assert done.returncode == 0, done.stderr
+
+    def test_oracle_golden_reports_without_scipy(self):
+        # A None entry in sys.modules makes "import scipy" fail, as it does
+        # where scipy is not installed: the oracle needs numpy alone.
+        from test_golden import GOLDEN_DIR, ORACLE_CASES
+
+        script = f"""
+import contextlib, io, os, sys
+sys.modules["scipy"] = None
+from shiftcert.cli import main
+
+os.chdir({str(GOLDEN_DIR)!r})
+for case, (name, *args) in {ORACLE_CASES!r}.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["oracle", name + ".spec.json", *args, "--format", "json"]) == 0, case
+    with open(case + ".json", encoding="utf-8") as golden:
+        assert out.getvalue() == golden.read(), case
+"""
+        done = _run_fresh(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
     def test_oracle_without_numpy_is_an_input_error(self, fixture_dir):
         # A None entry in sys.modules makes "import numpy" fail, as it does

@@ -1,5 +1,5 @@
-"""Truncation oracle: sparse-product commutators, spectral roots, invariance,
-norms, and the dense views of each stage."""
+"""Truncation oracle: the band product, band-product commutators, spectral
+roots, invariance, norms, and the dense views of each stage."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from shiftcert import classify, commutator_diagonal, transformed_weights
 from shiftcert.fixtures import flat_pair, two_level
 from shiftcert.oracle import (
     NotPSDError,
+    _band_product,
     build_truncation,
     commutator,
     concordance,
@@ -30,6 +31,64 @@ from shiftcert.oracle import (
 )
 
 from conftest import growth_weight_rule, random_labelled_spec
+
+
+def _dense_of(band: dict, dim: int) -> np.ndarray:
+    m = np.zeros((dim, dim))
+    for k, v in band.items():
+        assert v.shape == (dim - abs(k),)
+        m += np.diag(v, k)
+    return m
+
+
+class TestBandProduct:
+    """The band product against dense ``@`` on random bands: an entry that
+    one offset pair reaches is that single product, to the last bit."""
+
+    @staticmethod
+    def _check(a: dict, b: dict, dim: int) -> None:
+        da, db = _dense_of(a, dim), _dense_of(b, dim)
+        product = _band_product(a, b, dim)
+        assert all(abs(k) < dim for k in product)
+        got, expected = _dense_of(product, dim), da @ db
+        terms = (da != 0).astype(int) @ (db != 0).astype(int)
+        single = terms == 1
+        assert np.array_equal(got[single], expected[single])
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _random_band(rng, offsets, dim: int) -> dict:
+        return {int(k): rng.standard_normal(dim - abs(int(k))) for k in offsets}
+
+    def test_random_offsets(self):
+        rng = np.random.default_rng(2024)
+        for dim in (1, 2, 5, 9):
+            every = np.arange(-dim + 1, dim)
+            for _ in range(20):
+                sizes = rng.integers(1, min(3, every.size) + 1, size=2)
+                picks = [rng.choice(every, size, replace=False) for size in sizes]
+                a, b = (self._random_band(rng, p, dim) for p in picks)
+                self._check(a, b, dim)
+
+    def test_sums_off_the_matrix(self):
+        rng = np.random.default_rng(7)
+        dim = 6
+        a = self._random_band(rng, [4, -5], dim)
+        b = self._random_band(rng, [3, -2], dim)  # 4 + 3 and -5 - 2 fall off
+        assert set(_band_product(a, b, dim)) == {2, -2}
+        self._check(a, b, dim)
+
+    def test_empty_band(self):
+        rng = np.random.default_rng(3)
+        b = self._random_band(rng, [0, 1], 4)
+        assert _band_product({}, b, 4) == {}
+        assert _band_product(b, {}, 4) == {}
+
+    def test_dense_matrix(self):
+        rng = np.random.default_rng(40)
+        dim = 40
+        a, b = (self._random_band(rng, range(-dim + 1, dim), dim) for _ in "ab")
+        self._check(a, b, dim)
 
 
 class TestBuildTruncation:
@@ -271,7 +330,7 @@ class TestReportAndConcordance:
 
 
 class TestSparsePipeline:
-    """``truncation_report`` and ``norm_sweep`` chain sparse stages; the
+    """``truncation_report`` and ``norm_sweep`` chain band stages; the
     public dense names are views of the same stages."""
 
     @pytest.mark.parametrize(
