@@ -29,7 +29,13 @@ from .classifier import (
     replay,
 )
 from .fixtures import FIXTURES, two_level
-from .oracle import TruncationReport, concordance, default_tolerance, truncation_report
+# default_tolerance is unused here: perfbench/spans.py wraps it in this module.
+from .oracle import (  # noqa: F401
+    TruncationReport,
+    concordance,
+    default_tolerance,
+    truncation_report,
+)
 from .polycert import Limit
 from .specfile import SpecFileError, dump_spec, format_rational, load_spec, spec_to_dict
 # validate is unused here: perfbench/spans.py wraps it in this module.
@@ -293,7 +299,6 @@ def cmd_oracle(args, out, err) -> int:
         )
         return EXIT_INPUT
     half_width = (args.max_dim - 1) // 2
-    tol = args.tol if args.tol is not None else default_tolerance(spec)
     sweep = None
     if args.sweep:
         try:
@@ -321,7 +326,8 @@ def cmd_oracle(args, out, err) -> int:
     except ImportError as exc:
         err.write(f"error: the oracle needs {exc.name or exc}, which cannot be imported\n")
         return EXIT_INPUT
-    report = truncation_report(spec, verdict, half_width, tol, sweep)
+    # tol None: the report reads the default off the certificate.
+    report = truncation_report(spec, verdict, half_width, args.tol, sweep)
     agreement, notes = concordance(verdict, report)
     oracle_part = _oracle_to_dict(report, agreement, notes)
     where = _non_finite(oracle_part, "oracle")

@@ -15,6 +15,12 @@ array, so a truncation of dimension D costs O(D) time and memory. The
 public names are dense views of the same stages: each takes or returns
 dense 2-D arrays and converts once at its boundary.
 
+Exact values enter only the comparison, and never per index in Python
+where a region repeats one value: the exact side evaluates each weight
+region once (one pair for a constant tail, one evaluation per index of a
+rational tail), converts each run of equal exact values to a float once,
+and reduces every residual with numpy.
+
 Interior means |n| <= N - 2 throughout: the first and last basis vectors
 lose a neighbour to the truncation, so edge rows of the commutator are
 artifacts of the compression, not of the operator.
@@ -27,9 +33,12 @@ on the standard library alone and skip its import time.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from fractions import Fraction
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from .classifier import Certificate, Verdict, VerdictClass
 from .shiftcalc import NotHyponormalAtIndex, commutator_diagonal, transformed_weights
@@ -39,31 +48,27 @@ if TYPE_CHECKING:
     import numpy as np
     Band = dict[int, np.ndarray]  # offset k -> np.diagonal(m, k)
 
-WeightRule = Callable[[int], float]
-WeightSource = Union[WeightSpec, WeightRule]
+# A weight description, or a raw index -> float rule for stress experiments
+# with weight laws outside the exact file format (the classifier never sees
+# those).
+WeightSource = Union[WeightSpec, Callable[[int], float]]
 
 
 class NotPSDError(ValueError):
     """The matrix is not positive semidefinite within tolerance."""
 
 
-def as_weight_rule(source: WeightSource) -> WeightRule:
-    """Adapt a weight description (or a raw index->float rule) to a rule.
-
-    Raw callables exist for stress experiments with weight laws outside the
-    exact file format; the classifier never sees them.
-    """
-    if isinstance(source, WeightSpec):
-        return source.value_float
-    return source
+def _tolerance(sup_modulus: Fraction) -> float:
+    """Null-space threshold: 1e-9 relative to the squared modulus scale."""
+    return 1e-9 * max(1.0, float(sup_modulus) ** 2)
 
 
 def default_tolerance(spec: WeightSpec) -> float:
-    """Null-space threshold: 1e-9 relative to the squared modulus scale."""
+    """The null-space threshold of a spec, from its certified modulus bound."""
     report = validate(spec)
     if report.sup_bound is None:
         raise ValueError("tolerance needs a validated weight description")
-    return 1e-9 * max(1.0, float(report.sup_bound) ** 2)
+    return _tolerance(report.sup_bound)
 
 
 @dataclass(frozen=True)
@@ -142,13 +147,23 @@ def _dense(m: Band) -> np.ndarray:
 
 
 def build_truncation(source: WeightSource, half_width: int, tol: float) -> Truncation:
+    """The truncation of half width N >= 2 of a spec or of a raw rule.
+
+    A ``WeightSpec`` is evaluated region by region
+    (:meth:`~shiftcert.weights.WeightSpec.value_pairs`), and each |beta_n|
+    is the nearest binary64 to its exact pair: one correctly rounded
+    int / int division. A raw index -> float rule is called once per index.
+    """
     import numpy as np
 
     if half_width < 2:
         raise ValueError("half width must be at least 2")
-    rule = as_weight_rule(source)
     indices = range(-half_width, half_width)
-    subdiagonal = np.fromiter(map(rule, indices), dtype=float, count=len(indices))
+    if isinstance(source, WeightSpec):
+        weights = itertools.starmap(operator.truediv, source.value_pairs(-half_width, half_width))
+    else:
+        weights = map(source, indices)
+    subdiagonal = np.fromiter(weights, dtype=float, count=len(indices))
     return Truncation(half_width, subdiagonal, tol)
 
 
@@ -362,8 +377,15 @@ class TruncationReport:
     flat_zero_max: float | None
     psd_failure_index: int | None
     invariance_violations: tuple[tuple[int, float], ...]
+    # Smallest half width whose interior holds the certificate's indices
+    # and the window with a margin. Below it the report claims no
+    # concordance, and a sweep width below it is no evidence of growth.
+    sufficient_half_width: int
     norm_trace: tuple[tuple[int, float], ...] = field(default=())
-    insufficient_interior: bool = False
+
+    @property
+    def insufficient_interior(self) -> bool:
+        return self.half_width < self.sufficient_half_width
 
 
 def _needed_interior(cert: Certificate) -> int:
@@ -380,11 +402,37 @@ def _root_of_pair(num: int, den: int) -> float:
     at least 2^1021, and a power-of-two scaling is exact, so the result is
     the root of the correctly rounded quotient wherever that exists; inf
     where the root itself is past binary64."""
+    try:
+        quotient = num / den
+    except OverflowError:
+        quotient = math.inf
+    if quotient < 2.0**1020:  # the bit lengths differ by at most 1020: k = 0
+        return math.sqrt(quotient)
     k = max(0, (num.bit_length() - den.bit_length()) // 2 - 510)
     try:
         return math.ldexp(math.sqrt(num / (den << 2 * k)), k)
     except OverflowError:
         return math.inf
+
+
+def _gamma_float(g_sq: tuple[int, int] | None) -> float:
+    """g_n from its exact square; NaN where g_n is undefined."""
+    return math.nan if g_sq is None else _root_of_pair(*g_sq)
+
+
+def _floats_by_run(items: list, convert: Callable[[Any], float]) -> np.ndarray:
+    """[convert(x) for x in items], with convert called once per run of
+    consecutive equal items: a constant tail is one run. Runs are found by
+    comparing neighbours, never by hashing, so distinct items cost one
+    comparison each on top of their conversion."""
+    import numpy as np
+
+    count = len(items)
+    neighbours = map(operator.ne, itertools.islice(items, 1, None), items)
+    changes = np.fromiter(neighbours, dtype=bool, count=max(count - 1, 0))
+    starts = np.flatnonzero(np.concatenate(([count > 0], changes)))
+    values = np.array([convert(items[i]) for i in starts.tolist()], dtype=float)
+    return np.repeat(values, np.diff(starts, append=count))
 
 
 def truncation_report(
@@ -400,23 +448,25 @@ def truncation_report(
     against the exact diagonal and transformed weights; the comparison is
     the only place symbolic values enter (how Q and S are formed is not).
     Each exact value becomes a float by one correctly rounded int / int
-    division of its pair, the nearest binary64 to it.
+    division of its pair, the nearest binary64 to it, taken once per run of
+    equal values; the residuals are numpy maxima over the interior. The
+    default tol is :func:`default_tolerance`'s, read off the certificate.
     """
     import numpy as np
 
     if tol is None:
-        tol = default_tolerance(spec)
+        tol = _tolerance(verdict.certificate.sup_modulus)
     t = build_truncation(spec, half_width, tol)
     q = _commutator(t)
     diag = commutator_diagonal(spec)
     tw = transformed_weights(spec, diag)
 
     window_span = max(abs(spec.window_start), abs(spec.window_end + 1))
-    insufficient = half_width - 2 < max(_needed_interior(verdict.certificate), window_span + 2)
+    sufficient = max(_needed_interior(verdict.certificate), window_span + 2) + 2
 
     interior = t.interior()
     lo, hi = t.row_of(interior.start), t.row_of(interior.stop - 1)
-    q_interior = q[0][lo : hi + 1].tolist()
+    q_interior = q[0][lo : hi + 1]
     gamma_residual: float | None = None
     flat_zero_max: float | None = None
     psd_failure_index: int | None = None
@@ -428,26 +478,26 @@ def truncation_report(
     except (NotPSDError, NotHyponormalAtIndex):
         # Not hyponormal: numerically (Q has an entry below -tol) or only
         # exactly (a negative d_n within tol), so no conjugated operator.
-        worst, where = min(zip(q_interior, interior))
+        worst, where = min(zip(q_interior.tolist(), interior))
         psd_failure_index = where if worst < -tol else None
         s = None
         exact_diag = diag.entry_pairs(interior.start, interior.stop)
     else:
-        gamma_residual = 0.0
-        entries = s[-1][lo:hi].tolist()  # s[n+1, n]
-        for n, entry, g_sq in zip(interior, entries, exact_gamma_sq):
-            if g_sq is None:
-                continue
-            gamma_residual = max(gamma_residual, abs(entry - _root_of_pair(*g_sq)))
-            if tw.flat_from is not None and n >= tw.flat_from:
-                flat = abs(entry)
-                flat_zero_max = flat if flat_zero_max is None else max(flat_zero_max, flat)
+        entries = s[-1][lo:hi]  # s[n+1, n]
+        # np.fmax skips a NaN residual, as max(acc, x) keeps acc for a NaN x,
+        # so an undefined g_n, made NaN, is skipped.
+        exact_gamma = _floats_by_run(exact_gamma_sq, _gamma_float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma_residual = float(np.fmax.reduce(np.abs(entries - exact_gamma), initial=0.0))
+        if tw.flat_from is not None:
+            flat = entries[max(tw.flat_from - interior.start, 0) :]  # g_n = 0 there
+            if flat.size:
+                flat_zero_max = float(np.fmax.reduce(np.abs(flat)))
 
-    q_diag_residual = 0.0
-    q_diag_max = 0.0
-    for q_n, (d_num, d_den) in zip(q_interior, exact_diag):
-        q_diag_max = max(q_diag_max, abs(q_n))
-        q_diag_residual = max(q_diag_residual, abs(q_n - d_num / d_den))
+    exact_d = _floats_by_run(exact_diag, lambda d: d[0] / d[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_diag_max = float(np.fmax.reduce(np.abs(q_interior), initial=0.0))
+        q_diag_residual = float(np.fmax.reduce(np.abs(q_interior - exact_d), initial=0.0))
     # Entry j of diagonal k lies in the interior block for lo <= j <= hi - |k|.
     off_block = [np.abs(v[lo : hi + 1 - abs(k)]) for k, v in q.items() if k]
     q_offdiag_residual = float(np.concatenate([*off_block, [0.0]]).max())
@@ -467,15 +517,19 @@ def truncation_report(
         flat_zero_max=flat_zero_max,
         psd_failure_index=psd_failure_index,
         invariance_violations=violations,
+        sufficient_half_width=sufficient,
         norm_trace=trace,
-        insufficient_interior=insufficient,
     )
 
 
 GROWTH_RATIO = 1.5  # quadrupling the truncation must not grow the norm this much
 
 
-def _growth_detected(trace: Sequence[tuple[int, float]]) -> bool:
+def _growth_detected(report: TruncationReport) -> bool:
+    """Whether the norm trace grows, judged on the sweep widths whose
+    interior holds the structure: a narrower truncation can cut a bounded
+    operator's norm short of its plateau."""
+    trace = [w for w in report.norm_trace if w[0] >= report.sufficient_half_width]
     for i, (n_small, v_small) in enumerate(trace):
         for n_big, v_big in trace[i + 1 :]:
             if n_big >= 4 * n_small and v_small > 0.0 and v_big / v_small > GROWTH_RATIO:
@@ -512,7 +566,7 @@ def concordance(verdict: Verdict, report: TruncationReport) -> tuple[str, list[s
             else "expected a vanishing commutator with no violations"
         )
     elif klass == VerdictClass.NEAR_SUBNORMAL:
-        grows = _growth_detected(report.norm_trace)
+        grows = _growth_detected(report)
         ok = not violations and not grows and report.psd_failure_index is None
         if violations:
             notes.append(f"unexpected invariance violations: {violations[:3]}")
@@ -521,7 +575,7 @@ def concordance(verdict: Verdict, report: TruncationReport) -> tuple[str, list[s
         if ok:
             notes.append("null space invariant; norm trace shows no growth")
     else:  # VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL
-        grows = _growth_detected(report.norm_trace)
+        grows = _growth_detected(report)
         ok = bool(violations) or grows
         notes.append(
             f"invariance violations at {[n for n, _ in violations[:5]]}"

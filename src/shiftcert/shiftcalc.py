@@ -50,8 +50,8 @@ class NotHyponormalAtIndex(ValueError):
 
 
 def _moduli_sq(spec: WeightSpec, start: int, stop: int) -> list[Pair]:
-    """|beta_n|^2 for start <= n < stop, one exact evaluation per index."""
-    return [(p * p, q * q) for p, q in map(spec.value_pair, range(start, stop))]
+    """|beta_n|^2 for start <= n < stop, evaluated region by region."""
+    return [(p * p, q * q) for p, q in spec.value_pairs(start, stop)]
 
 
 def _differences(squares: list[Pair]) -> list[Pair]:
@@ -159,19 +159,18 @@ class TransformedWeights:
         """``values_sq`` as int pairs."""
         squares = _moduli_sq(self.spec, start - 1, stop + 1)
         diag = _differences(squares)
-        out: list[Pair | None] = []
-        for k, n in enumerate(range(start, stop)):
-            (a, b), (c, e) = diag[k], diag[k + 1]
-            if a < 0 or c < 0:
-                idx = n if a < 0 else n + 1
-                raise NotHyponormalAtIndex(idx, min(Fraction(a, b), Fraction(c, e)))
-            if a > 0:
-                s, t = squares[k + 1]
-                out.append((s * c * b, t * e * a))
-            elif c == 0:
-                out.append((0, 1))
-            else:
-                out.append(None)
+        if stop > start:
+            first = next((k for k, (a, _) in enumerate(diag) if a < 0), None)
+            if first is not None:
+                # Reported as a scan over n would: at n = start + k, the
+                # first k whose d_n or d_{n+1} is negative, with the smaller.
+                k = max(first - 1, 0)
+                value = min(Fraction(*diag[k]), Fraction(*diag[k + 1]))
+                raise NotHyponormalAtIndex(start + first, value)
+        out: list[Pair | None] = [
+            (s * c * b, t * e * a) if a > 0 else (None if c else (0, 1))
+            for (s, t), (a, b), (c, e) in zip(squares[1:], diag, diag[1:])
+        ]
         return out, diag
 
 

@@ -5,7 +5,8 @@ window of positive rationals and two closed-form tails (a positive constant,
 or a rational function with a finite limit). Everything downstream -- the
 self-commutator diagonal, the transformed weights, the classification
 certificates -- evaluates these moduli exactly, as int pairs
-(:meth:`WeightSpec.value_pair`).
+(:meth:`WeightSpec.value_pair`, or :meth:`WeightSpec.value_pairs` over a
+range, which evaluates each region once).
 
 Weights are stored as moduli: every criterion used here depends only on
 |beta_n|, and a bilateral shift is unitarily equivalent to the shift whose
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .polycert import (
@@ -68,6 +70,25 @@ class WeightSpec:
             v = tail.value
         return v.numerator, v.denominator
 
+    def value_pairs(self, start: int, stop: int) -> list[Pair]:
+        """``value_pair(n)`` for start <= n < stop, region by region: a slice
+        of the window, one pair repeated over a constant tail, and one
+        evaluation per index of a rational tail, ascending, so a pole raises
+        where the per-index loop would."""
+        ws, we = self.window_start, self.window_end + 1
+        out: list[Pair] = []
+        if start < ws:
+            out += _tail_pairs(self.left_tail, start, min(stop, ws))
+        if start < we and stop > ws:
+            out += self._window_pairs[max(start, ws) - ws : min(stop, we) - ws]
+        if stop > we:
+            out += _tail_pairs(self.right_tail, max(start, we), stop)
+        return out
+
+    @cached_property
+    def _window_pairs(self) -> tuple[Pair, ...]:
+        return tuple((v.numerator, v.denominator) for v in self.window_values)
+
     def value(self, n: int) -> Fraction:
         """Exact modulus |beta_n|."""
         return Fraction(*self.value_pair(n))
@@ -77,6 +98,13 @@ class WeightSpec:
         int / int division."""
         p, q = self.value_pair(n)
         return p / q
+
+
+def _tail_pairs(tail: TailSpec, start: int, stop: int) -> list[Pair]:
+    """The tail's modulus pairs for start <= n < stop."""
+    if isinstance(tail, ConstantTail):
+        return [(tail.value.numerator, tail.value.denominator)] * (stop - start)
+    return list(map(tail.fn.pair, range(start, stop)))
 
 
 def tail_constant_value(tail: TailSpec) -> Fraction | None:

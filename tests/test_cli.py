@@ -263,6 +263,29 @@ class TestOracleCommand:
         assert result.code == 0
         assert "insufficient interior" in result.out
 
+    def test_sweep_width_too_narrow_for_the_structure_shows_no_growth(self, fixture_dir):
+        # Half width 2 cannot hold ex2's structure: its norm, 1.127 against
+        # 1.903 at 32, is no evidence of growth, though it stays in the trace.
+        result = run_cli(
+            "oracle", str(fixture_dir / "ex2.json"), "--max-dim", "101", "--sweep", "2,32",
+            "--format", "json",
+        )
+        assert result.code == 0
+        oracle = json.loads(result.out)["oracle"]
+        assert [item["half_width"] for item in oracle["norm_trace"]] == [2, 32]
+        assert oracle["concordance"] == "agrees"
+
+    def test_oracle_validates_only_through_classify(self, fixture_dir, monkeypatch):
+        # The default tol comes from the certificate's modulus bound.
+        def validate(spec):
+            raise AssertionError("validated again")
+
+        import shiftcert.oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "validate", validate)
+        result = run_cli("oracle", str(fixture_dir / "ex1.json"), "--max-dim", "41")
+        assert result.code == 0, result.err
+
     def test_min_dim_enforced(self, fixture_dir):
         assert run_cli("oracle", str(fixture_dir / "ex1.json"), "--max-dim", "3").code == 2
 

@@ -11,11 +11,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftcert import classify, commutator_diagonal, transformed_weights
+from shiftcert import (
+    ConstantTail,
+    WeightSpec,
+    classify,
+    commutator_diagonal,
+    transformed_weights,
+)
 from shiftcert.fixtures import flat_pair, two_level
 from shiftcert.oracle import (
     NotPSDError,
     _band_product,
+    _root_of_pair,
     build_truncation,
     commutator,
     concordance,
@@ -29,6 +36,7 @@ from shiftcert.oracle import (
     transformed_shift,
     truncation_report,
 )
+from shiftcert.shiftcalc import NotHyponormalAtIndex
 
 from conftest import growth_weight_rule, random_labelled_spec
 
@@ -327,6 +335,90 @@ class TestReportAndConcordance:
         agreement, notes = concordance(verdict, report)
         assert report.insufficient_interior
         assert agreement == "not-claimed"
+
+
+def _reference_residuals(spec, half_width: int, tol: float) -> dict:
+    """The report's residual fields, one interior index at a time, from the
+    dense public stages: each exact value becomes a float on its own
+    (``_root_of_pair`` for g_n, int / int for d_n), folded by Python's max."""
+    t = build_truncation(spec, half_width, tol)
+    q = commutator(t)
+    interior = t.interior()
+    q_interior = [float(q[t.row_of(n), t.row_of(n)]) for n in interior]
+    diag = commutator_diagonal(spec)
+    tw = transformed_weights(spec, diag)
+    gamma = flat = psd = None
+    try:
+        s = transformed_shift(t, q, tol)
+        gammas, exact_diag = tw.pairs_sq(interior.start, interior.stop - 1)
+    except (NotPSDError, NotHyponormalAtIndex):
+        worst, where = min(zip(q_interior, interior))
+        psd = where if worst < -tol else None
+        exact_diag = diag.entry_pairs(interior.start, interior.stop)
+    else:
+        gamma = 0.0
+        for n, g_sq in zip(interior, gammas):
+            if g_sq is None:
+                continue
+            entry = float(s[t.row_of(n + 1), t.row_of(n)])
+            gamma = max(gamma, abs(entry - _root_of_pair(*g_sq)))
+            if tw.flat_from is not None and n >= tw.flat_from:
+                flat = abs(entry) if flat is None else max(flat, abs(entry))
+    q_max = q_residual = 0.0
+    for q_n, (num, den) in zip(q_interior, exact_diag):
+        q_max = max(q_max, abs(q_n))
+        q_residual = max(q_residual, abs(q_n - num / den))
+    return {
+        "q_diag_residual": q_residual,
+        "q_diag_max": q_max,
+        "gamma_residual": gamma,
+        "flat_zero_max": flat,
+        "psd_failure_index": psd,
+    }
+
+
+class TestResidualsAgainstPerIndexReference:
+    """The report reduces its residuals over whole interior slices; each
+    field must be the per-index fold's, bit for bit (repr also tells NaN
+    and None apart)."""
+
+    @staticmethod
+    def _check(spec, half_width: int, tol: float | None = None) -> dict:
+        verdict = classify(spec)
+        report = truncation_report(spec, verdict, half_width, tol)
+        expected = _reference_residuals(spec, half_width, report.tol)
+        got = {key: getattr(report, key) for key in expected}
+        assert repr(got) == repr(expected)
+        return got
+
+    def test_random_specs(self):
+        rng = random.Random(2718)
+        failures = flats = 0
+        for i in range(90):
+            spec = random_labelled_spec(rng)[0]
+            got = self._check(spec, (4, 6, 9, 15)[i % 4])
+            failures += got["psd_failure_index"] is not None
+            flats += got["flat_zero_max"] is not None
+        assert failures >= 5 and flats >= 5
+
+    def test_psd_failure_tie_goes_to_the_smaller_index(self):
+        # Moduli 7, 5, 1: d_0 = 25 - 49 and d_1 = 1 - 25 are both -24.
+        spec = WeightSpec(
+            0, (Fraction(5), Fraction(1)), ConstantTail(Fraction(7)), ConstantTail(Fraction(1))
+        )
+        assert self._check(spec, 6)["psd_failure_index"] == 0
+
+    def test_overflowing_squares_are_skipped(self):
+        # |beta|^2 near 1e310 overflows, so Q's diagonal holds NaN (inf - inf)
+        # and a NaN residual never enters the maximum.
+        spec = two_level(10**155, 10**155 + 10**140)
+        got = self._check(spec, 10, 1e-9)
+        assert got["q_diag_residual"] == got["q_diag_max"] == 0.0
+
+    def test_default_tolerance_is_the_certificates(self, fixture_specs):
+        for spec in fixture_specs.values():
+            report = truncation_report(spec, classify(spec), 6)
+            assert report.tol == default_tolerance(spec)
 
 
 class TestSparsePipeline:

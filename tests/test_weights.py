@@ -18,7 +18,7 @@ from shiftcert import (
 )
 from shiftcert.fixtures import two_level
 
-from conftest import random_valid_spec
+from conftest import RECIPES, make_plateau_spec, random_valid_spec
 
 
 class TestValidate:
@@ -140,6 +140,51 @@ class TestEvaluation:
                 approx = spec.value_float(n)
                 ulp = math.ulp(approx)
                 assert abs(Fraction(approx) - exact) <= Fraction(ulp) / 2
+
+
+class TestValuePairs:
+    """The region-wise range evaluator against the per-index one."""
+
+    @staticmethod
+    def _ranges(spec: WeightSpec, rng: random.Random):
+        ws, we = spec.window_start, spec.window_end + 1  # we: first right-tail index
+        yield from (
+            (ws - 9, ws - 2),  # left of the window
+            (ws, we),  # the window
+            (ws + 1, we),  # inside it
+            (we + 1, we + 8),  # right of it
+            (ws - 3, ws + 1),  # across the left seam
+            (we - 1, we + 3),  # across the right seam
+            (ws - 5, we + 5),  # across both
+            (ws, ws),  # empty
+            (we + 3, ws - 3),  # start past stop
+        )
+        for _ in range(6):
+            yield rng.randint(ws - 12, we + 12), rng.randint(ws - 12, we + 12)
+
+    def test_matches_value_pair(self):
+        rng = random.Random(1313)
+        makers = [maker for maker, _, _ in RECIPES] + [make_plateau_spec]
+        for _ in range(25):
+            for maker in makers:
+                spec = maker(rng)
+                for a, b in self._ranges(spec, rng):
+                    assert spec.value_pairs(a, b) == [spec.value_pair(n) for n in range(a, b)]
+
+    @pytest.mark.parametrize("a, b", [(-9, 12), (-9, -2), (3, 12), (-5, -4), (7, 9)])
+    def test_pole_raises_where_the_loop_does(self, a, b):
+        # Poles at n = -5 on the left tail and n = 7 on the right one.
+        spec = WeightSpec(
+            0,
+            (Fraction(1), Fraction(2), Fraction(3)),
+            RationalTail(RationalFunction.of([1], [5, 1])),
+            RationalTail(RationalFunction.of([1], [-7, 1])),
+        )
+        with pytest.raises(ZeroDivisionError) as expected:
+            [spec.value_pair(n) for n in range(a, b)]
+        with pytest.raises(ZeroDivisionError) as got:
+            spec.value_pairs(a, b)
+        assert str(got.value) == str(expected.value)
 
 
 class TestScaling:
