@@ -6,10 +6,11 @@ A :class:`Polynomial` is integer coefficients over one positive
 denominator, in a canonical form. Ring operations, Taylor shifts,
 pseudo-division and the primitive-PRS GCD (Collins 1967; Knuth, TAOCP
 Vol. 2, 4.6.1) all run on Python ints, and evaluation at an integer is
-integer Horner. A :class:`RationalFunction` is reduced with a monic
-denominator, the form certificates report, and caches a pair of integer
-polynomials with the same ratio, so its value at an integer is an unreduced
-``(numerator, positive denominator)`` int pair. A ``Fraction`` is built
+integer Horner. A :class:`RationalFunction` caches a pair of integer
+polynomials with its ratio, so its value at an integer is an unreduced
+``(numerator, positive denominator)`` int pair. Only
+:meth:`RationalFunction.ratio`, which parsing calls, reduces by the GCD; the
+forms the engine derives from a tail are unreduced. A ``Fraction`` is built
 only where a value leaves this module.
 
 :func:`sign_on_ray` and :func:`sup_on_ray` answer questions about a rational
@@ -360,12 +361,14 @@ class Limit:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Reduced ratio of polynomials with a monic denominator.
+    """Ratio num / den of polynomials.
 
-    Reduction by the polynomial GCD plus the monic normalization make the
-    representation canonical, so structural equality means functional
-    equality. ``cleared`` holds the same ratio as two integer polynomials,
-    which every evaluation uses.
+    :meth:`ratio` and :meth:`of` reduce by the GCD to a monic denominator, a
+    canonical form. ``RationalFunction(num, den)`` is the ratio as given,
+    not reduced: its roots, poles and critical points include the reduced
+    form's, so a root-free cutoff certified on it holds for both. ``cleared``
+    holds the same ratio as two integer polynomials, which every evaluation
+    uses.
     """
 
     num: Polynomial
@@ -398,10 +401,6 @@ class RationalFunction:
     def of(num: Iterable[Scalar], den: Iterable[Scalar] = (1,)) -> "RationalFunction":
         return RationalFunction.ratio(Polynomial.of(*num), Polynomial.of(*den))
 
-    @staticmethod
-    def constant(c: Scalar) -> "RationalFunction":
-        return RationalFunction.of([c])
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -414,44 +413,11 @@ class RationalFunction:
             return self.num.leading / self.den.leading
         return None
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        # Knuth's addition (TAOCP 4.5.1): both summands are reduced and monic,
-        # so two GCDs of factors leave the sum reduced and monic.
-        g = poly_gcd(self.den, other.den)
-        d1, d2 = self.den.divmod(g)[0], other.den.divmod(g)[0]
-        t = self.num * d2 + other.num * d1
-        if t.is_zero:
-            return RationalFunction.constant(0)
-        h = poly_gcd(t, g)
-        return RationalFunction(t.divmod(h)[0], d1 * g.divmod(h)[0] * d2)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        # Both factors are reduced, so only cross factors can cancel: two
-        # small GCDs instead of one over the full products.
-        if self.is_zero or other.is_zero:
-            return RationalFunction.constant(0)
-        g, h = poly_gcd(self.num, other.den), poly_gcd(other.num, self.den)
-        num = self.num.divmod(g)[0] * other.num.divmod(h)[0]
-        den = self.den.divmod(h)[0] * other.den.divmod(g)[0]
-        lead = den.leading
-        return RationalFunction(num.scale(1 / lead), den.scale(1 / lead))
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return self * RationalFunction(other.den, other.num)
-
     def scale(self, c: Scalar) -> "RationalFunction":
         return RationalFunction.ratio(self.num.scale(c), self.den)
 
     def shift(self, delta: int) -> "RationalFunction":
-        """Return g with g(n) = f(n + delta), reduced and monic as f is."""
+        """Return g with g(n) = f(n + delta), reduced and monic when f is."""
         return RationalFunction(
             self.num.compose_shift(delta), self.den.compose_shift(delta)
         )

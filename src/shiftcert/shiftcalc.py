@@ -62,8 +62,13 @@ def _differences(squares: list[Pair]) -> list[Pair]:
 
 
 def difference_form(fn: RationalFunction) -> RationalFunction:
-    """The first difference f(n) - f(n-1) as a rational function."""
-    return fn - fn.shift(-1)
+    """The first difference f(n) - f(n-1) = p/q - p(n-1)/q(n-1) as the
+    unreduced ratio (p q(n-1) - p(n-1) q) / (q q(n-1)) of f's integer
+    polynomials; its denominator vanishes nowhere n and n - 1 lie in a
+    validated tail."""
+    p, q = fn.cleared
+    pm, qm = p.compose_shift(-1), q.compose_shift(-1)
+    return RationalFunction(p * qm - pm * q, q * qm)
 
 
 @dataclass(frozen=True)
@@ -175,13 +180,21 @@ class TransformedWeights:
 
 
 def _gamma_form(tail: TailSpec) -> RationalFunction | None:
-    """beta^2 d(n+1) / d(n) on a varying tail; None on a constant one."""
+    """beta^2 d(n+1) / d(n) on a varying tail; None on a constant one.
+
+    With beta = p / q over integer polynomials, d = e / (q^2 q(n-1)^2) for
+    e = p^2 q(n-1)^2 - p(n-1)^2 q^2, so the form is the unreduced ratio
+    p^2 e(n+1) q(n-1)^2 / (q^2 q(n+1)^2 e), whose denominator vanishes
+    nowhere on a validated tail with d_n > 0.
+    """
     if tail_constant_value(tail) is not None:
         return None
-    beta = tail.fn
-    prev = beta.shift(-1)
-    d_form = (beta - prev) * (beta + prev)
-    return beta * beta * d_form.shift(1) / d_form
+    p, q = tail.fn.cleared
+    pm, qm = p.compose_shift(-1), q.compose_shift(-1)
+    p2, q2, qm2 = p * p, q * q, qm * qm
+    e = p2 * qm2 - pm * pm * q2
+    q1 = q.compose_shift(1)
+    return RationalFunction(p2 * e.compose_shift(1) * qm2, q2 * q1 * q1 * e)
 
 
 def _tail_limit_sq(tail: TailSpec) -> Limit:

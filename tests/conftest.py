@@ -17,6 +17,7 @@ from shiftcert import (
 )
 from shiftcert.classifier import Criterion, VerdictClass
 from shiftcert.fixtures import example_one, example_two, flat_pair, two_level
+from shiftcert.polycert import Polynomial
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +135,21 @@ def make_not_hyponormal_spec(rng: random.Random) -> WeightSpec:
     drop = values[0] / (1 + rand_fraction(rng))
     values.append(drop)
     return WeightSpec(spec.window_start, tuple(values), spec.left_tail, spec.right_tail)
+
+
+def degree_sixteen_spec() -> WeightSpec:
+    """A FLAT_TAIL spec whose left tail (q + 1) / q has degree 16: q is a
+    product of eight quadratics n^2 - a n + c with c of 20-21 bits and
+    0 < a < 2 sqrt(c), so q has no real root and falls on n <= 0, where
+    the tail rises toward the window (0: 2) and the constant right tail 2.
+    """
+    rng = random.Random(16)
+    q = Polynomial.of(1)
+    for _ in range(8):
+        c = rng.randrange(2**20, 2**21)
+        q = q * Polynomial.of(c, -2 * rng.randint(1, math.isqrt(c) - 1), 1)
+    left = RationalTail(RationalFunction.ratio(q + Polynomial.of(1), q))
+    return WeightSpec(0, (Fraction(2),), left, ConstantTail(Fraction(2)))
 
 
 RECIPES = (

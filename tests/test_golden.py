@@ -11,7 +11,7 @@ The CLI runs from that directory, so the report's ``source.path`` is the
 bare file name and the bytes do not depend on where the checkout lives.
 Classifying the golden specs also pins an upper bound on the exact
 polynomial evaluations the engine spends, counted by patching
-``Polynomial.__call__``.
+``Polynomial.__call__``, and that no polynomial GCD runs after parsing.
 
 Regenerate, only when a report change is intended, with
 
@@ -29,10 +29,22 @@ from pathlib import Path
 
 import pytest
 
-from shiftcert import ConstantTail, RationalFunction, RationalTail, WeightSpec, classify
+from shiftcert import (
+    ConstantTail,
+    RationalFunction,
+    RationalTail,
+    WeightSpec,
+    classify,
+    polycert,
+    replay,
+)
+from shiftcert.classifier import Criterion
 from shiftcert.cli import main
+from shiftcert.oracle import truncation_report
 from shiftcert.polycert import Polynomial
 from shiftcert.specfile import load_spec
+
+from conftest import degree_sixteen_spec
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 GOLDEN_SEED = 20260
@@ -167,6 +179,47 @@ def test_classify_walk_count(monkeypatch):
     for spec in specs:
         classify(spec)
     assert 0 < count <= GOLDEN_CLASSIFY_EVALS
+
+
+# left_sup_sq of degree_sixteen_spec, as the GCD-reduced gamma form gave it.
+DEGREE_SIXTEEN_LEFT_SUP_SQ = Fraction(
+    int(
+        "5409612048744529615528437408571498590626098050312440315932168952"
+        "2161063264234846970343556912011399827425349924766725710291409913"
+        "7129479913437291318081380818251767841536873919000023111648593653"
+        "1971479275458719348096554898224275150685052705051089392919785729"
+        "446307784479660558136791"
+    ),
+    int(
+        "1618999893887612465361622336918471397819536898017677383747210948"
+        "5920952154701377406395785252424389126008147386786854752933266215"
+        "9569895973583959520052126723776841412340880097650340392821228464"
+        "574549350264015222936254109292953600"
+    ),
+)
+
+
+def test_engine_never_reduces(monkeypatch):
+    """After parsing, classify, replay and the oracle build every derived
+    form as an unreduced product: no polynomial GCD runs."""
+    specs = {name: load_spec(GOLDEN_DIR / f"{name}.spec.json")[0] for name in _golden_names()}
+    wide = degree_sixteen_spec()
+    calls = 0
+    gcd = polycert.poly_gcd
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(polycert, "poly_gcd", counted)
+    for spec in [*specs.values(), wide]:
+        verdict = classify(spec)
+        assert replay(verdict.certificate, spec).consistent
+    assert verdict.certificate.criterion == Criterion.FLAT_TAIL
+    assert verdict.certificate.left_sup_sq == DEGREE_SIXTEEN_LEFT_SUP_SQ
+    truncation_report(specs["ex2"], classify(specs["ex2"]), 40, sweep=[10, 40])
+    assert calls == 0
 
 
 def regenerate() -> None:

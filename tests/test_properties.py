@@ -299,9 +299,13 @@ class TestFirstDifferenceSignsTheDiagonal:
             for tail, ray in _tail_rays(spec):
                 if tail.fn.constant_value() is not None:
                     continue
-                prev = tail.fn.shift(-1)
+                p, q = tail.fn.num, tail.fn.den
+                pm, qm = p.compose_shift(-1), q.compose_shift(-1)
+                square = RationalFunction.ratio(
+                    p * p * qm * qm - pm * pm * q * q, q * q * qm * qm
+                )
                 by_delta = sign_on_ray(difference_form(tail.fn), ray)
-                by_square = sign_on_ray(tail.fn * tail.fn - prev * prev, ray)
+                by_square = sign_on_ray(square, ray)
                 assert by_delta.zeros == by_square.zeros
                 assert bool(by_delta.negatives) == bool(by_square.negatives)
                 if by_delta.negatives:

@@ -10,6 +10,7 @@ import pytest
 from shiftcert import (
     ConstantTail,
     NotHyponormalAtIndex,
+    RationalFunction,
     bounded_on_left_ray,
     commutator_diagonal,
     transformed_weights,
@@ -17,7 +18,7 @@ from shiftcert import (
 from shiftcert.fixtures import two_level
 from shiftcert.shiftcalc import difference_form, sup_sq_global
 
-from conftest import make_flat_tail_spec, random_valid_spec
+from conftest import degree_sixteen_spec, make_flat_tail_spec, random_valid_spec
 
 
 class TestCommutatorDiagonal:
@@ -109,22 +110,34 @@ class TestTransformedWeights:
             assert tw.right_form(n) == tw.value_sq(n)
 
     def test_forms_match_pointwise_random(self):
+        """The gamma forms take the values of g_n^2; they and the difference
+        forms, built as unreduced products, take the values of their
+        GCD-reduced ratios on the tail rays."""
         rng = random.Random(11)
-        for _ in range(15):
-            spec = random_valid_spec(rng)
+        specs = [random_valid_spec(rng) for _ in range(15)]
+        wide = degree_sixteen_spec()
+        for spec in [*specs, wide]:
             tw = transformed_weights(spec, commutator_diagonal(spec))
-            if tw.left_form is not None:
-                for n in range(spec.window_start - 60, spec.window_start - 1):
+            lo, hi = spec.window_start, spec.window_end
+            for tail, form, ns in (
+                (spec.left_tail, tw.left_form, range(lo - 60, lo - 1)),
+                (spec.right_tail, tw.right_form, range(hi + 2, hi + 60)),
+            ):
+                if form is None:
+                    continue
+                for n in ns:
                     try:
-                        assert tw.left_form(n) == tw.value_sq(n)
+                        assert form(n) == tw.value_sq(n)
                     except NotHyponormalAtIndex:
                         break
-            if tw.right_form is not None:
-                for n in range(spec.window_end + 2, spec.window_end + 60):
-                    try:
-                        assert tw.right_form(n) == tw.value_sq(n)
-                    except NotHyponormalAtIndex:
-                        break
+                # Reducing the wide spec's degree-111 gamma form takes tens
+                # of seconds; the values above cover it.
+                unreduced = [difference_form(tail.fn)] + ([form] if spec is not wide else [])
+                for f in unreduced:
+                    reduced = RationalFunction.ratio(f.num, f.den)
+                    for n in ns:
+                        if reduced.den(n) != 0:
+                            assert f(n) == reduced(n)
 
 
 class TestBoundedOnLeftRay:
@@ -145,8 +158,8 @@ class TestBoundedOnLeftRay:
 
     def test_random_flat_tail_specs(self):
         rng = random.Random(99)
-        for _ in range(10):
-            spec = make_flat_tail_spec(rng)
+        specs = [make_flat_tail_spec(rng) for _ in range(10)]
+        for spec in [*specs, degree_sixteen_spec()]:
             diag = commutator_diagonal(spec)
             tw = transformed_weights(spec, diag)
             assert tw.flat_from is not None
