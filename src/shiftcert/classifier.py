@@ -285,8 +285,10 @@ def _replay_points(
         # One range call per run of consecutive indices shares the moduli.
         for _, pairs in groupby(enumerate(gamma_indices), lambda p: p[1] - p[0]):
             run = [n for _, n in pairs]
-            values, _ = tw.values_sq(run[0], run[-1] + 1)
-            points += [ReplayPoint("gamma_sq", n, v) for n, v in zip(run, values) if v is not None]
+            values, _ = tw.pairs_sq(run[0], run[-1] + 1)
+            points += [
+                ReplayPoint("gamma_sq", n, Fraction(*v)) for n, v in zip(run, values) if v is not None
+            ]
     return tuple(points)
 
 

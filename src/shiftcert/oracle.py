@@ -15,11 +15,14 @@ array, so a truncation of dimension D costs O(D) time and memory. The
 public names are dense views of the same stages: each takes or returns
 dense 2-D arrays and converts once at its boundary.
 
-Exact values enter only the comparison, and never per index in Python
-where a region repeats one value: the exact side evaluates each weight
-region once (one pair for a constant tail, one evaluation per index of a
-rational tail), converts each run of equal exact values to a float once,
-and reduces every residual with numpy.
+Exact values enter only the comparison, and an ``oracle`` call evaluates
+the spec once: :func:`build_truncation` evaluates each weight region once
+(one pair for a constant tail, one evaluation per index of a rational
+tail) and keeps the exact moduli pairs beside their floats. The residuals
+read those pairs through :func:`~shiftcert.shiftcalc.sparse_range`, which
+does exact arithmetic only where two neighbouring pairs differ (d_n = 0
+everywhere else); each value it holds becomes a float once, is scattered
+into zeros, and numpy reduces every residual.
 
 Interior means |n| <= N - 2 throughout: the first and last basis vectors
 lose a neighbour to the truncation, so edge rows of the commutator are
@@ -41,7 +44,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from .classifier import Certificate, Verdict, VerdictClass
-from .shiftcalc import NotHyponormalAtIndex, commutator_diagonal, transformed_weights
+from .polycert import Pair
+from .shiftcalc import (
+    NotHyponormalAtIndex,
+    Run,
+    commutator_diagonal,
+    sparse_range,
+    transformed_weights,
+)
 from .weights import WeightSpec, validate
 
 if TYPE_CHECKING:
@@ -80,11 +90,14 @@ class Truncation:
     is |beta_n|, the entry at row n+1+N, column n+N, for -N <= n <= N-1;
     every other entry is zero. ``matrix`` is the dense (2N+1)x(2N+1) view,
     built on each access; the oracle's own stages never read it.
+    ``moduli[n + N]`` is the exact pair |beta_n| was rounded from, or
+    ``moduli`` is None for a truncation of a raw rule.
     """
 
     half_width: int
     subdiagonal: np.ndarray
     tol: float
+    moduli: Sequence[Pair] | None = None
 
     @property
     def dim(self) -> int:
@@ -152,19 +165,22 @@ def build_truncation(source: WeightSource, half_width: int, tol: float) -> Trunc
     A ``WeightSpec`` is evaluated region by region
     (:meth:`~shiftcert.weights.WeightSpec.value_pairs`), and each |beta_n|
     is the nearest binary64 to its exact pair: one correctly rounded
-    int / int division. A raw index -> float rule is called once per index.
+    int / int division. The truncation keeps those pairs. A raw
+    index -> float rule is called once per index.
     """
     import numpy as np
 
     if half_width < 2:
         raise ValueError("half width must be at least 2")
     indices = range(-half_width, half_width)
+    moduli = None
     if isinstance(source, WeightSpec):
-        weights = itertools.starmap(operator.truediv, source.value_pairs(-half_width, half_width))
+        moduli = source.value_pairs(-half_width, half_width)
+        weights = itertools.starmap(operator.truediv, moduli)
     else:
         weights = map(source, indices)
     subdiagonal = np.fromiter(weights, dtype=float, count=len(indices))
-    return Truncation(half_width, subdiagonal, tol)
+    return Truncation(half_width, subdiagonal, tol, moduli)
 
 
 def _commutator(t: Truncation) -> Band:
@@ -420,19 +436,15 @@ def _gamma_float(g_sq: tuple[int, int] | None) -> float:
     return math.nan if g_sq is None else _root_of_pair(*g_sq)
 
 
-def _floats_by_run(items: list, convert: Callable[[Any], float]) -> np.ndarray:
-    """[convert(x) for x in items], with convert called once per run of
-    consecutive equal items: a constant tail is one run. Runs are found by
-    comparing neighbours, never by hashing, so distinct items cost one
-    comparison each on top of their conversion."""
+def _scatter(runs: list[Run], start: int, size: int, convert: Callable[[Any], float]) -> np.ndarray:
+    """A float array of ``size`` zeros from index ``start`` on, with
+    convert(v) at each index a run holds: one conversion per held value."""
     import numpy as np
 
-    count = len(items)
-    neighbours = map(operator.ne, itertools.islice(items, 1, None), items)
-    changes = np.fromiter(neighbours, dtype=bool, count=max(count - 1, 0))
-    starts = np.flatnonzero(np.concatenate(([count > 0], changes)))
-    values = np.array([convert(items[i]) for i in starts.tolist()], dtype=float)
-    return np.repeat(values, np.diff(starts, append=count))
+    out = np.zeros(size)
+    for first, values in runs:
+        out[first - start : first - start + len(values)] = list(map(convert, values))
+    return out
 
 
 def truncation_report(
@@ -447,10 +459,12 @@ def truncation_report(
     Residuals compare the band-product commutator and conjugated shift
     against the exact diagonal and transformed weights; the comparison is
     the only place symbolic values enter (how Q and S are formed is not).
-    Each exact value becomes a float by one correctly rounded int / int
-    division of its pair, the nearest binary64 to it, taken once per run of
-    equal values; the residuals are numpy maxima over the interior. The
-    default tol is :func:`default_tolerance`'s, read off the certificate.
+    The exact values come from the truncation's own moduli pairs, as a
+    :class:`~shiftcert.shiftcalc.SparseRange`; each value it holds becomes
+    a float by one correctly rounded int / int division of its pair, the
+    nearest binary64 to it, and every other d_n and g_n is 0. The residuals
+    are numpy maxima over the interior. The default tol is
+    :func:`default_tolerance`'s, read off the certificate.
     """
     import numpy as np
 
@@ -458,8 +472,7 @@ def truncation_report(
         tol = _tolerance(verdict.certificate.sup_modulus)
     t = build_truncation(spec, half_width, tol)
     q = _commutator(t)
-    diag = commutator_diagonal(spec)
-    tw = transformed_weights(spec, diag)
+    tw = transformed_weights(spec, commutator_diagonal(spec))
 
     window_span = max(abs(spec.window_start), abs(spec.window_end + 1))
     sufficient = max(_needed_interior(verdict.certificate), window_span + 2) + 2
@@ -467,26 +480,26 @@ def truncation_report(
     interior = t.interior()
     lo, hi = t.row_of(interior.start), t.row_of(interior.stop - 1)
     q_interior = q[0][lo : hi + 1]
+    # d_n for every interior n, and g_n^2 for every interior n with n + 1
+    # interior, from the moduli |beta_n|, interior.start - 1 <= n < interior.stop.
+    exact = sparse_range(t.moduli[1:-1], interior.start)
     gamma_residual: float | None = None
     flat_zero_max: float | None = None
     psd_failure_index: int | None = None
     try:
         s = _conjugate(t, q, tol)
-        # One exact evaluation per index gives g_n^2 for every interior n
-        # with n + 1 interior, and d_n for every interior n.
-        exact_gamma_sq, exact_diag = tw.pairs_sq(interior.start, interior.stop - 1)
+        exact_gamma_sq = exact.gamma_sq()
     except (NotPSDError, NotHyponormalAtIndex):
         # Not hyponormal: numerically (Q has an entry below -tol) or only
         # exactly (a negative d_n within tol), so no conjugated operator.
         worst, where = min(zip(q_interior.tolist(), interior))
         psd_failure_index = where if worst < -tol else None
         s = None
-        exact_diag = diag.entry_pairs(interior.start, interior.stop)
     else:
         entries = s[-1][lo:hi]  # s[n+1, n]
         # np.fmax skips a NaN residual, as max(acc, x) keeps acc for a NaN x,
         # so an undefined g_n, made NaN, is skipped.
-        exact_gamma = _floats_by_run(exact_gamma_sq, _gamma_float)
+        exact_gamma = _scatter(exact_gamma_sq, interior.start, entries.size, _gamma_float)
         with np.errstate(over="ignore", invalid="ignore"):
             gamma_residual = float(np.fmax.reduce(np.abs(entries - exact_gamma), initial=0.0))
         if tw.flat_from is not None:
@@ -494,7 +507,7 @@ def truncation_report(
             if flat.size:
                 flat_zero_max = float(np.fmax.reduce(np.abs(flat)))
 
-    exact_d = _floats_by_run(exact_diag, lambda d: d[0] / d[1])
+    exact_d = _scatter(exact.diag, interior.start, q_interior.size, lambda d: d[0] / d[1])
     with np.errstate(over="ignore", invalid="ignore"):
         q_diag_max = float(np.fmax.reduce(np.abs(q_interior), initial=0.0))
         q_diag_residual = float(np.fmax.reduce(np.abs(q_interior - exact_d), initial=0.0))

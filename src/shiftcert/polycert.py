@@ -414,7 +414,13 @@ class RationalFunction:
         return None
 
     def scale(self, c: Scalar) -> "RationalFunction":
-        return RationalFunction.ratio(self.num.scale(c), self.den)
+        """Return c f, reduced and monic when f is: a nonzero constant
+        factor adds no common root, so no GCD runs; c = 0 gives the
+        canonical zero."""
+        num = self.num.scale(c)
+        if num.is_zero:
+            return RationalFunction.ratio(num, self.den)
+        return RationalFunction(num, self.den)
 
     def shift(self, delta: int) -> "RationalFunction":
         """Return g with g(n) = f(n + delta), reduced and monic when f is."""

@@ -8,9 +8,12 @@ shift root(Q) T pinv_root(Q) is again a weighted shift; its squared weights
 
 drive every boundedness question, so the whole symbolic pipeline stays in
 exact rational arithmetic (square roots only ever appear in the
-floating-point oracle). One range evaluator computes moduli, d_n and g_n
-as unreduced int pairs (:data:`~shiftcert.polycert.Pair`); a ``Fraction``
-is built only for the values the public methods return.
+floating-point oracle). One sparse range form, :class:`SparseRange`,
+computes d_n and g_n from a range of moduli as unreduced int pairs
+(:data:`~shiftcert.polycert.Pair`), and only where two neighbouring moduli
+pairs differ: everywhere else d_n = 0 exactly. The range methods expand
+it, and a ``Fraction`` is built only for the values the public methods
+return.
 
 On a tail with modulus function f > 0, d_n = Delta(n) * (f(n) + f(n-1))
 for the first difference Delta(n) = f(n) - f(n-1), which so carries the
@@ -19,9 +22,11 @@ sign, zeros and negative indices of d: see :func:`difference_form`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .polycert import (
     Limit,
@@ -49,9 +54,10 @@ class NotHyponormalAtIndex(ValueError):
         self.value = value
 
 
-def _moduli_sq(spec: WeightSpec, start: int, stop: int) -> list[Pair]:
-    """|beta_n|^2 for start <= n < stop, evaluated region by region."""
-    return [(p * p, q * q) for p, q in spec.value_pairs(start, stop)]
+_ZERO: Pair = (0, 1)
+
+# Values held at consecutive indices: the first index and the values.
+Run = tuple[int, list]
 
 
 def _differences(squares: list[Pair]) -> list[Pair]:
@@ -59,6 +65,80 @@ def _differences(squares: list[Pair]) -> list[Pair]:
         (c - a, b) if b == d else (c * b - a * d, b * d)
         for (a, b), (c, d) in zip(squares, squares[1:])
     ]
+
+
+class SparseRange(NamedTuple):
+    """d_n for start <= n <= stop and g_n^2 for start <= n < stop, held only
+    where they can be nonzero, as runs of consecutive indices.
+
+    ``diag`` holds a run of d_n for each maximal run of indices n whose
+    moduli pair differs from its predecessor's; pairs equal in value but
+    written differently count as different, and there d_n is computed, as
+    0. Everywhere else d_n = 0 exactly. ``gamma`` holds a run of g_n^2 for
+    each run of ``diag``, from the index before it to its last; read it
+    through :meth:`gamma_sq`. Build one with :func:`sparse_range`.
+    """
+
+    start: int
+    stop: int
+    diag: list[Run]
+    gamma: list[Run]
+
+    def gamma_sq(self) -> list[Run]:
+        """The runs of g_n^2, None where g_n is undefined (d_n = 0 < d_{n+1});
+        at every other n, d_n = d_{n+1} = 0 and g_n = 0. Raises
+        :class:`NotHyponormalAtIndex` at the first negative d_n."""
+        if self.stop > self.start:
+            for first, diag in self.diag:
+                if min(diag)[0] >= 0:  # the smallest numerator
+                    continue
+                k = next(k for k, (a, _) in enumerate(diag) if a < 0)
+                # Reported as a scan over n reading d_n and d_{n+1} would:
+                # at the first negative entry, with the smaller of the two.
+                value = Fraction(*diag[k])
+                if first + k == self.start:
+                    value = min(value, Fraction(*(diag[1] if len(diag) > 1 else _ZERO)))
+                raise NotHyponormalAtIndex(first + k, value)
+        return self.gamma
+
+
+def sparse_range(moduli: Sequence[Pair], start: int) -> SparseRange:
+    """The sparse range form of the moduli pairs |beta_n|,
+    start - 1 <= n <= stop, ``moduli[k]`` being |beta_{start - 1 + k}|.
+    Neighbouring pairs are compared without a Python step per index, and
+    each run of differing pairs is squared, differenced and transformed in
+    one pass."""
+    stop = start + len(moduli) - 2
+    diag: list[Run] = []
+    gamma: list[Run] = []
+    # differs[k]: whether d_{start + k} compares two different pairs; the
+    # appended 0 ends the last run.
+    differs = bytes(map(operator.ne, moduli[1:], moduli)) + b"\0"
+    first = differs.find(1)
+    while first >= 0:
+        last = differs.find(0, first)
+        n = start + first  # the run holds d_n, ..., d_{n + last - first - 1}
+        squares = [(p * p, q * q) for p, q in moduli[first : last + 1]]
+        d = _differences(squares)
+        # g_m for m = n - 1, ..., n + len(d) - 1: the d before the run and
+        # the d after it are 0.
+        g = [
+            (s * c * b, t * e * a) if a > 0 else (None if c else _ZERO)
+            for (s, t), (a, b), (c, e) in zip(squares, [_ZERO, *d], [*d, _ZERO])
+        ]
+        lo = max(n - 1, start)
+        diag.append((n, d))
+        gamma.append((lo, g[lo - n + 1 : stop - n + 1]))
+        first = differs.find(1, last)
+    return SparseRange(start, stop, diag, gamma)
+
+
+def _expand(runs: list[Run], start: int, stop: int) -> list[Pair | None]:
+    """The held pair at each start <= n < stop, (0, 1) where none is held."""
+    out: list[Pair | None] = [_ZERO] * (stop - start)
+    for first, values in runs:
+        out[first - start : first - start + len(values)] = values
+    return out
 
 
 def difference_form(fn: RationalFunction) -> RationalFunction:
@@ -97,12 +177,14 @@ class CommutatorDiagonal:
         return [Fraction(*d) for d in self.entry_pairs(start, stop)]
 
     def entry_pairs(self, start: int, stop: int) -> list[Pair]:
-        """``entries`` as int pairs."""
-        return _differences(_moduli_sq(self.spec, start - 1, stop))
+        """``entries`` as int pairs: the expanded :class:`SparseRange`."""
+        held = sparse_range(self.spec.value_pairs(start - 1, stop), start).diag
+        return _expand(held, start, stop)
 
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
-    squares = _moduli_sq(spec, spec.window_start - 1, spec.window_end + 2)
+    moduli = spec.value_pairs(spec.window_start - 1, spec.window_end + 2)
+    squares = [(p * p, q * q) for p, q in moduli]
     return CommutatorDiagonal(
         spec=spec,
         seam_values=tuple(Fraction(*d) for d in _differences(squares)),
@@ -161,22 +243,9 @@ class TransformedWeights:
         )
 
     def pairs_sq(self, start: int, stop: int) -> tuple[list[Pair | None], list[Pair]]:
-        """``values_sq`` as int pairs."""
-        squares = _moduli_sq(self.spec, start - 1, stop + 1)
-        diag = _differences(squares)
-        if stop > start:
-            first = next((k for k, (a, _) in enumerate(diag) if a < 0), None)
-            if first is not None:
-                # Reported as a scan over n would: at n = start + k, the
-                # first k whose d_n or d_{n+1} is negative, with the smaller.
-                k = max(first - 1, 0)
-                value = min(Fraction(*diag[k]), Fraction(*diag[k + 1]))
-                raise NotHyponormalAtIndex(start + first, value)
-        out: list[Pair | None] = [
-            (s * c * b, t * e * a) if a > 0 else (None if c else (0, 1))
-            for (s, t), (a, b), (c, e) in zip(squares[1:], diag, diag[1:])
-        ]
-        return out, diag
+        """``values_sq`` as int pairs: the expanded :class:`SparseRange`."""
+        exact = sparse_range(self.spec.value_pairs(start - 1, stop + 1), start)
+        return _expand(exact.gamma_sq(), start, stop), _expand(exact.diag, start, stop + 1)
 
 
 def _gamma_form(tail: TailSpec) -> RationalFunction | None:

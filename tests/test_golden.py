@@ -4,9 +4,11 @@ byte for byte.
 ``tests/data/golden`` holds spec files for the four built-in fixtures, four
 hand-built specs for paths the random recipes miss, and twenty seeded specs
 from ``conftest.random_labelled_spec``, each next to the report the CLI
-printed for it (``NAME.report.json``). The fixtures and six of the seeded
-specs also carry oracle reports: ``NAME.oracle.json`` at ``--max-dim 401``,
-and for the fixtures ``NAME.sweep.json`` at ``--max-dim 61 --sweep 8,16``.
+printed for it (``NAME.report.json``). The fixtures, six of the seeded
+specs and the four hand-built specs also carry oracle reports:
+``NAME.oracle.json`` at ``--max-dim 401``, for the fixtures
+``NAME.sweep.json`` at ``--max-dim 61 --sweep 8,16``, and for ``ex3`` and
+``flatpair`` ``NAME.obstructed.json`` at ``--max-dim 1001``.
 The CLI runs from that directory, so the report's ``source.path`` is the
 bare file name and the bytes do not depend on where the checkout lives.
 Classifying the golden specs also pins an upper bound on the exact
@@ -37,9 +39,11 @@ from shiftcert import (
     classify,
     polycert,
     replay,
+    scale_spec,
 )
 from shiftcert.classifier import Criterion
 from shiftcert.cli import main
+from shiftcert.fixtures import example_two
 from shiftcert.oracle import truncation_report
 from shiftcert.polycert import Polynomial
 from shiftcert.specfile import load_spec
@@ -61,12 +65,21 @@ ORACLE_SPECS = FIXTURE_NAMES + (
     "random11",
     "random15",
 )
+# Hand-built specs with zeros and a negative d_n inside rational tails.
+HAND_ORACLE_SPECS = ("lefttie", "righttie", "leftdrop", "flatstep")
+# Fixtures whose oracle report is the obstructed kind at the dimension the
+# benchmark's oracle-obstructed workload runs.
+OBSTRUCTED_SPECS = ("ex3", "flatpair")
 ORACLE_CASES: dict[str, tuple[str, ...]] = {
-    **{f"{name}.oracle": (name, "--max-dim", "401") for name in ORACLE_SPECS},
+    **{
+        f"{name}.oracle": (name, "--max-dim", "401")
+        for name in ORACLE_SPECS + HAND_ORACLE_SPECS
+    },
     **{
         f"{name}.sweep": (name, "--max-dim", "61", "--sweep", "8,16")
         for name in FIXTURE_NAMES
     },
+    **{f"{name}.obstructed": (name, "--max-dim", "1001") for name in OBSTRUCTED_SPECS},
 }
 
 
@@ -200,8 +213,8 @@ DEGREE_SIXTEEN_LEFT_SUP_SQ = Fraction(
 
 
 def test_engine_never_reduces(monkeypatch):
-    """After parsing, classify, replay and the oracle build every derived
-    form as an unreduced product: no polynomial GCD runs."""
+    """After parsing, classify, replay, the oracle and scaling build every
+    derived form as an unreduced product: no polynomial GCD runs."""
     specs = {name: load_spec(GOLDEN_DIR / f"{name}.spec.json")[0] for name in _golden_names()}
     wide = degree_sixteen_spec()
     calls = 0
@@ -219,7 +232,11 @@ def test_engine_never_reduces(monkeypatch):
     assert verdict.certificate.criterion == Criterion.FLAT_TAIL
     assert verdict.certificate.left_sup_sq == DEGREE_SIXTEEN_LEFT_SUP_SQ
     truncation_report(specs["ex2"], classify(specs["ex2"]), 40, sweep=[10, 40])
+    # Scaling a parsed (reduced, monic) tail by a nonzero constant keeps it so.
+    scaled = scale_spec(example_two(), Fraction(3, 2)).right_tail.fn
     assert calls == 0
+    fn = example_two().right_tail.fn
+    assert scaled == RationalFunction.ratio(fn.num.scale(Fraction(3, 2)), fn.den)
 
 
 def regenerate() -> None:

@@ -13,6 +13,8 @@ import pytest
 
 from shiftcert import (
     ConstantTail,
+    RationalFunction,
+    RationalTail,
     WeightSpec,
     classify,
     commutator_diagonal,
@@ -36,9 +38,9 @@ from shiftcert.oracle import (
     transformed_shift,
     truncation_report,
 )
-from shiftcert.shiftcalc import NotHyponormalAtIndex
 
 from conftest import growth_weight_rule, random_labelled_spec
+from test_golden import hand_specs
 
 
 def _dense_of(band: dict, dim: int) -> np.ndarray:
@@ -339,35 +341,42 @@ class TestReportAndConcordance:
 
 def _reference_residuals(spec, half_width: int, tol: float) -> dict:
     """The report's residual fields, one interior index at a time, from the
-    dense public stages: each exact value becomes a float on its own
-    (``_root_of_pair`` for g_n, int / int for d_n), folded by Python's max."""
+    dense public stages and from ``spec.value(n)`` Fractions: each exact
+    value becomes a float on its own (``_root_of_pair`` for g_n, the
+    correctly rounded ``float`` of d_n), folded by Python's max."""
     t = build_truncation(spec, half_width, tol)
     q = commutator(t)
     interior = t.interior()
     q_interior = [float(q[t.row_of(n), t.row_of(n)]) for n in interior]
-    diag = commutator_diagonal(spec)
-    tw = transformed_weights(spec, diag)
+    square = {n: spec.value(n) ** 2 for n in range(interior.start - 1, interior.stop)}
+    d = {n: square[n] - square[n - 1] for n in interior}
+    flat_from = transformed_weights(spec, commutator_diagonal(spec)).flat_from
     gamma = flat = psd = None
     try:
         s = transformed_shift(t, q, tol)
-        gammas, exact_diag = tw.pairs_sq(interior.start, interior.stop - 1)
-    except (NotPSDError, NotHyponormalAtIndex):
+    except NotPSDError:
+        s = None
+    if s is None or min(d.values()) < 0:
+        # Not hyponormal, numerically or exactly: no conjugated operator.
         worst, where = min(zip(q_interior, interior))
         psd = where if worst < -tol else None
-        exact_diag = diag.entry_pairs(interior.start, interior.stop)
     else:
         gamma = 0.0
-        for n, g_sq in zip(interior, gammas):
-            if g_sq is None:
-                continue
+        for n in interior[:-1]:
+            if d[n] > 0:
+                g_sq = square[n] * d[n + 1] / d[n]
+            elif d[n + 1] == 0:
+                g_sq = Fraction(0)
+            else:
+                continue  # d_n = 0 < d_{n+1}: g_n is undefined
             entry = float(s[t.row_of(n + 1), t.row_of(n)])
-            gamma = max(gamma, abs(entry - _root_of_pair(*g_sq)))
-            if tw.flat_from is not None and n >= tw.flat_from:
+            gamma = max(gamma, abs(entry - _root_of_pair(g_sq.numerator, g_sq.denominator)))
+            if flat_from is not None and n >= flat_from:
                 flat = abs(entry) if flat is None else max(flat, abs(entry))
     q_max = q_residual = 0.0
-    for q_n, (num, den) in zip(q_interior, exact_diag):
+    for q_n, n in zip(q_interior, interior):
         q_max = max(q_max, abs(q_n))
-        q_residual = max(q_residual, abs(q_n - num / den))
+        q_residual = max(q_residual, abs(q_n - float(d[n])))
     return {
         "q_diag_residual": q_residual,
         "q_diag_max": q_max,
@@ -375,6 +384,25 @@ def _reference_residuals(spec, half_width: int, tol: float) -> dict:
         "flat_zero_max": flat,
         "psd_failure_index": psd,
     }
+
+
+def _seam_tie(side: str) -> WeightSpec:
+    """A rational tail meets the window at an equal value that its cleared
+    pair writes unreduced: 4n / (n + 2) is (8, 4) at n = 2, beside a window
+    value 2, and on the left (n - 6) / (n - 2) is (8, 4) at n = -2."""
+    if side == "right":
+        return WeightSpec(
+            0,
+            (Fraction(1), Fraction(2)),
+            ConstantTail(Fraction(1)),
+            RationalTail(RationalFunction.of([0, 4], [2, 1])),
+        )
+    return WeightSpec(
+        -1,
+        (Fraction(2), Fraction(3)),
+        RationalTail(RationalFunction.of([-6, 1], [-2, 1])),
+        ConstantTail(Fraction(3)),
+    )
 
 
 class TestResidualsAgainstPerIndexReference:
@@ -415,10 +443,67 @@ class TestResidualsAgainstPerIndexReference:
         got = self._check(spec, 10, 1e-9)
         assert got["q_diag_residual"] == got["q_diag_max"] == 0.0
 
+    @pytest.mark.parametrize(
+        "name",
+        ["lefttie", "righttie", "leftdrop", "flatstep", "seamtie-left", "seamtie-right", "ex2"],
+    )
+    @pytest.mark.parametrize("half_width", [4, 9, 40])
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_tail_structures(self, name, half_width, tol, fixture_specs):
+        # An equal pair inside a rational tail (lefttie, righttie), a
+        # negative d_n inside one (leftdrop), a seam whose tail pair is
+        # unreduced but equal to the window's value, rational tails on both
+        # sides (righttie, ex2).
+        if name.startswith("seamtie"):
+            spec = _seam_tie(name.split("-")[1])
+        else:
+            spec = fixture_specs.get(name) or hand_specs()[name][0]
+        self._check(spec, half_width, tol)
+
+    def test_seam_tie_is_an_exact_zero(self):
+        for side, n in (("right", 2), ("left", -1)):
+            spec = _seam_tie(side)
+            pairs = {spec.value_pair(n - 1), spec.value_pair(n)}
+            assert len(pairs) == 2 and spec.value(n - 1) == spec.value(n)
+            assert commutator_diagonal(spec).entry(n) == 0
+
     def test_default_tolerance_is_the_certificates(self, fixture_specs):
         for spec in fixture_specs.values():
             report = truncation_report(spec, classify(spec), 6)
             assert report.tol == default_tolerance(spec)
+
+
+class TestOneEvaluation:
+    """``truncation_report`` evaluates the spec once, in ``build_truncation``:
+    the residuals read the truncation's own moduli pairs."""
+
+    def test_one_pair_per_extra_rational_tail_index(self, monkeypatch, ex2):
+        verdict = classify(ex2)
+        pair = RationalFunction.pair
+        calls = 0
+
+        def counted(fn, n):
+            nonlocal calls
+            calls += 1
+            return pair(fn, n)
+
+        monkeypatch.setattr(RationalFunction, "pair", counted)
+        counts = []
+        for half_width in (20, 120):
+            calls = 0
+            truncation_report(ex2, verdict, half_width)
+            counts.append(calls)
+        # Both tails of ex2 are rational; the window holds n = 1, 2.
+        extra = sum(
+            not ex2.window_start <= n <= ex2.window_end
+            for n in [*range(-120, -20), *range(20, 120)]
+        )
+        assert counts[1] - counts[0] == extra
+
+    def test_truncation_keeps_its_moduli(self, ex2):
+        t = build_truncation(ex2, 10, 1e-9)
+        assert t.moduli == ex2.value_pairs(-10, 10)
+        assert build_truncation(lambda n: 1.0, 10, 1e-9).moduli is None
 
 
 class TestSparsePipeline:

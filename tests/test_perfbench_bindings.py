@@ -97,8 +97,9 @@ def test_traced_exact_evaluations_cover_every_rational_tail_index(tmp_path):
         tw.values_sq(-half_width, half_width)
     assert tracer.counters.exact_evals >= rational_indices(-half_width, half_width)
 
-    # Through the CLI: a wider truncation costs at least one evaluation per
-    # extra rational-tail index, for the matrix and again for the residuals.
+    # Through the CLI: a wider truncation costs one pair per extra
+    # rational-tail index, evaluated once for the matrix and read again by
+    # the residuals; a pair is two Polynomial.__call__s.
     path = tmp_path / "ex2.json"
     dump_spec(spec, path)
     counts = []
