@@ -24,15 +24,17 @@ values, and every rule past hyponormality reads that pattern through
 
 Every verdict carries a :class:`Certificate` holding the certified
 structure, the witnesses, exact limits and bounds, and replayable spot
-checks; :func:`replay` recomputes all of it from scratch.
+checks; :func:`replay` recomputes all of it from scratch and compares it
+field by field. Verdicts, certificates and their parts are immutable
+NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby, zip_longest
+from typing import NamedTuple
 
 # ray_root_free_cutoff is unused here: perfbench/spans.py wraps it in this module.
 from .polycert import Limit, Ray, RaySign, ray_root_free_cutoff, sign_on_ray  # noqa: F401
@@ -90,8 +92,7 @@ class Criterion(Enum):
     FLAT_PAIR = "isolated-flat-pair"
 
 
-@dataclass(frozen=True)
-class StructureProfile:
+class StructureProfile(NamedTuple):
     """Certified shape of the modulus sequence.
 
     Pair index n stands for the comparison |beta_n| vs |beta_{n+1}|.
@@ -113,15 +114,13 @@ class StructureProfile:
     first_equality: int | None
 
 
-@dataclass(frozen=True)
-class ReplayPoint:
+class ReplayPoint(NamedTuple):
     kind: str  # "beta_sq" | "d" | "gamma_sq"
     index: int
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     verdict_class: VerdictClass
     criterion: Criterion | None
     profile: StructureProfile | None
@@ -134,19 +133,17 @@ class Certificate:
     left_sup_sq: Fraction | None
     flat_from: int | None
     sup_modulus: Fraction
-    replay_points: tuple[ReplayPoint, ...] = field(default=())
+    replay_points: tuple[ReplayPoint, ...] = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     klass: VerdictClass
     criterion: Criterion | None
     witness: int | None
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class HyponormalityCheck:
+class HyponormalityCheck(NamedTuple):
     """Outcome of :func:`check_hyponormal`, with the diagonal it was built on.
 
     Once hyponormality holds the moduli are nondecreasing, so every pair
@@ -401,8 +398,7 @@ def classify(spec: WeightSpec) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     consistent: bool
     detail: str | None = None
 
@@ -434,13 +430,12 @@ def replay(cert: Certificate, spec: WeightSpec) -> ReplayResult:
         fresh = classify(spec).certificate
     except (ValueError, ZeroDivisionError) as exc:
         return ReplayResult(False, f"recomputation failed: {exc}")
-    for f in fields(Certificate):
-        a, b = getattr(cert, f.name), getattr(fresh, f.name)
-        if f.name == "replay_points":
+    for name, a, b in zip(Certificate._fields, cert, fresh):
+        if name == "replay_points":
             for p, q in zip_longest(a, b):
                 if p != q:
                     return ReplayResult(False, _point_mismatch(p, q))
         elif a != b:
-            label = f.name.replace("_", " ")
+            label = name.replace("_", " ")
             return ReplayResult(False, f"{label} mismatch: recorded {a}, recomputed {b}")
     return ReplayResult(True)

@@ -241,17 +241,31 @@ def _beyond_binary64(value: Fraction) -> bool:
     return abs(value) > Fraction(sys.float_info.max)
 
 
-def _non_finite(obj: Any, path: str) -> str | None:
-    """Path of the first float in a report part that is not finite."""
+def _finite(obj: Any) -> bool:
+    """Whether every float in a report part is finite."""
     if isinstance(obj, float):
-        return None if math.isfinite(obj) else path
+        return math.isfinite(obj)
     if isinstance(obj, dict):
-        items = [(f"{path}.{key}", value) for key, value in obj.items()]
-    elif isinstance(obj, list):
-        items = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
-    else:
+        obj = obj.values()
+    elif not isinstance(obj, list):
+        return True
+    return all(map(_finite, obj))
+
+
+def _non_finite(obj: Any, path: str) -> str | None:
+    """Path of the first float in a report part that is not finite. The
+    floats are tested first, and the path is built only when one fails."""
+    if _finite(obj):
         return None
-    return next(filter(None, (_non_finite(value, where) for where, value in items)), None)
+    while not isinstance(obj, float):
+        if isinstance(obj, dict):
+            key = next(k for k, v in obj.items() if not _finite(v))
+            path += f".{key}"
+        else:
+            key = next(i for i, v in enumerate(obj) if not _finite(v))
+            path += f"[{key}]"
+        obj = obj[key]
+    return path
 
 
 def cmd_classify(args, out, err) -> int:

@@ -24,6 +24,9 @@ does exact arithmetic only where two neighbouring pairs differ (d_n = 0
 everywhere else); each value it holds becomes a float once, is scattered
 into zeros, and numpy reduces every residual.
 
+:class:`Truncation` and :class:`TruncationReport` are immutable
+NamedTuples.
+
 Interior means |n| <= N - 2 throughout: the first and last basis vectors
 lose a neighbour to the truncation, so edge rows of the commutator are
 artifacts of the compression, not of the operator.
@@ -39,9 +42,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, Union
 
 from .classifier import Certificate, Verdict, VerdictClass
 from .polycert import Pair
@@ -81,8 +83,7 @@ def default_tolerance(spec: WeightSpec) -> float:
     return _tolerance(report.sup_bound)
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple):
     """Compression of the shift to span{e_-N, ..., e_N}, stored as its one
     occupied diagonal.
 
@@ -382,8 +383,7 @@ def norm_sweep(
     return trace
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(NamedTuple):
     half_width: int
     tol: float
     q_diag_residual: float
@@ -397,7 +397,7 @@ class TruncationReport:
     # and the window with a margin. Below it the report claims no
     # concordance, and a sweep width below it is no evidence of growth.
     sufficient_half_width: int
-    norm_trace: tuple[tuple[int, float], ...] = field(default=())
+    norm_trace: tuple[tuple[int, float], ...] = ()
 
     @property
     def insufficient_interior(self) -> bool:

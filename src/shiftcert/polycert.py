@@ -13,6 +13,10 @@ polynomials with its ratio, so its value at an integer is an unreduced
 forms the engine derives from a tail are unreduced. A ``Fraction`` is built
 only where a value leaves this module.
 
+Both are immutable ``__slots__`` classes compared and hashed by their
+fields, not tuples, so ``+`` and ``*`` are only the ring operations; the
+records (:class:`Ray`, :class:`RaySign`, :class:`Limit`) are NamedTuples.
+
 :func:`sign_on_ray` and :func:`sup_on_ray` answer questions about a rational
 function at *every* integer of a half-line ``n <= a`` or ``n >= a`` as views
 of one walk: :func:`ray_root_free_cutoff` finds a cutoff M by a doubling
@@ -28,10 +32,9 @@ function with deg num <= deg den, both finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 # An exact rational as (numerator, positive denominator), not reduced.
@@ -105,8 +108,21 @@ def _primitive(cs: list[int]) -> tuple[int, ...]:
     return tuple(c // g for c in cs)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class _Immutable:
+    """Base of the slotted value types: each field is set once, in
+    ``__init__``, through ``object.__setattr__``, and nothing else can set
+    or delete one."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Polynomial(_Immutable):
     """Dense univariate polynomial sum(ints[i] n^i) / denom.
 
     ``ints`` ascend and end nonzero, ``denom`` is positive, and their gcd is
@@ -114,10 +130,32 @@ class Polynomial:
     ``((), 1)`` and has degree -1. Build one with :meth:`of`; ``coeffs``
     gives the rational coefficients. Evaluation at an integer is integer
     Horner and returns an int when ``denom`` is 1.
+
+    An immutable value compared and hashed by its fields; not a tuple, so
+    ``*`` and ``+`` mean only the polynomial ring operations.
     """
 
+    __slots__ = ("ints", "denom")
     ints: tuple[int, ...]
-    denom: int = 1
+    denom: int
+
+    def __init__(self, ints: tuple[int, ...], denom: int = 1):
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "denom", denom)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Polynomial:
+            return NotImplemented
+        return self.ints == other.ints and self.denom == other.denom
+
+    def __hash__(self) -> int:
+        return hash((self.ints, self.denom))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(ints={self.ints!r}, denom={self.denom!r})"
+
+    def __reduce__(self):
+        return Polynomial, (self.ints, self.denom)
 
     @staticmethod
     def of(*coeffs: Scalar) -> "Polynomial":
@@ -273,8 +311,7 @@ def _no_roots_beyond(p: Polynomial, m: int, direction: int) -> bool:
     return not (has_positive and has_negative)
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     """All integers n <= bound ("le") or n >= bound ("ge")."""
 
     kind: str  # "le" | "ge"
@@ -337,8 +374,7 @@ def ray_root_free_cutoff(ray: Ray, *polys: Polynomial) -> int:
     return cutoff
 
 
-@dataclass(frozen=True)
-class RaySign:
+class RaySign(NamedTuple):
     """Where a nonzero rational function vanishes and where it is negative
     on the integers of a ray.
 
@@ -352,15 +388,13 @@ class RaySign:
     negatives: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Limit:
+class Limit(NamedTuple):
     """The finite limit of a rational function at infinity."""
 
     value: Fraction
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Immutable):
     """Ratio num / den of polynomials.
 
     :meth:`ratio` and :meth:`of` reduce by the GCD to a monic denominator, a
@@ -368,11 +402,34 @@ class RationalFunction:
     not reduced: its roots, poles and critical points include the reduced
     form's, so a root-free cutoff certified on it holds for both. ``cleared``
     holds the same ratio as two integer polynomials, which every evaluation
-    uses.
+    uses; it is computed on first use and kept in the instance dict.
+
+    An immutable value compared and hashed by ``num`` and ``den``, like
+    :class:`Polynomial` not a tuple.
     """
 
+    # The instance dict holds only the ``cleared`` memo.
+    __slots__ = ("num", "den", "__dict__")
     num: Polynomial
     den: Polynomial
+
+    def __init__(self, num: Polynomial, den: Polynomial):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RationalFunction:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RationalFunction(num={self.num!r}, den={self.den!r})"
+
+    def __reduce__(self):
+        return RationalFunction, (self.num, self.den)
 
     @cached_property
     def cleared(self) -> tuple[Polynomial, Polynomial]:

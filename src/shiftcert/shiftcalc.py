@@ -18,12 +18,14 @@ return.
 On a tail with modulus function f > 0, d_n = Delta(n) * (f(n) + f(n-1))
 for the first difference Delta(n) = f(n) - f(n-1), which so carries the
 sign, zeros and negative indices of d: see :func:`difference_form`.
+
+:class:`CommutatorDiagonal` and :class:`TransformedWeights` are immutable
+NamedTuples.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -151,8 +153,7 @@ def difference_form(fn: RationalFunction) -> RationalFunction:
     return RationalFunction(p * qm - pm * q, q * qm)
 
 
-@dataclass(frozen=True)
-class CommutatorDiagonal:
+class CommutatorDiagonal(NamedTuple):
     """Exact diagonal d_n, pointwise.
 
     The seam values cover every index where the two neighbouring moduli
@@ -192,8 +193,14 @@ def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
     )
 
 
-@dataclass(frozen=True)
-class TransformedWeights:
+class _TransformedWeightsFields(NamedTuple):
+    spec: WeightSpec
+    left_limit_sq: Limit
+    right_limit_sq: Limit
+    flat_from: int | None
+
+
+class TransformedWeights(_TransformedWeightsFields):
     """Squared transformed weights g_n, pointwise plus symbolic tail forms.
 
     ``value_sq(n)`` returns None exactly where d_n = 0 but d_{n+1} > 0: there
@@ -209,12 +216,10 @@ class TransformedWeights:
     transformed weights vanish identically on that side; ``flat_from`` is
     the smallest index m with g_n = 0 for every n >= m (None when the right
     side never flattens).
-    """
 
-    spec: WeightSpec
-    left_limit_sq: Limit
-    right_limit_sq: Limit
-    flat_from: int | None
+    A named tuple of its fields. It has no ``__slots__``, so its instance
+    dict can keep the memos of the two tail forms.
+    """
 
     @cached_property
     def left_form(self) -> RationalFunction | None:

@@ -11,14 +11,15 @@ range, which evaluates each region once).
 Weights are stored as moduli: every criterion used here depends only on
 |beta_n|, and a bilateral shift is unitarily equivalent to the shift whose
 weights are those moduli.
+
+The specs, tails and validation reports are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from .polycert import (
     Pair,
@@ -32,27 +33,30 @@ from .polycert import (
 MAX_TAIL_DEGREE = 16
 
 
-@dataclass(frozen=True)
-class ConstantTail:
+class ConstantTail(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class RationalTail:
+class RationalTail(NamedTuple):
     fn: RationalFunction
 
 
 TailSpec = Union[ConstantTail, RationalTail]
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Moduli |beta_n|: window on [window_start, window_end], tails outside."""
-
+class _WeightSpecFields(NamedTuple):
     window_start: int
     window_values: tuple[Fraction, ...]
     left_tail: TailSpec
     right_tail: TailSpec
+
+
+class WeightSpec(_WeightSpecFields):
+    """Moduli |beta_n|: window on [window_start, window_end], tails outside.
+
+    A named tuple of its fields. It has no ``__slots__``, so its instance
+    dict can keep the ``_window_pairs`` memo.
+    """
 
     @property
     def window_end(self) -> int:
@@ -122,14 +126,12 @@ def right_ray(spec: WeightSpec) -> Ray:
     return Ray.ge(spec.window_end + 1)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
     sup_bound: Fraction | None  # certified exact upper bound on sup |beta_n|
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -341,7 +340,7 @@ class TestReplay:
             else:
                 tampered_points.append(p)
         assert target is not None
-        tampered = dataclasses.replace(cert, replay_points=tuple(tampered_points))
+        tampered = cert._replace(replay_points=tuple(tampered_points))
         result = replay(tampered, ex1)
         assert not result.consistent
         assert str(target) in result.detail
@@ -350,7 +349,7 @@ class TestReplay:
         cert = classify(ex1).certificate
         dropped = cert.replay_points[3]
         points = cert.replay_points[:3] + cert.replay_points[4:]
-        result = replay(dataclasses.replace(cert, replay_points=points), ex1)
+        result = replay(cert._replace(replay_points=points), ex1)
         assert not result.consistent
         assert f"{dropped.kind} at n = {dropped.index}" in result.detail
 

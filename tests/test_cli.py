@@ -624,6 +624,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["examples"]) == 0
 numeric = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 assert not numeric, numeric[:5]
+# The value types generate no code at import: no dataclasses, and so no inspect.
+generators = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+assert not generators, generators
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["oracle", path, "--max-dim", "41"]) == 0
 assert "numpy" in sys.modules
