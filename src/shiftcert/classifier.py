@@ -22,6 +22,12 @@ pairs from the zeros of each tail's first difference and from the seam
 values, and every rule past hyponormality reads that pattern through
 :meth:`HyponormalityCheck.first_rise`; none evaluates a modulus again.
 
+Each varying tail is walked once per classification: validation walks it
+(:func:`~shiftcert.weights.validate_walked`), and :func:`classify` hands
+that walk to :func:`check_hyponormal` and
+:func:`~shiftcert.shiftcalc.transformed_weights`, which read the first
+difference's zeros and negatives off it.
+
 Every verdict carries a :class:`Certificate` holding the certified
 structure, the witnesses, exact limits and bounds, and replayable spot
 checks; :func:`replay` recomputes all of it from scratch and compares it
@@ -36,24 +42,29 @@ from fractions import Fraction
 from itertools import groupby, zip_longest
 from typing import NamedTuple
 
-# ray_root_free_cutoff is unused here: perfbench/spans.py wraps it in this module.
-from .polycert import Limit, Ray, RaySign, ray_root_free_cutoff, sign_on_ray  # noqa: F401
+from .polycert import Limit, RaySign, RayWalk, walk_ray
 from .shiftcalc import (
     CommutatorDiagonal,
     TransformedWeights,
     bounded_on_left_ray,
     commutator_diagonal,
-    difference_form,
     transformed_weights,
 )
 from .weights import (
+    ConstantTail,
     TailSpec,
+    TailWalks,
     ValidationReport,
     WeightSpec,
     left_ray,
+    right_ray,
     tail_constant_value,
-    validate,
+    validate_walked,
 )
+
+# Unused here: perfbench/spans.py wraps these names in this module.
+from .polycert import ray_root_free_cutoff, sign_on_ray  # noqa: F401
+from .weights import validate  # noqa: F401
 
 
 class InvalidSpec(ValueError):
@@ -193,37 +204,51 @@ def _tail_violation(sgn: RaySign) -> int:
 
 
 def _tail_structure(
-    tail: TailSpec, ray: Ray
+    tail: TailSpec, walk: RayWalk | None
 ) -> tuple[Shape, Fraction | None, tuple[int, ...] | None, int | None]:
     """Shape, constant value, equal pairs and violating pair of one tail.
 
-    ``ray`` holds the n with n and n - 1 in the tail, where d_n has the
-    sign of the first difference. The equal pairs are None for a constant
-    tail (every deep pair is equal).
+    ``walk`` is the tail's walk; its first difference, signed at each n
+    with n and n - 1 in the tail, has the sign of d_n there. The equal
+    pairs are None for a constant tail (every deep pair is equal).
     """
     const = tail_constant_value(tail)
     if const is not None:
         return Shape.CONSTANT, const, None, None
-    sgn = sign_on_ray(difference_form(tail.fn), ray)
+    assert walk is not None and walk.delta is not None
+    sgn = walk.delta
     if not sgn.negatives:
         return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
     return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
 
 
-def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
+def _walk_tails(spec: WeightSpec) -> TailWalks:
+    """The walk of each varying tail on its ray, None for a constant one."""
+    left, right = spec.left_tail, spec.right_tail
+    return (
+        None if isinstance(left, ConstantTail) else walk_ray(left.fn, left_ray(spec)),
+        None if isinstance(right, ConstantTail) else walk_ray(right.fn, right_ray(spec)),
+    )
+
+
+def check_hyponormal(spec: WeightSpec, walks: TailWalks | None = None) -> HyponormalityCheck:
     """Certify |beta_n| <= |beta_{n+1}| for every integer n.
 
-    Tails are certified by ray-sign analysis of their exact first
-    difference f(n) - f(n-1), which has the sign of d_n on a validated
-    tail; the seam pairs are compared directly. On failure the witness is
-    the violating pair of smallest |n| (ties toward negative).
+    Tails are certified by the sign of their exact first difference
+    f(n) - f(n-1), which has the sign of d_n on a validated tail, read off
+    each tail's walk (``walks``, as :func:`~shiftcert.weights.validate_walked`
+    returns them, or walked here); the seam pairs are compared directly. On
+    failure the witness is the violating pair of smallest |n| (ties toward
+    negative).
     """
+    if walks is None:
+        walks = _walk_tails(spec)
     diag = commutator_diagonal(spec)
     left_shape, left_value, left_equalities, left_witness = _tail_structure(
-        spec.left_tail, left_ray(spec)
+        spec.left_tail, walks[0]
     )
     right_shape, right_value, right_equalities, right_witness = _tail_structure(
-        spec.right_tail, Ray.ge(spec.window_end + 2)
+        spec.right_tail, walks[1]
     )
     # Seam value i is d_n at n = window_start + i, the pair n - 1.
     seams = list(enumerate(diag.seam_values, start=spec.window_start - 1))
@@ -294,12 +319,12 @@ def classify(spec: WeightSpec) -> Verdict:
 
     Raises :class:`InvalidSpec` if the description fails validation.
     """
-    report = validate(spec)
+    report, walks = validate_walked(spec)
     if not report.ok:
         raise InvalidSpec(report)
     assert report.sup_bound is not None
     sup_modulus = report.sup_bound
-    check = check_hyponormal(spec)
+    check = check_hyponormal(spec, walks)
     diag = check.diag
 
     def build(
@@ -351,7 +376,7 @@ def classify(spec: WeightSpec) -> Verdict:
             left_run_end=rise,
         )
 
-    tw = transformed_weights(spec, diag)
+    tw = transformed_weights(spec, diag, walks[0])
 
     k = profile.first_equality
     if k is None:

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -156,7 +157,79 @@ def build_report(
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, without the standard library's pure-Python encoder, which
+    ``json.dumps`` runs whenever ``indent`` is set. Keys are strings."""
+    out: list[str] = []
+    _render(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(value: Any) -> str | None:
+    """The JSON text of a string, number, boolean or None, as ``json``
+    writes it; None for anything else."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _render(value: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break followed by the indentation of the line ``value`` starts on.
+    Scalar members are written in place, without a call each."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            member = value[key]
+            out += (sep, _quote(key), ": ")
+            text = _scalar(member)
+            if text is None:
+                _render(member, inner, out)
+            else:
+                out.append(text)
+            sep = "," + inner
+        out += (newline, "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for member in value:
+            out.append(sep)
+            text = _scalar(member)
+            if text is None:
+                _render(member, inner, out)
+            else:
+                out.append(text)
+            sep = "," + inner
+        out += (newline, "]")
+    else:
+        text = _scalar(value)
+        if text is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(text)
 
 
 def render_text(report: dict) -> str:

@@ -15,18 +15,20 @@ only where a value leaves this module.
 
 Both are immutable ``__slots__`` classes compared and hashed by their
 fields, not tuples, so ``+`` and ``*`` are only the ring operations; the
-records (:class:`Ray`, :class:`RaySign`, :class:`Limit`) are NamedTuples.
+records (:class:`Ray`, :class:`RaySign`, :class:`Limit`, :class:`RayWalk`) are
+NamedTuples.
 
-:func:`sign_on_ray` and :func:`sup_on_ray` answer questions about a rational
-function at *every* integer of a half-line ``n <= a`` or ``n >= a`` as views
-of one walk: :func:`ray_root_free_cutoff` finds a cutoff M by a doubling
+:func:`walk_ray` answers every question the engine asks about a rational
+function f at *every* integer of a half-line ``n <= a`` or ``n >= a`` from
+one walk: :func:`ray_root_free_cutoff` finds a cutoff M by a doubling
 search, certifying with Descartes' rule of signs that no real root lies
 beyond M toward the ray's direction, so beyond M every certified polynomial
 keeps its asymptotic sign; the walk then evaluates each integer of the
-finite rest of the ray once, exactly, ascending and denominator first.
-The answers are what the engine reads: a nonzero function's zeros and
-negative values (:class:`RaySign`), and the supremum and limit of a
-function with deg num <= deg den, both finite.
+finite rest of the ray once, exactly, ascending and denominator first. The
+answers (:class:`RayWalk`) are f's zeros and negative values
+(:class:`RaySign`), its supremum, and the zeros and negative values of its
+first difference f(n) - f(n-1), read off consecutive walked values.
+:func:`sign_on_ray` and :func:`sup_on_ray` are views of that one walk.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 # An exact rational as (numerator, positive denominator), not reduced.
@@ -243,9 +245,6 @@ class Polynomial(_Immutable):
                 for j in range(len(c) - 2, i - 1, -1):
                     c[j] += delta * c[j + 1]
         return Polynomial(tuple(c), self.denom)
-
-    def derivative(self) -> "Polynomial":
-        return _canonical([i * c for i, c in enumerate(self.ints) if i > 0], self.denom)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder over Q[n], by pseudo-division on the ints."""
@@ -499,8 +498,18 @@ class RationalFunction(_Immutable):
         return Fraction(*self.pair(n))
 
     def derivative_numerator(self) -> Polynomial:
-        """Numerator of f'; its sign is the sign of f' off the poles."""
-        return self.num.derivative() * self.den - self.num * self.den.derivative()
+        """p'q - pq' for f = p/q over the integer polynomials of
+        ``cleared``: the numerator of f' = (p'q - pq') / q^2, so its sign is
+        the sign of f' off the poles."""
+        p, q = (c.ints for c in self.cleared)
+        out = [0] * (len(p) + len(q) - 2)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                if i != j:  # the n^(i+j-1) terms of p'q - pq'
+                    out[i + j - 1] += (i - j) * a * b
+        while out and out[-1] == 0:
+            out.pop()
+        return Polynomial(tuple(out))
 
 
 def limit_at_infinity(f: RationalFunction) -> Limit:
@@ -512,60 +521,108 @@ def limit_at_infinity(f: RationalFunction) -> Limit:
     return Limit(f.num.leading / f.den.leading if dn == dd else Fraction(0))
 
 
-def _walk(f: RationalFunction, ray: Ray, *polys: Polynomial) -> tuple[int, Iterator[tuple[int, Pair]]]:
-    """The cutoff certified for f's numerator, denominator and ``polys``,
-    and an iterator over (n, f(n) as a :data:`Pair`) for each integer n of
-    the ray's segment up to it.
+class RayWalk(NamedTuple):
+    """The ray facts of one exact walk of f, from :func:`walk_ray`: f's
+    zeros and negatives (``sign``), its exact supremum (``sup``, None when
+    deg num > deg den), and the zeros and negatives of f(n) - f(n-1) at
+    each n of the ray with n - 1 on it too (``delta``, None when f is
+    constant)."""
 
-    The segment holds every integer pole on the ray, and the walk ascends,
-    so :class:`PoleOnRay` is raised at the lowest.
+    sign: RaySign
+    sup: Fraction | None
+    delta: RaySign | None
+
+
+def walk_ray(f: RationalFunction, ray: Ray) -> RayWalk:
+    """Walk f once over the ray and read every ray fact off the walk.
+
+    With f = p/q over integers, let cf be the root-free cutoff of p and q,
+    and C the larger of cf and the cutoff of P = p'q - pq', the numerator
+    of f'. The walk evaluates f at each integer of ``ray.segment_to(C)``,
+    ascending, denominator first, plus -C - 1 on a left ray. cf covers
+    every root of q, so :class:`PoleOnRay` is raised at the lowest pole.
+
+    * f's zeros and negatives are read within cf; beyond it f has the sign
+      of its leading terms, and one witness beyond cf stands for the rest.
+    * Beyond C, f is monotone, so the supremum is the largest walked value
+      or the limit at infinity.
+    * The first difference Delta(n) = f(n) - f(n-1) is signed on the walk
+      by cross-multiplying the walked pairs f(n) and f(n-1). If n - 1 >= C,
+      the interval (n-1, n) lies beyond every real root of q and of P, so f
+      is smooth there and, by the mean value theorem, Delta(n) = f'(xi) =
+      P(xi) / q(xi)^2 for some xi in it: nonzero, with the asymptotic sign
+      of P. A left ray is the mirror image, for n <= -C, which is why it
+      walks -C - 1 too. So Delta needs neither its own polynomial nor its
+      own cutoff: its zeros are the walked ones, and one witness beyond C
+      stands for its negatives there.
     """
-    cutoff = ray_root_free_cutoff(ray, f.num, f.den, *polys)
+    num, den = f.cleared
+    direction = ray.direction
+    cf = ray_root_free_cutoff(ray, f.num, f.den)
+    slope = f.derivative_numerator()
+    cutoff = max(cf, ray_root_free_cutoff(ray, slope))
+    segment = ray.segment_to(cutoff)
+    start = segment.start - 1 if direction < 0 else segment.start
 
-    def values() -> Iterator[tuple[int, Pair]]:
-        for n in ray.segment_to(cutoff):
-            try:
-                v = f.pair(n)
-            except ZeroDivisionError:
-                raise PoleOnRay(n) from None
-            yield n, v
+    zeros: list[int] = []
+    negatives: list[int] = []
+    delta_zeros: list[int] = []
+    delta_negatives: list[int] = []
+    best = prev = None
+    for n in range(start, segment.stop):
+        d = den(n)
+        if d == 0:
+            raise PoleOnRay(n)
+        v = num(n)
+        if d < 0:
+            v, d = -v, -d
+        if v <= 0:
+            if v == 0:
+                zeros.append(n)
+            elif -cf <= n <= cf:
+                negatives.append(n)
+        if prev is not None:
+            a, b = prev
+            step = v * b - a * d  # the sign of f(n) - f(n-1)
+            if step <= 0:
+                (delta_zeros if step == 0 else delta_negatives).append(n)
+        if best is None or v * best[1] > best[0] * d:
+            best = (v, d)
+        prev = (v, d)
 
-    return cutoff, values()
+    if not f.num.is_zero and asymptotic_sign(f.num, direction) != asymptotic_sign(f.den, direction):
+        negatives.append(ray.beyond(cf))
+    sup = None
+    if f.num.degree <= f.den.degree:
+        sup = max(Fraction(*best), limit_at_infinity(f).value)
+    delta = None
+    if not slope.is_zero:
+        if asymptotic_sign(slope, direction) < 0:
+            delta_negatives.append(ray.beyond(cutoff))
+        delta = RaySign(tuple(delta_zeros), tuple(delta_negatives))
+    return RayWalk(RaySign(tuple(zeros), tuple(negatives)), sup, delta)
 
 
 def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:
-    """Exact zeros and negative values of f on the integers of the ray.
+    """Exact zeros and negative values of f on the integers of the ray: the
+    ``sign`` of :func:`walk_ray`.
 
-    Beyond the certified root-free cutoff of numerator and denominator the
-    sign is the asymptotic sign; the finitely many remaining integers are
-    evaluated exactly. Raises ValueError for the zero function and
-    :class:`PoleOnRay` if the denominator vanishes at an integer of the ray.
+    Raises ValueError for the zero function and :class:`PoleOnRay` if the
+    denominator vanishes at an integer of the ray.
     """
     if f.num.is_zero:
         raise ValueError("the zero function has no sign on a ray")
-    cutoff, values = _walk(f, ray)
-    zeros: list[int] = []
-    negatives: list[int] = []
-    for n, (v, _) in values:
-        if v == 0:
-            zeros.append(n)
-        elif v < 0:
-            negatives.append(n)
-    if asymptotic_sign(f.num, ray.direction) != asymptotic_sign(f.den, ray.direction):
-        negatives.append(ray.beyond(cutoff))
-    return RaySign(tuple(zeros), tuple(negatives))
+    return walk_ray(f, ray).sign
 
 
 def sup_on_ray(f: RationalFunction, ray: Ray) -> Fraction:
-    """Exact supremum of f over the integers of the ray.
+    """Exact supremum of f over the integers of the ray: the ``sup`` of
+    :func:`walk_ray`.
 
-    Walks up to one certified root-free cutoff for the numerator and
-    denominator of f and the numerator of f' (the function is monotone once
-    past every critical point), so the supremum is either attained on the
-    finite evaluated segment or equals the limit at infinity. The walk comes
-    first, so a pole on the ray raises :class:`PoleOnRay` before the
-    ValueError of a function with deg num > deg den.
+    The walk comes first, so a pole on the ray raises :class:`PoleOnRay`
+    before the ValueError of a function with deg num > deg den.
     """
-    _, values = _walk(f, ray, f.derivative_numerator())
-    best = Fraction(*pair_max(v for _, v in values))
-    return max(best, limit_at_infinity(f).value)
+    sup = walk_ray(f, ray).sup
+    if sup is None:
+        limit_at_infinity(f)  # raises: no finite limit
+    return sup

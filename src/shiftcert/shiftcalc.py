@@ -17,7 +17,10 @@ return.
 
 On a tail with modulus function f > 0, d_n = Delta(n) * (f(n) + f(n-1))
 for the first difference Delta(n) = f(n) - f(n-1), which so carries the
-sign, zeros and negative indices of d: see :func:`difference_form`.
+sign, zeros and negative indices of d. No form of Delta is built: its zeros
+and negatives come from the one walk of f that
+:func:`~shiftcert.polycert.walk_ray` makes, by comparing consecutive
+values.
 
 :class:`CommutatorDiagonal` and :class:`TransformedWeights` are immutable
 NamedTuples.
@@ -35,9 +38,11 @@ from .polycert import (
     Pair,
     RationalFunction,
     Ray,
+    RayWalk,
     limit_at_infinity,
     pair_max,
     ray_root_free_cutoff,
+    walk_ray,
 )
 from .weights import (
     TailSpec,
@@ -143,24 +148,14 @@ def _expand(runs: list[Run], start: int, stop: int) -> list[Pair | None]:
     return out
 
 
-def difference_form(fn: RationalFunction) -> RationalFunction:
-    """The first difference f(n) - f(n-1) = p/q - p(n-1)/q(n-1) as the
-    unreduced ratio (p q(n-1) - p(n-1) q) / (q q(n-1)) of f's integer
-    polynomials; its denominator vanishes nowhere n and n - 1 lie in a
-    validated tail."""
-    p, q = fn.cleared
-    pm, qm = p.compose_shift(-1), q.compose_shift(-1)
-    return RationalFunction(p * qm - pm * q, q * qm)
-
-
 class CommutatorDiagonal(NamedTuple):
     """Exact diagonal d_n, pointwise.
 
     The seam values cover every index where the two neighbouring moduli
     come from different regions, seam value i being d_n at
     n = window_start + i; beyond them, on n <= window_start - 1 and
-    n >= window_end + 2, d_n has the sign of the tail's
-    :func:`difference_form`. ``seam_moduli_sq`` keeps the squared moduli
+    n >= window_end + 2, d_n has the sign of the tail's first difference
+    f(n) - f(n-1). ``seam_moduli_sq`` keeps the squared moduli
     they were computed from, |beta_n|^2 for window_start - 1 <= n <=
     window_end + 1, as int pairs.
     """
@@ -279,7 +274,7 @@ def _tail_limit_sq(tail: TailSpec) -> Limit:
     return Limit(limit_at_infinity(tail.fn).value ** 2)
 
 
-def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
+def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal, left_walk: RayWalk | None) -> int | None:
     """Smallest m with d_n = 0 for all n > m, when the right side flattens."""
     if tail_constant_value(spec.right_tail) is None:
         return None
@@ -289,26 +284,34 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
     if nonzero_seams:
         return max(nonzero_seams)
     if tail_constant_value(spec.left_tail) is None:
-        # Walk down from the window until the first difference (zero where
-        # d_n is) is nonzero; its zeros all lie within its root-free cutoff.
-        delta = difference_form(spec.left_tail.fn)
+        # Down from the window, the first n where the first difference (zero
+        # where d_n is) is nonzero; the walk holds all its zeros.
+        if left_walk is None:
+            left_walk = walk_ray(spec.left_tail.fn, left_ray(spec))
+        assert left_walk.delta is not None
+        zeros = set(left_walk.delta.zeros)
         n = spec.window_start - 1
-        floor = -ray_root_free_cutoff(left_ray(spec), delta.num) - 1
-        while n >= floor:
-            if delta.pair(n)[0] != 0:
-                return n
+        while n in zeros:
             n -= 1
+        return n
     # Globally normal: every d_n vanishes.
     return spec.window_start
 
 
-def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> TransformedWeights:
-    """Assemble g_n^2 pointwise, with both tail limits and ``flat_from``."""
+def transformed_weights(
+    spec: WeightSpec, diag: CommutatorDiagonal, left_walk: RayWalk | None = None
+) -> TransformedWeights:
+    """Assemble g_n^2 pointwise, with both tail limits and ``flat_from``.
+
+    ``left_walk`` is the left tail's :func:`~shiftcert.polycert.walk_ray` on
+    :func:`~shiftcert.weights.left_ray`, when the caller has it; otherwise
+    the left tail is walked here if ``flat_from`` needs it.
+    """
     return TransformedWeights(
         spec=spec,
         left_limit_sq=_tail_limit_sq(spec.left_tail),
         right_limit_sq=_tail_limit_sq(spec.right_tail),
-        flat_from=_flat_from(spec, diag),
+        flat_from=_flat_from(spec, diag, left_walk),
     )
 
 

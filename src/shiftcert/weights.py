@@ -21,14 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Union
 
-from .polycert import (
-    Pair,
-    PoleOnRay,
-    RationalFunction,
-    Ray,
-    sign_on_ray,
-    sup_on_ray,
-)
+from .polycert import Pair, PoleOnRay, RationalFunction, Ray, RayWalk, walk_ray
+# sign_on_ray and sup_on_ray are unused here: perfbench/spans.py wraps them
+# in this module.
+from .polycert import sign_on_ray, sup_on_ray  # noqa: F401
 
 MAX_TAIL_DEGREE = 16
 
@@ -140,48 +136,42 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
-def _validate_tail(tail: TailSpec, ray: Ray, side: str) -> tuple[list[Violation], Fraction | None]:
-    violations: list[Violation] = []
+# The walk of each tail, left then right: None for a constant tail and for
+# one that failed validation.
+TailWalks = tuple[Union[RayWalk, None], Union[RayWalk, None]]
+
+
+def _validate_tail(
+    tail: TailSpec, ray: Ray, side: str
+) -> tuple[Violation | None, Fraction | None, RayWalk | None]:
+    """The tail's violation or its certified supremum, and its walk."""
     if isinstance(tail, ConstantTail):
         if tail.value <= 0:
-            violations.append(
-                Violation("nonpositive-tail", f"{side} tail constant {tail.value} is not positive")
-            )
-            return violations, None
-        return violations, tail.value
+            detail = f"{side} tail constant {tail.value} is not positive"
+            return Violation("nonpositive-tail", detail), None, None
+        return None, tail.value, None
 
     fn = tail.fn
     if fn.num.degree > MAX_TAIL_DEGREE or fn.den.degree > MAX_TAIL_DEGREE:
-        violations.append(
-            Violation("degree-cap", f"{side} tail degree exceeds {MAX_TAIL_DEGREE}")
-        )
-        return violations, None
+        return Violation("degree-cap", f"{side} tail degree exceeds {MAX_TAIL_DEGREE}"), None, None
     if fn.num.degree > fn.den.degree:
-        violations.append(
-            Violation(
-                "unbounded-tail",
-                f"{side} tail deg(num) > deg(den): the modulus sequence is unbounded",
-            )
-        )
-        return violations, None
+        detail = f"{side} tail deg(num) > deg(den): the modulus sequence is unbounded"
+        return Violation("unbounded-tail", detail), None, None
     if fn.is_zero:
-        violations.append(Violation("nonpositive-tail", f"{side} tail: not strictly positive"))
-        return violations, None
+        return Violation("nonpositive-tail", f"{side} tail: not strictly positive"), None, None
     try:
-        sign = sign_on_ray(fn, ray)
+        walk = walk_ray(fn, ray)
     except PoleOnRay as exc:
-        violations.append(
-            Violation("tail-pole", f"{side} tail denominator vanishes at n = {exc.index}")
-        )
-        return violations, None
+        detail = f"{side} tail denominator vanishes at n = {exc.index}"
+        return Violation("tail-pole", detail), None, None
+    sign = walk.sign
     if sign.zeros:
         where = f"zero weight at n = {sign.zeros[0]}"
     elif sign.negatives:
         where = f"negative value at n = {sign.negatives[0]}"
     else:
-        return violations, sup_on_ray(fn, ray)
-    violations.append(Violation("nonpositive-tail", f"{side} tail: {where}"))
-    return violations, None
+        return None, walk.sup, walk
+    return Violation("nonpositive-tail", f"{side} tail: {where}"), None, None
 
 
 def validate(spec: WeightSpec) -> ValidationReport:
@@ -191,6 +181,13 @@ def validate(spec: WeightSpec) -> ValidationReport:
     found (zero or negative weights, poles on a tail's domain, unbounded
     tails, degree overruns).
     """
+    return validate_walked(spec)[0]
+
+
+def validate_walked(spec: WeightSpec) -> tuple[ValidationReport, TailWalks]:
+    """:func:`validate`, plus the walk of each varying tail on its ray
+    (:func:`left_ray`, :func:`right_ray`), which holds every ray fact the
+    rest of a classification reads."""
     violations: list[Violation] = []
     sups: list[Fraction] = []
 
@@ -211,17 +208,20 @@ def validate(spec: WeightSpec) -> ValidationReport:
         else:
             sups.append(v)
 
+    walks: list[RayWalk | None] = []
     for tail, ray, side in (
         (spec.left_tail, left_ray(spec), "left"),
         (spec.right_tail, right_ray(spec), "right"),
     ):
-        tail_violations, sup = _validate_tail(tail, ray, side)
-        violations.extend(tail_violations)
+        violation, sup, walk = _validate_tail(tail, ray, side)
+        walks.append(walk)
+        if violation is not None:
+            violations.append(violation)
         if sup is not None:
             sups.append(sup)
 
     sup_bound = max(sups) if not violations and sups else None
-    return ValidationReport(tuple(violations), sup_bound)
+    return ValidationReport(tuple(violations), sup_bound), (walks[0], walks[1])
 
 
 def scale_spec(spec: WeightSpec, c: Fraction) -> WeightSpec:

@@ -356,6 +356,15 @@ def brute_force_ray_argmax(f, ray, span: int = 10**4) -> int:
     return best
 
 
+def difference_form(fn: RationalFunction) -> RationalFunction:
+    """The first difference f(n) - f(n-1) = p/q - p(n-1)/q(n-1) as the
+    unreduced ratio (p q(n-1) - p(n-1) q) / (q q(n-1)) of f's integer
+    polynomials, built independently of the engine's walk."""
+    p, q = fn.cleared
+    pm, qm = p.compose_shift(-1), q.compose_shift(-1)
+    return RationalFunction(p * qm - pm * q, q * qm)
+
+
 def growth_weight_rule(tau: float = 10.0, depth: int = 198):
     """Weight rule whose transformed weights grow without bound.
 

@@ -13,10 +13,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftcert
 from shiftcert.classifier import Criterion, VerdictClass
-from shiftcert.cli import MAX_DIM, MAX_SWEEP_DIM_SUM, main
+from shiftcert.cli import MAX_DIM, MAX_SWEEP_DIM_SUM, main, render_json
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 
@@ -671,3 +673,42 @@ sys.exit(main(["oracle", {str(fixture_dir / "ex2.json")!r}, "--max-dim", "41"]))
         assert done.stdout == ""
         assert done.stderr.startswith("error:") and "numpy" in done.stderr
         assert done.stderr.count("\n") == 1
+
+
+# Report-shaped values: string-keyed objects and arrays (lists or tuples)
+# over strings with non-ASCII, control and quote characters, ints of every
+# size and sign, and floats including -0.0, subnormals and non-finite ones.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(),
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "</script>"]),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+)
+_REPORT_SHAPED = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderJson:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), _REPORT_SHAPED, max_size=6))
+    def test_matches_json_dumps(self, report):
+        assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_empty_containers_and_nesting(self):
+        report = {"b": [], "a": {}, "c": [{}, [[]], ()], "d": {"y": 1, "x": [True, None]}}
+        assert render_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError):
+            render_json({"a": {1, 2}})

@@ -173,9 +173,10 @@ def test_oracle_report_bytes_match(case, monkeypatch):
 
 
 # Exact polynomial evaluations that classifying every golden spec takes:
-# each ray question walks its segment once. A change that walks more must
-# say why and raise this.
-GOLDEN_CLASSIFY_EVALS = 1310
+# validation walks each varying tail once, and every other ray fact of the
+# classification is read off that walk. A change that walks more must say
+# why and raise this.
+GOLDEN_CLASSIFY_EVALS = 490
 
 
 def test_classify_walk_count(monkeypatch):

@@ -151,7 +151,11 @@ class TestPolynomialArithmetic:
         assert p.compose_shift(delta)(n) == p(n + delta)
 
     def test_derivative(self):
-        assert Polynomial.of(5, 3, 2).derivative() == Polynomial.of(3, 4)
+        # p'q - pq' of the cleared integer polynomials: p' when q = 1.
+        assert RationalFunction.of([5, 3, 2]).derivative_numerator() == Polynomial.of(3, 4)
+        # (n + 1) / (n^2 + 1): (n^2 + 1) - (n + 1) 2n = 1 - 2n - n^2.
+        f = RationalFunction.of([1, 1], [1, 0, 1])
+        assert f.derivative_numerator() == Polynomial.of(1, -2, -1)
 
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=100, deadline=None)

@@ -26,12 +26,20 @@ from shiftcert import (
     transformed_weights,
     validate,
 )
+from shiftcert.polycert import CUTOFF_SEARCH_START, RaySign, ray_root_free_cutoff, walk_ray
 from shiftcert.classifier import VerdictClass, _tail_violation
-from shiftcert.shiftcalc import NotHyponormalAtIndex, difference_form
+from shiftcert.shiftcalc import NotHyponormalAtIndex
 from shiftcert.weights import scale_spec
 from shiftcert.oracle import concordance, truncation_report
 
-from conftest import brute_force_ray_argmax, brute_force_ray_sign, random_labelled_spec
+from conftest import (
+    _int_eval,
+    brute_force_ray_argmax,
+    brute_force_ray_sign,
+    difference_form,
+    int_cleared_coeffs,
+    random_labelled_spec,
+)
 
 
 def random_rational_function(rng: random.Random, max_degree: int = 4) -> RationalFunction:
@@ -100,6 +108,150 @@ class TestSignCertificationAgainstBruteForce:
                         sup_on_ray(f, ray)
                 checked += 1
             assert poles > 0
+
+
+def hump_rational_function(rng: random.Random) -> RationalFunction:
+    """-(n - a)(n - b) / (n^2 + c), mirrored or not, with 30 <= a < b <= 60:
+    positive only between a and b, and turning there, past
+    CUTOFF_SEARCH_START."""
+    a = rng.randint(CUTOFF_SEARCH_START - 2, 50)
+    b = a + rng.randint(2, 10)
+    sign = rng.choice([-1, 1])
+    num = [-a * b, sign * (a + b), -1]
+    return RationalFunction.of(num, [rng.randint(1, 9), 0, 1])
+
+
+def sloped_rational_function(rng: random.Random) -> RationalFunction:
+    """(2n - 2r - 1) / (n^2 + e n + c) with no real pole, negated or not:
+    no integer zero, and a turning point about twice as far out as the
+    root, so f is often walked past the cutoff its negatives are read
+    within."""
+    e = rng.randint(-2, 2)
+    c = e * e // 4 + rng.randint(1, 3)
+    num = [-2 * rng.randint(-40, 40) - 1, 2]
+    if rng.random() < 0.5:
+        num = [-a for a in num]
+    return RationalFunction.of(num, [c, e, 1])
+
+
+def _brute_force_delta(f: RationalFunction, ray: Ray, span: int = 10**4):
+    """The first difference f(n) - f(n-1) at each n of the ray within span
+    whose n - 1 is on the ray too, from consecutive integer evaluations:
+    (its zeros, its negatives)."""
+    num, den = int_cleared_coeffs(f.num), int_cleared_coeffs(f.den)
+    if ray.kind == "le":
+        points = range(ray.bound - span, ray.bound + 1)
+    else:
+        points = range(ray.bound, ray.bound + span + 1)
+    zeros, negatives = [], []
+    prev = None
+    for n in points:
+        a, b = _int_eval(num, n) if num else 0, _int_eval(den, n)
+        if b < 0:
+            a, b = -a, -b
+        if prev is not None:
+            step = a * prev[1] - prev[0] * b
+            if step == 0:
+                zeros.append(n)
+            elif step < 0:
+                negatives.append(n)
+        prev = (a, b)
+    return zeros, negatives
+
+
+def _expected_tail_message(f: RationalFunction, ray: Ray, side: str) -> str:
+    """The validation message of a tail f on its ray, by the rule the
+    single-walk engine keeps: the lowest integer pole; else the lowest
+    zero; else the lowest negative value within the root-free cutoff of
+    f's numerator and denominator, or the first integer beyond it."""
+    cutoff = ray_root_free_cutoff(ray, f.num, f.den)
+    values = {}
+    for n in ray.segment_to(cutoff):
+        if f.den(n) == 0:
+            return f"{side} tail denominator vanishes at n = {n}"
+        values[n] = f(n)
+    zeros = [n for n, v in values.items() if v == 0]
+    if zeros:
+        return f"{side} tail: zero weight at n = {zeros[0]}"
+    negatives = [n for n, v in values.items() if v < 0]
+    if not negatives and f(ray.beyond(cutoff)) < 0:
+        negatives.append(ray.beyond(cutoff))
+    assert negatives, "only called on a tail that is not positive"
+    return f"{side} tail: negative value at n = {negatives[0]}"
+
+
+class TestWalkAgainstBruteForce:
+    """One walk of f on a ray against independent scans of the ray's first
+    10^4 integers: f's zeros, negatives and supremum, the zeros and
+    negatives of its first difference, and the validation message of f as a
+    tail."""
+
+    def _cases(self):
+        rng = random.Random(1818)
+        makers = (
+            random_rational_function,
+            factored_rational_function,
+            hump_rational_function,
+            sloped_rational_function,
+        )
+        for i in range(72):
+            f = makers[i % 4](rng)
+            if rng.random() < 0.5:
+                f = f.shift(rng.randint(-30, 30))
+            # Rays crossing 0, and rays far from it pointing either way.
+            if i % 5:
+                bound = rng.randint(-40, 40)
+            else:
+                bound = rng.choice([-1, 1]) * rng.randint(3000, 8000)
+            yield f, Ray.le(bound) if rng.random() < 0.5 else Ray.ge(bound)
+
+    def test_sample(self):
+        poles = delta_negatives = invalid = far = 0
+        for f, ray in self._cases():
+            far += abs(ray.bound) > 100
+            brute = brute_force_ray_sign(f, ray)
+            if brute[0] == "pole":
+                with pytest.raises(PoleOnRay) as raised:
+                    walk_ray(f, ray)
+                assert raised.value.index == brute[1]
+                poles += 1
+            else:
+                walk = walk_ray(f, ray)
+                zeros, _, has_neg = brute
+                if not f.is_zero:
+                    assert list(walk.sign.zeros) == zeros
+                    assert bool(walk.sign.negatives) == has_neg
+                if f.num.degree <= f.den.degree:
+                    assert walk.sup == brute_force_sup(f, ray)
+                else:
+                    assert walk.sup is None
+                if f.constant_value() is not None:
+                    assert walk.delta is None
+                    continue
+                step_zeros, step_negatives = _brute_force_delta(f, ray)
+                assert list(walk.delta.zeros) == step_zeros
+                assert bool(walk.delta.negatives) == bool(step_negatives)
+                if step_negatives:
+                    # The smallest-|n| violating pair, as the classifier reads it.
+                    assert _tail_violation(walk.delta) == _tail_violation(
+                        RaySign((), tuple(step_negatives))
+                    )
+                    delta_negatives += 1
+            if f.is_zero or f.num.degree > f.den.degree:
+                continue
+            # f as a tail on this ray, the other tail a positive constant.
+            one, tail = Fraction(1), RationalTail(f)
+            if ray.kind == "le":
+                spec, side = WeightSpec(ray.bound + 1, (one,), tail, ConstantTail(one)), "left"
+            else:
+                spec, side = WeightSpec(ray.bound - 1, (one,), ConstantTail(one), tail), "right"
+            report = validate(spec)
+            if not report.ok:
+                assert [v.detail for v in report.violations] == [
+                    _expected_tail_message(f, ray, side)
+                ]
+                invalid += 1
+        assert poles > 3 and delta_negatives > 10 and invalid > 10 and far > 5
 
 
 def random_tail(rng: random.Random) -> RationalTail:

@@ -16,9 +16,9 @@ from shiftcert import (
     transformed_weights,
 )
 from shiftcert.fixtures import two_level
-from shiftcert.shiftcalc import difference_form, sup_sq_global
+from shiftcert.shiftcalc import sup_sq_global
 
-from conftest import degree_sixteen_spec, make_flat_tail_spec, random_valid_spec
+from conftest import degree_sixteen_spec, difference_form, make_flat_tail_spec, random_valid_spec
 
 
 class TestCommutatorDiagonal:

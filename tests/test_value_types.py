@@ -23,7 +23,7 @@ from shiftcert.classifier import (
 )
 from shiftcert.fixtures import example_one, example_two
 from shiftcert.oracle import Truncation, TruncationReport
-from shiftcert.polycert import Limit, Polynomial, RationalFunction, Ray, RaySign
+from shiftcert.polycert import Limit, Polynomial, RationalFunction, Ray, RaySign, RayWalk
 from shiftcert.shiftcalc import (
     CommutatorDiagonal,
     TransformedWeights,
@@ -84,6 +84,11 @@ CASES = {
     Ray: (lambda: Ray.le(3), lambda: Ray.ge(3), ("kind", "bound")),
     RaySign: (lambda: RaySign((1,), (2, 3)), lambda: RaySign((), ()), ("zeros", "negatives")),
     Limit: (lambda: Limit(Fraction(1, 2)), lambda: Limit(Fraction(0)), ("value",)),
+    RayWalk: (
+        lambda: RayWalk(RaySign((), (-3,)), None, RaySign((2,), ())),
+        lambda: RayWalk(RaySign((), ()), Fraction(2), None),
+        ("sign", "sup", "delta"),
+    ),
     RationalFunction: (
         lambda: RationalFunction.of([1], [1, 1]),
         lambda: RationalFunction.of([2], [1, 1]),
