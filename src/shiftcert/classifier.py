@@ -22,11 +22,11 @@ pairs from the zeros of each tail's first difference and from the seam
 values, and every rule past hyponormality reads that pattern through
 :meth:`HyponormalityCheck.first_rise`; none evaluates a modulus again.
 
-Each varying tail is walked once per classification: validation walks it
-(:func:`~shiftcert.weights.validate_walked`), and :func:`classify` hands
-that walk to :func:`check_hyponormal` and
-:func:`~shiftcert.shiftcalc.transformed_weights`, which read the first
-difference's zeros and negatives off it.
+Each varying tail is walked once per spec: the spec keeps its walk
+(:attr:`~shiftcert.weights.WeightSpec.left_walk`, ``right_walk``), which
+validation fills and :func:`check_hyponormal` and
+:func:`~shiftcert.shiftcalc.transformed_weights` read the first
+difference's zeros and negatives off.
 
 Every verdict carries a :class:`Certificate` holding the certified
 structure, the witnesses, exact limits and bounds, and replayable spot
@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import groupby, zip_longest
 from typing import NamedTuple
 
-from .polycert import Limit, RaySign, RayWalk, walk_ray
+from .polycert import Limit, RaySign, RayWalk
 from .shiftcalc import (
     CommutatorDiagonal,
     TransformedWeights,
@@ -50,21 +50,10 @@ from .shiftcalc import (
     commutator_diagonal,
     transformed_weights,
 )
-from .weights import (
-    ConstantTail,
-    TailSpec,
-    TailWalks,
-    ValidationReport,
-    WeightSpec,
-    left_ray,
-    right_ray,
-    tail_constant_value,
-    validate_walked,
-)
+from .weights import TailSpec, ValidationReport, WeightSpec, tail_constant_value, validate
 
 # Unused here: perfbench/spans.py wraps these names in this module.
 from .polycert import ray_root_free_cutoff, sign_on_ray  # noqa: F401
-from .weights import validate  # noqa: F401
 
 
 class InvalidSpec(ValueError):
@@ -222,33 +211,21 @@ def _tail_structure(
     return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
 
 
-def _walk_tails(spec: WeightSpec) -> TailWalks:
-    """The walk of each varying tail on its ray, None for a constant one."""
-    left, right = spec.left_tail, spec.right_tail
-    return (
-        None if isinstance(left, ConstantTail) else walk_ray(left.fn, left_ray(spec)),
-        None if isinstance(right, ConstantTail) else walk_ray(right.fn, right_ray(spec)),
-    )
-
-
-def check_hyponormal(spec: WeightSpec, walks: TailWalks | None = None) -> HyponormalityCheck:
+def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     """Certify |beta_n| <= |beta_{n+1}| for every integer n.
 
     Tails are certified by the sign of their exact first difference
     f(n) - f(n-1), which has the sign of d_n on a validated tail, read off
-    each tail's walk (``walks``, as :func:`~shiftcert.weights.validate_walked`
-    returns them, or walked here); the seam pairs are compared directly. On
-    failure the witness is the violating pair of smallest |n| (ties toward
-    negative).
+    each tail's walk (``spec.left_walk``, ``spec.right_walk``); the seam
+    pairs are compared directly. On failure the witness is the violating
+    pair of smallest |n| (ties toward negative).
     """
-    if walks is None:
-        walks = _walk_tails(spec)
     diag = commutator_diagonal(spec)
     left_shape, left_value, left_equalities, left_witness = _tail_structure(
-        spec.left_tail, walks[0]
+        spec.left_tail, spec.left_walk
     )
     right_shape, right_value, right_equalities, right_witness = _tail_structure(
-        spec.right_tail, walks[1]
+        spec.right_tail, spec.right_walk
     )
     # Seam value i is d_n at n = window_start + i, the pair n - 1.
     seams = list(enumerate(diag.seam_values, start=spec.window_start - 1))
@@ -319,12 +296,12 @@ def classify(spec: WeightSpec) -> Verdict:
 
     Raises :class:`InvalidSpec` if the description fails validation.
     """
-    report, walks = validate_walked(spec)
+    report = validate(spec)
     if not report.ok:
         raise InvalidSpec(report)
     assert report.sup_bound is not None
     sup_modulus = report.sup_bound
-    check = check_hyponormal(spec, walks)
+    check = check_hyponormal(spec)
     diag = check.diag
 
     def build(
@@ -376,7 +353,7 @@ def classify(spec: WeightSpec) -> Verdict:
             left_run_end=rise,
         )
 
-    tw = transformed_weights(spec, diag, walks[0])
+    tw = transformed_weights(spec, diag)
 
     k = profile.first_equality
     if k is None:
@@ -448,11 +425,13 @@ def _point_mismatch(recorded: ReplayPoint | None, fresh: ReplayPoint | None) -> 
 def replay(cert: Certificate, spec: WeightSpec) -> ReplayResult:
     """Classify the spec from scratch and compare every certificate field.
 
-    The replay points are compared in order, so a changed, dropped or added
+    The spec is classified as a fresh instance, ``WeightSpec(*spec)``, so
+    no memo of an earlier classification (a tail's walk) is reused. The
+    replay points are compared in order, so a changed, dropped or added
     point is reported with its kind and index.
     """
     try:
-        fresh = classify(spec).certificate
+        fresh = classify(WeightSpec(*spec)).certificate
     except (ValueError, ZeroDivisionError) as exc:
         return ReplayResult(False, f"recomputation failed: {exc}")
     for name, a, b in zip(Certificate._fields, cert, fresh):

@@ -18,9 +18,9 @@ return.
 On a tail with modulus function f > 0, d_n = Delta(n) * (f(n) + f(n-1))
 for the first difference Delta(n) = f(n) - f(n-1), which so carries the
 sign, zeros and negative indices of d. No form of Delta is built: its zeros
-and negatives come from the one walk of f that
-:func:`~shiftcert.polycert.walk_ray` makes, by comparing consecutive
-values.
+and negatives come from the tail's one walk, which the spec keeps, by
+comparing consecutive values. The suprema of g_n^2 are certified at the
+window by a sign certificate on the g_n^2 form (:func:`_sup_past`).
 
 :class:`CommutatorDiagonal` and :class:`TransformedWeights` are immutable
 NamedTuples.
@@ -38,18 +38,15 @@ from .polycert import (
     Pair,
     RationalFunction,
     Ray,
-    RayWalk,
+    _no_roots_beyond,
+    asymptotic_sign,
     limit_at_infinity,
     pair_max,
-    ray_root_free_cutoff,
-    walk_ray,
 )
-from .weights import (
-    TailSpec,
-    WeightSpec,
-    left_ray,
-    tail_constant_value,
-)
+from .weights import TailSpec, WeightSpec, tail_constant_value
+
+# Unused here: perfbench/spans.py wraps this name in this module.
+from .polycert import ray_root_free_cutoff  # noqa: F401
 
 
 class NotHyponormalAtIndex(ValueError):
@@ -274,7 +271,7 @@ def _tail_limit_sq(tail: TailSpec) -> Limit:
     return Limit(limit_at_infinity(tail.fn).value ** 2)
 
 
-def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal, left_walk: RayWalk | None) -> int | None:
+def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
     """Smallest m with d_n = 0 for all n > m, when the right side flattens."""
     if tail_constant_value(spec.right_tail) is None:
         return None
@@ -286,9 +283,8 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal, left_walk: RayWalk | 
     if tail_constant_value(spec.left_tail) is None:
         # Down from the window, the first n where the first difference (zero
         # where d_n is) is nonzero; the walk holds all its zeros.
-        if left_walk is None:
-            left_walk = walk_ray(spec.left_tail.fn, left_ray(spec))
-        assert left_walk.delta is not None
+        left_walk = spec.left_walk
+        assert left_walk is not None and left_walk.delta is not None
         zeros = set(left_walk.delta.zeros)
         n = spec.window_start - 1
         while n in zeros:
@@ -298,65 +294,87 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal, left_walk: RayWalk | 
     return spec.window_start
 
 
-def transformed_weights(
-    spec: WeightSpec, diag: CommutatorDiagonal, left_walk: RayWalk | None = None
-) -> TransformedWeights:
-    """Assemble g_n^2 pointwise, with both tail limits and ``flat_from``.
-
-    ``left_walk`` is the left tail's :func:`~shiftcert.polycert.walk_ray` on
-    :func:`~shiftcert.weights.left_ray`, when the caller has it; otherwise
-    the left tail is walked here if ``flat_from`` needs it.
-    """
+def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> TransformedWeights:
+    """Assemble g_n^2 pointwise, with both tail limits and ``flat_from``,
+    which reads the left tail's walk when it needs one."""
     return TransformedWeights(
         spec=spec,
         left_limit_sq=_tail_limit_sq(spec.left_tail),
         right_limit_sq=_tail_limit_sq(spec.right_tail),
-        flat_from=_flat_from(spec, diag, left_walk),
+        flat_from=_flat_from(spec, diag),
     )
+
+
+def _max_defined(tw: TransformedWeights, lo: int, hi: int, best: Fraction) -> Fraction:
+    """The largest of ``best`` and every defined g_n^2, lo <= n <= hi."""
+    values, _ = tw.pairs_sq(lo, hi + 1)
+    defined = [v for v in values if v is not None]
+    return max(best, Fraction(*pair_max(defined))) if defined else best
+
+
+def _sup_past(tw: TransformedWeights, form: RationalFunction, ray: Ray, best: Fraction) -> Fraction:
+    """The largest of ``best`` (at least the limit and g_n^2 at the ray's
+    end) and g_n^2 on the ray, where ``form`` = num / den is g_n^2 unreduced.
+
+    The ray's first w + 1 integers from its end are scanned, w = 0, 1, 2,
+    4, ..., raising S = a / b to any larger value, until P = a den - b num
+    and den both have a positive leading sign toward the ray's infinity and
+    no real root past the scan (Descartes' rule on the Taylor shift). Past
+    the scan den > 0 and P > 0 then, so g_n^2 < S; a zero P means g_n^2 = S.
+
+    It ends: S stops rising once the scan passes the largest value above
+    the limit, if any; then P's leading sign is positive, as S exceeds the
+    limit or g_n^2 nears it from below. Once the scan passes the real part
+    of every root of P and den, each Taylor shift has its roots in the
+    left half-plane, so its coefficients share one sign: the Cauchy bound
+    is the latest stop. A negative d_n lies before a root of den or where
+    den stays negative, so the scan reaches it and raises.
+    """
+    num, den = form.num, form.den
+    direction, end = ray.direction, ray.bound
+    w = 0  # the scan has reached end + direction * w
+    while True:
+        m = direction * end + w  # certify no root x with direction * x > m
+        if asymptotic_sign(den, direction) > 0 and _no_roots_beyond(den, m, direction):
+            p = den.scale(best.numerator) - num.scale(best.denominator)
+            if p.is_zero or (asymptotic_sign(p, direction) > 0 and _no_roots_beyond(p, m, direction)):
+                return best
+        w, last = max(1, 2 * w), w
+        lo, hi = sorted((end + direction * (last + 1), end + direction * w))
+        best = _max_defined(tw, lo, hi, best)
 
 
 def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> Fraction:
     """Exact bound on {g_n^2 : n <= upto}, attained or equal to the limit.
 
     Requires d_n > 0 for every n <= upto (the caller certifies strict
-    increase on that ray first). On the deep tail g^2 is a pole-free
-    rational function with a finite limit, so the bound is the max of the
-    limit and the exact values on the finite segment past all critical
-    points.
+    increase on that ray first). The limit and the values from the left
+    form's ray end up to ``upto`` are certified on the ray by
+    :func:`_sup_past`.
     """
     form = tw.left_form
     if form is None:
         raise ValueError("left ray is flat; boundedness requires d_n > 0 below upto")
 
-    cutoff = ray_root_free_cutoff(
-        Ray.le(tw.spec.window_start - 2), form.num, form.den, form.derivative_numerator()
-    )
-    start = min(-cutoff, upto)
-
-    values, _ = tw.pairs_sq(start, upto + 1)
+    end = min(tw.spec.window_start - 2, upto)
+    values, _ = tw.pairs_sq(end, upto + 1)
     if None in values:
-        raise ValueError(f"transformed weight undefined at n = {start + values.index(None)}")
-    return max(tw.left_limit_sq.value, Fraction(*pair_max(values)))
+        raise ValueError(f"transformed weight undefined at n = {end + values.index(None)}")
+    best = max(tw.left_limit_sq.value, Fraction(*pair_max(values)))
+    return _sup_past(tw, form, Ray.le(end), best)
 
 
 def sup_sq_global(tw: TransformedWeights) -> Fraction:
     """Exact supremum of g_n^2 over every index where it is defined.
 
     Indices where g is undefined (the invariance-obstruction spots) are
-    skipped; they carry no weight value.
+    skipped; they carry no weight value. The limits and the values between
+    the two forms' rays are certified on each ray by :func:`_sup_past`.
     """
     spec = tw.spec
-    lo = spec.window_start - 2
-    hi = spec.window_end + 2
+    lo, hi = spec.window_start - 2, spec.window_end + 2
+    best = _max_defined(tw, lo, hi, max(tw.left_limit_sq.value, tw.right_limit_sq.value))
     for form, ray in ((tw.left_form, Ray.le(lo)), (tw.right_form, Ray.ge(hi))):
-        if form is None:
-            continue
-        cutoff = ray_root_free_cutoff(ray, form.num, form.den, form.derivative_numerator())
-        if ray.direction < 0:
-            lo = -cutoff
-        else:
-            hi = cutoff
-
-    values, _ = tw.pairs_sq(lo, hi + 1)
-    best = pair_max(v for v in [(0, 1), *values] if v is not None)
-    return max(Fraction(*best), tw.left_limit_sq.value, tw.right_limit_sq.value)
+        if form is not None:
+            best = _sup_past(tw, form, ray, best)
+    return best

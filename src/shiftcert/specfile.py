@@ -14,7 +14,9 @@ optional "/denominator" (omitted denominator means 1), no whitespace. Each
 integer part is held to Python's integer string conversion limit
 (``sys.get_int_max_str_digits()``, 4,300 digits by default).
 Polynomial coefficient lists are ascending (index i holds the coefficient
-of n^i). Unknown fields are rejected.
+of n^i), and the degree as written, the index of the last nonzero entry,
+is held to ``MAX_TAIL_DEGREE`` before any polynomial is built. Unknown
+fields are rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from .polycert import RationalFunction
-from .weights import ConstantTail, RationalTail, TailSpec, WeightSpec
+from .weights import MAX_TAIL_DEGREE, ConstantTail, RationalTail, TailSpec, WeightSpec
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -87,7 +89,12 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], field: str) 
 def _parse_coeffs(values: Any, field: str) -> list[Fraction]:
     if not isinstance(values, list) or not values:
         raise SpecFileError(field, "expected a non-empty list of rational strings")
-    return [parse_rational(v, f"{field}[{i}]") for i, v in enumerate(values)]
+    coeffs = [parse_rational(v, f"{field}[{i}]") for i, v in enumerate(values)]
+    # Checked before a tail's GCD runs, whose time grows steeply with the degree.
+    degree = max((i for i, c in enumerate(coeffs) if c), default=-1)
+    if degree > MAX_TAIL_DEGREE:
+        raise SpecFileError(field, f"degree {degree} exceeds {MAX_TAIL_DEGREE}")
+    return coeffs
 
 
 def _parse_tail(obj: Any, field: str) -> TailSpec:
@@ -166,6 +173,8 @@ def load_spec(path: str | Path) -> tuple[WeightSpec, dict[str, str]]:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SpecFileError("file", f"not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError("file", "invalid JSON: nested too deeply") from exc
     except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise SpecFileError("file", f"invalid JSON: {exc}") from exc
     return spec_from_dict(obj)

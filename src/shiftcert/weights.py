@@ -6,7 +6,8 @@ or a rational function with a finite limit). Everything downstream -- the
 self-commutator diagonal, the transformed weights, the classification
 certificates -- evaluates these moduli exactly, as int pairs
 (:meth:`WeightSpec.value_pair`, or :meth:`WeightSpec.value_pairs` over a
-range, which evaluates each region once).
+range, which evaluates each region once). A spec keeps each varying tail's
+walk, which validation and classification share (``WeightSpec.left_walk``).
 
 Weights are stored as moduli: every criterion used here depends only on
 |beta_n|, and a bilateral shift is unitarily equivalent to the shift whose
@@ -51,7 +52,7 @@ class WeightSpec(_WeightSpecFields):
     """Moduli |beta_n|: window on [window_start, window_end], tails outside.
 
     A named tuple of its fields. It has no ``__slots__``, so its instance
-    dict can keep the ``_window_pairs`` memo.
+    dict can keep the memos: ``_window_pairs`` and each tail's walk.
     """
 
     @property
@@ -89,6 +90,16 @@ class WeightSpec(_WeightSpecFields):
     def _window_pairs(self) -> tuple[Pair, ...]:
         return tuple((v.numerator, v.denominator) for v in self.window_values)
 
+    @cached_property
+    def left_walk(self) -> RayWalk | None:
+        """The left tail's walk on :func:`left_ray`; None if constant."""
+        return _walk(self.left_tail, left_ray(self))
+
+    @cached_property
+    def right_walk(self) -> RayWalk | None:
+        """The right tail's walk on :func:`right_ray`; None if constant."""
+        return _walk(self.right_tail, right_ray(self))
+
     def value(self, n: int) -> Fraction:
         """Exact modulus |beta_n|."""
         return Fraction(*self.value_pair(n))
@@ -105,6 +116,10 @@ def _tail_pairs(tail: TailSpec, start: int, stop: int) -> list[Pair]:
     if isinstance(tail, ConstantTail):
         return [(tail.value.numerator, tail.value.denominator)] * (stop - start)
     return list(map(tail.fn.pair, range(start, stop)))
+
+
+def _walk(tail: TailSpec, ray: Ray) -> RayWalk | None:
+    return None if isinstance(tail, ConstantTail) else walk_ray(tail.fn, ray)
 
 
 def tail_constant_value(tail: TailSpec) -> Fraction | None:
@@ -136,42 +151,37 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
-# The walk of each tail, left then right: None for a constant tail and for
-# one that failed validation.
-TailWalks = tuple[Union[RayWalk, None], Union[RayWalk, None]]
-
-
-def _validate_tail(
-    tail: TailSpec, ray: Ray, side: str
-) -> tuple[Violation | None, Fraction | None, RayWalk | None]:
-    """The tail's violation or its certified supremum, and its walk."""
+def _validate_tail(spec: WeightSpec, side: str) -> tuple[Violation | None, Fraction | None]:
+    """The violation of the spec's tail on this side, or its certified
+    supremum, read off the tail's walk."""
+    tail = getattr(spec, f"{side}_tail")
     if isinstance(tail, ConstantTail):
         if tail.value <= 0:
             detail = f"{side} tail constant {tail.value} is not positive"
-            return Violation("nonpositive-tail", detail), None, None
-        return None, tail.value, None
+            return Violation("nonpositive-tail", detail), None
+        return None, tail.value
 
     fn = tail.fn
     if fn.num.degree > MAX_TAIL_DEGREE or fn.den.degree > MAX_TAIL_DEGREE:
-        return Violation("degree-cap", f"{side} tail degree exceeds {MAX_TAIL_DEGREE}"), None, None
+        return Violation("degree-cap", f"{side} tail degree exceeds {MAX_TAIL_DEGREE}"), None
     if fn.num.degree > fn.den.degree:
         detail = f"{side} tail deg(num) > deg(den): the modulus sequence is unbounded"
-        return Violation("unbounded-tail", detail), None, None
+        return Violation("unbounded-tail", detail), None
     if fn.is_zero:
-        return Violation("nonpositive-tail", f"{side} tail: not strictly positive"), None, None
+        return Violation("nonpositive-tail", f"{side} tail: not strictly positive"), None
     try:
-        walk = walk_ray(fn, ray)
+        walk = getattr(spec, f"{side}_walk")
     except PoleOnRay as exc:
         detail = f"{side} tail denominator vanishes at n = {exc.index}"
-        return Violation("tail-pole", detail), None, None
+        return Violation("tail-pole", detail), None
     sign = walk.sign
     if sign.zeros:
         where = f"zero weight at n = {sign.zeros[0]}"
     elif sign.negatives:
         where = f"negative value at n = {sign.negatives[0]}"
     else:
-        return None, walk.sup, walk
-    return Violation("nonpositive-tail", f"{side} tail: {where}"), None, None
+        return None, walk.sup
+    return Violation("nonpositive-tail", f"{side} tail: {where}"), None
 
 
 def validate(spec: WeightSpec) -> ValidationReport:
@@ -181,13 +191,6 @@ def validate(spec: WeightSpec) -> ValidationReport:
     found (zero or negative weights, poles on a tail's domain, unbounded
     tails, degree overruns).
     """
-    return validate_walked(spec)[0]
-
-
-def validate_walked(spec: WeightSpec) -> tuple[ValidationReport, TailWalks]:
-    """:func:`validate`, plus the walk of each varying tail on its ray
-    (:func:`left_ray`, :func:`right_ray`), which holds every ray fact the
-    rest of a classification reads."""
     violations: list[Violation] = []
     sups: list[Fraction] = []
 
@@ -208,20 +211,15 @@ def validate_walked(spec: WeightSpec) -> tuple[ValidationReport, TailWalks]:
         else:
             sups.append(v)
 
-    walks: list[RayWalk | None] = []
-    for tail, ray, side in (
-        (spec.left_tail, left_ray(spec), "left"),
-        (spec.right_tail, right_ray(spec), "right"),
-    ):
-        violation, sup, walk = _validate_tail(tail, ray, side)
-        walks.append(walk)
+    for side in ("left", "right"):
+        violation, sup = _validate_tail(spec, side)
         if violation is not None:
             violations.append(violation)
         if sup is not None:
             sups.append(sup)
 
     sup_bound = max(sups) if not violations and sups else None
-    return ValidationReport(tuple(violations), sup_bound), (walks[0], walks[1])
+    return ValidationReport(tuple(violations), sup_bound)
 
 
 def scale_spec(spec: WeightSpec, c: Fraction) -> WeightSpec:

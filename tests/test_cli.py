@@ -145,6 +145,83 @@ class TestClassifyCommand:
         assert f"more than {sys.get_int_max_str_digits()} digits" in result.err
         assert result.out == ""
 
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        result = run_cli("classify", str(deep))
+        assert result.code == 2
+        assert result.err == "parse error: file: invalid JSON: nested too deeply\n"
+        assert result.out == ""
+
+    def test_degree_cap_applies_before_the_gcd(self, tmp_path):
+        # A degree-50,000 tail: reducing it by its GCD would take minutes,
+        # so the written degree is refused before any polynomial is built.
+        # The timeout includes starting the interpreter.
+        spec = tmp_path / "wide.json"
+        coeffs = ["1"] * 50_001
+        spec.write_text(
+            json.dumps(
+                {
+                    "window_start": 0,
+                    "window_values": ["1"],
+                    "left_tail": {"kind": "rational", "num": coeffs, "den": coeffs},
+                    "right_tail": {"kind": "constant", "value": "1"},
+                }
+            ),
+            encoding="utf-8",
+        )
+        done = _run_fresh(
+            f"import sys\nfrom shiftcert.cli import main\n"
+            f"sys.exit(main(['classify', {str(spec)!r}]))",
+            timeout=1.0,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "parse error: left_tail.num: degree 50000 exceeds 16\n"
+        assert done.stdout == ""
+
+    def test_degree_cap_reads_the_written_degree(self, tmp_path):
+        # Trailing zeros do not count; a common factor does, although
+        # reducing by it would bring the degree under the cap.
+        def tail(num: list[str], den: list[str]) -> Path:
+            path = tmp_path / f"tail-{len(num)}-{len(den)}.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "window_start": 0,
+                        "window_values": ["2"],
+                        "left_tail": {"kind": "rational", "num": num, "den": den},
+                        "right_tail": {"kind": "constant", "value": "2"},
+                    }
+                ),
+                encoding="utf-8",
+            )
+            return path
+
+        padded = run_cli("classify", str(tail(["-1"] + ["0"] * 30, ["0", "1"] + ["0"] * 30)))
+        assert padded.code == 0, padded.err
+        # (1 - n) n^16 / ((n - 1) n^17) is -1/n once reduced.
+        num = ["0"] * 16 + ["1", "-1"]
+        den = ["0"] * 17 + ["-1", "1"]
+        capped = run_cli("classify", str(tail(num, den)))
+        assert capped.code == 2
+        assert capped.err == "parse error: left_tail.num: degree 17 exceeds 16\n"
+
+    def test_classify_walks_each_tail_once_and_replay_once_more(self, fixture_dir, monkeypatch):
+        # ex2 varies on both sides: classify walks each tail once, and
+        # replay classifies a fresh copy of the spec, which walks it again.
+        import shiftcert.weights
+
+        walked = []
+        walk_ray = shiftcert.weights.walk_ray
+
+        def counted(fn, ray):
+            walked.append(ray.kind)
+            return walk_ray(fn, ray)
+
+        monkeypatch.setattr(shiftcert.weights, "walk_ray", counted)
+        assert run_cli("classify", str(fixture_dir / "ex2.json")).code == 0
+        assert sorted(walked) == ["ge", "ge", "le", "le"]
+
     def test_validation_error_exit(self, tmp_path):
         bad = tmp_path / "unbounded.json"
         bad.write_text(
@@ -604,12 +681,15 @@ sys.exit(code)
         assert oracle["norm_trace"] == []  # no conjugated operator to sweep
 
 
-def _run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run a script in a fresh interpreter that imports this shiftcert."""
+def _run_fresh(script: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this shiftcert;
+    ``subprocess.TimeoutExpired`` fails the test past ``timeout`` seconds."""
     src = str(Path(shiftcert.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 class TestStandardLibraryOnly:

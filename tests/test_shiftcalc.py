@@ -11,14 +11,24 @@ from shiftcert import (
     ConstantTail,
     NotHyponormalAtIndex,
     RationalFunction,
+    RationalTail,
+    WeightSpec,
     bounded_on_left_ray,
     commutator_diagonal,
     transformed_weights,
 )
+from shiftcert import shiftcalc
 from shiftcert.fixtures import two_level
 from shiftcert.shiftcalc import sup_sq_global
 
-from conftest import degree_sixteen_spec, difference_form, make_flat_tail_spec, random_valid_spec
+from conftest import (
+    degree_sixteen_spec,
+    difference_form,
+    make_flat_pair_spec,
+    make_flat_tail_spec,
+    make_strict_spec,
+    random_valid_spec,
+)
 
 
 class TestCommutatorDiagonal:
@@ -185,3 +195,95 @@ class TestGlobalSup:
                 v = tw.value_sq(n)
                 if v is not None:
                     assert v <= sup
+
+
+def _moved(spec: WeightSpec, shift: int) -> WeightSpec:
+    """The spec with every modulus moved ``shift`` indices to the right."""
+
+    def move(tail):
+        return tail if isinstance(tail, ConstantTail) else RationalTail(tail.fn.shift(-shift))
+
+    return WeightSpec(
+        spec.window_start + shift, spec.window_values, move(spec.left_tail), move(spec.right_tail)
+    )
+
+
+def _peak_far_spec(k: int) -> WeightSpec:
+    """Left tail f(n) = 2 + 1/((n - 2)^2 + k), increasing on n <= 0, then
+    the window (f(1)) and a flat right tail: g_n^2 peaks about 1.4 sqrt(k)
+    integers left of the window, past the ray's first few integers."""
+    den = [4 + k, -4, 1]
+    fn = RationalFunction.of([2 * den[0] + 1, 2 * den[1], 2], den)
+    top = fn(1)
+    return WeightSpec(1, (top,), RationalTail(fn), ConstantTail(top))
+
+
+class TestSupremumCertificate:
+    """The suprema are certified at the window: a scan from the ray's end,
+    doubling, until Descartes' rule shows the form stays below the
+    candidate. They must equal a brute-force maximum plus the limit."""
+
+    SHIFTS = (0, 50, -50, 3000, -3000, 10**5)
+    REACH = 300  # brute-force indices either side of the window
+
+    def test_against_brute_force(self):
+        rng = random.Random(1906)
+        checked = 0
+        for i in range(12):
+            for make in (make_strict_spec, make_flat_tail_spec, make_flat_pair_spec):
+                spec = _moved(make(rng), self.SHIFTS[i % len(self.SHIFTS)])
+                tw = transformed_weights(spec, commutator_diagonal(spec))
+                lo, hi = spec.window_start - self.REACH, spec.window_end + self.REACH
+                values, _ = tw.values_sq(lo, hi)
+                defined = [v for v in values if v is not None]
+                limits = [tw.left_limit_sq.value, tw.right_limit_sq.value]
+                assert sup_sq_global(tw) == max(defined + limits)
+                if make is make_flat_tail_spec:
+                    upto = tw.flat_from - 1
+                    below = values[: upto + 1 - lo]
+                    assert bounded_on_left_ray(tw, upto) == max(below + limits[:1])
+                    checked += 1
+        assert checked == 12
+
+    def test_scan_doubles_past_a_far_peak(self, monkeypatch):
+        spec = _peak_far_spec(1000)
+        tw = transformed_weights(spec, commutator_diagonal(spec))
+        values, _ = tw.values_sq(-3000, 1)
+        peak = -3000 + values.index(max(values))
+        assert peak < -40
+        scans = []
+        max_defined = shiftcalc._max_defined
+
+        def recorded(tw, lo, hi, best):
+            scans.append((lo, hi))
+            return max_defined(tw, lo, hi, best)
+
+        monkeypatch.setattr(shiftcalc, "_max_defined", recorded)
+        bound = bounded_on_left_ray(tw, 0)
+        assert bound == max(values + [tw.left_limit_sq.value])
+        # w = 1, 2, 4, ...: each scan takes the next block of the ray.
+        assert scans[:3] == [(-2, -2), (-3, -3), (-5, -4)]
+        assert min(lo for lo, _ in scans) <= peak
+        scans.clear()
+        assert sup_sq_global(tw) == bound
+        assert min(lo for lo, _ in scans) <= peak
+
+    def test_exact_evaluations_do_not_grow_with_the_window(self, monkeypatch):
+        base = make_flat_tail_spec(random.Random(3))
+        pair = RationalFunction.pair
+        counts = []
+        for start in (10, 10**5):
+            spec = _moved(base, start - base.window_start)
+            tw = transformed_weights(spec, commutator_diagonal(spec))
+            count = 0
+
+            def counted(fn, n):
+                nonlocal count
+                count += 1
+                return pair(fn, n)
+
+            monkeypatch.setattr(RationalFunction, "pair", counted)
+            bounded_on_left_ray(tw, tw.flat_from - 1)
+            monkeypatch.setattr(RationalFunction, "pair", pair)
+            counts.append(count)
+        assert counts[0] == counts[1] < 10

@@ -305,6 +305,13 @@ class TestMemosPerInstance:
         assert spec._window_pairs == ((2, 3),)
         assert spec.value_pairs(-1, 2) == [(1, 2), (2, 3), (1, 1)]
 
+    def test_tail_walks_are_computed_once(self):
+        spec = example_two()
+        assert spec.left_walk is spec.left_walk
+        assert spec.right_walk is spec.right_walk
+        assert spec.left_walk is not None and spec.right_walk is not None
+        assert example_two().right_walk == spec.right_walk
+
     def test_tail_forms_are_computed_once(self):
         tw = _tw(example_two())
         assert tw.left_form is tw.left_form

@@ -102,6 +102,39 @@ class TestValidate:
                 assert spec.value(n) <= report.sup_bound
 
 
+class TestTailWalks:
+    """A spec keeps one walk per varying tail, each in its own memo."""
+
+    # Poles at n = -5 on the left ray n <= -1 and at n = 5 on the right ray
+    # n >= 1; -1/n and (2n + 1)/(n + 1) are valid tails on those rays.
+    POLE = {"left": RationalFunction.of([1], [5, 1]), "right": RationalFunction.of([1], [-5, 1])}
+    VALID = {"left": RationalFunction.of([-1], [0, 1]), "right": RationalFunction.of([1, 2], [1, 1])}
+
+    @pytest.mark.parametrize("side, other, index", [("left", "right", -5), ("right", "left", 5)])
+    def test_pole_names_only_its_tail(self, side, other, index):
+        tails = {side: RationalTail(self.POLE[side]), other: RationalTail(self.VALID[other])}
+        spec = WeightSpec(0, (Fraction(2),), tails["left"], tails["right"])
+        report = validate(spec)
+        assert [v.detail for v in report.violations] == [
+            f"{side} tail denominator vanishes at n = {index}"
+        ]
+        walk = getattr(spec, f"{other}_walk")
+        assert walk is not None and not walk.sign.negatives
+        assert getattr(spec, f"{other}_walk") is walk
+
+    def test_constant_tails_have_no_walk(self, ex3):
+        assert ex3.left_walk is None and ex3.right_walk is None
+
+    def test_a_rebuilt_spec_walks_afresh(self, ex2):
+        spec = WeightSpec(*ex2)
+        assert validate(spec).ok
+        fresh = WeightSpec(*spec)
+        assert fresh == spec
+        assert "left_walk" not in vars(fresh) and "right_walk" not in vars(fresh)
+        assert fresh.left_walk == spec.left_walk and fresh.left_walk is not spec.left_walk
+        assert fresh.right_walk == spec.right_walk and fresh.right_walk is not spec.right_walk
+
+
 class TestEvaluation:
     def test_left_tail_modulus(self, ex1):
         assert ex1.value(-3) == Fraction(1, 3)
