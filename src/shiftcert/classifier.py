@@ -50,7 +50,9 @@ from .shiftcalc import (
     commutator_diagonal,
     transformed_weights,
 )
-from .weights import TailSpec, ValidationReport, WeightSpec, tail_constant_value, validate
+from .weights import (
+    TailSpec, ValidationReport, WeightSpec, tail_constant_value, validate, witness_key
+)
 
 # Unused here: perfbench/spans.py wraps these names in this module.
 from .polycert import ray_root_free_cutoff, sign_on_ray  # noqa: F401
@@ -179,17 +181,13 @@ class HyponormalityCheck(NamedTuple):
         return pair
 
 
-def _witness_key(n: int) -> tuple[int, int]:
-    return (abs(n), 0 if n < 0 else 1)
-
-
 def _tail_violation(sgn: RaySign) -> int:
     """Best (smallest-|n|) violating pair among a tail's negative d_z.
 
     Negative d_z is the violated pair z - 1. Only called once sign analysis
     found a negative value on the ray, so there is at least one candidate.
     """
-    return min((z - 1 for z in sgn.negatives), key=_witness_key)
+    return min((z - 1 for z in sgn.negatives), key=witness_key)
 
 
 def _tail_structure(
@@ -233,7 +231,7 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     violations += [pair for pair, d in seams if d < 0]
     if violations:
         return HyponormalityCheck(
-            False, min(violations, key=_witness_key), None, diag, ()
+            False, min(violations, key=witness_key), None, diag, ()
         )
 
     left_equalities = left_equalities or ()
@@ -284,7 +282,7 @@ def _replay_points(
         # One range call per run of consecutive indices shares the moduli.
         for _, pairs in groupby(enumerate(gamma_indices), lambda p: p[1] - p[0]):
             run = [n for _, n in pairs]
-            values, _ = tw.pairs_sq(run[0], run[-1] + 1)
+            values = tw.pairs_sq(run[0], run[-1] + 1)
             points += [
                 ReplayPoint("gamma_sq", n, Fraction(*v)) for n, v in zip(run, values) if v is not None
             ]

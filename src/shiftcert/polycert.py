@@ -20,11 +20,12 @@ NamedTuples.
 
 :func:`walk_ray` answers every question the engine asks about a rational
 function f at *every* integer of a half-line ``n <= a`` or ``n >= a`` from
-one walk: :func:`ray_root_free_cutoff` finds a cutoff M by a doubling
+one walk: :func:`ray_root_free_cutoff` finds one cutoff M by a doubling
 search, certifying with Descartes' rule of signs that no real root lies
 beyond M toward the ray's direction, so beyond M every certified polynomial
 keeps its asymptotic sign; the walk then evaluates each integer of the
-finite rest of the ray once, exactly, ascending and denominator first. The
+finite rest of the ray once, exactly, ascending and denominator first. M
+decides only how far the walk goes, never an index it reports. The
 answers (:class:`RayWalk`) are f's zeros and negative values
 (:class:`RaySign`), its supremum, and the zeros and negative values of its
 first difference f(n) - f(n-1), read off consecutive walked values.
@@ -328,22 +329,6 @@ class Ray(NamedTuple):
     def direction(self) -> int:
         return -1 if self.kind == "le" else 1
 
-    def segment_to(self, cutoff: int) -> range:
-        """Integers of the ray between the endpoint and |n| <= cutoff."""
-        if self.kind == "le":
-            lo, hi = -cutoff, min(self.bound, cutoff)
-        else:
-            lo, hi = max(self.bound, -cutoff), cutoff
-        if lo > hi:
-            return range(0)
-        return range(lo, hi + 1)
-
-    def beyond(self, cutoff: int) -> int:
-        """A witness integer on the ray strictly beyond the cutoff."""
-        if self.kind == "le":
-            return min(self.bound, -cutoff - 1)
-        return max(self.bound, cutoff + 1)
-
 
 CUTOFF_SEARCH_START = 32
 
@@ -352,8 +337,8 @@ def ray_root_free_cutoff(ray: Ray, *polys: Polynomial) -> int:
     """A cutoff M >= |ray.bound| past every real root of every polynomial.
 
     Each nonzero polynomial in ``polys`` has no real root x with
-    ray.direction * x > M, so beyond M it keeps its asymptotic sign and
-    ``ray.segment_to(M)`` is the finite rest of the ray; zero polynomials
+    ray.direction * x > M, so beyond M it keeps its asymptotic sign and the
+    integers of the ray with |n| <= M are its finite rest; zero polynomials
     are skipped. The Cauchy bound can be enormous when a derived
     polynomial's leading coefficient is accidentally tiny, so each
     polynomial's cutoff is searched upward by doubling, with an exact
@@ -378,9 +363,10 @@ class RaySign(NamedTuple):
     on the integers of a ray.
 
     ``zeros`` ascend; ``negatives`` holds each walked n with f(n) < 0,
-    ascending, then one integer beyond the cutoff when f is negative there
-    (it is then negative on the whole rest of the ray). Every other integer
-    of the ray has f(n) > 0.
+    ascending, then the integer just beyond the cutoff C, direction *
+    (C + 1), when f is negative there (it is then negative on the whole
+    rest of the ray). Every other integer of the ray has f(n) > 0. So the
+    negative of smallest |n| is listed, and is the same for any cutoff.
     """
 
     zeros: tuple[int, ...]
@@ -536,14 +522,17 @@ class RayWalk(NamedTuple):
 def walk_ray(f: RationalFunction, ray: Ray) -> RayWalk:
     """Walk f once over the ray and read every ray fact off the walk.
 
-    With f = p/q over integers, let cf be the root-free cutoff of p and q,
-    and C the larger of cf and the cutoff of P = p'q - pq', the numerator
-    of f'. The walk evaluates f at each integer of ``ray.segment_to(C)``,
-    ascending, denominator first, plus -C - 1 on a left ray. cf covers
-    every root of q, so :class:`PoleOnRay` is raised at the lowest pole.
+    With f = p/q over integers, C is the root-free cutoff of p, q and
+    P = p'q - pq', the numerator of f'; C >= |ray.bound|. The walk
+    evaluates f at each integer of the ray with |n| <= C, ascending,
+    denominator first, so :class:`PoleOnRay` is raised at the lowest pole.
+    On a left ray it first reads f(-C - 1), as the first difference's
+    previous value. C decides only how far the walk goes: every index the
+    answers name is the same for any larger cutoff.
 
-    * f's zeros and negatives are read within cf; beyond it f has the sign
-      of its leading terms, and one witness beyond cf stands for the rest.
+    * f's zeros and negatives are the walked ones; beyond C, f has the sign
+      of its leading terms, and the witness direction * (C + 1) stands for
+      the rest, so the negative of smallest |n| is always listed.
     * Beyond C, f is monotone, so the supremum is the largest walked value
       or the limit at infinity.
     * The first difference Delta(n) = f(n) - f(n-1) is signed on the walk
@@ -552,24 +541,27 @@ def walk_ray(f: RationalFunction, ray: Ray) -> RayWalk:
       is smooth there and, by the mean value theorem, Delta(n) = f'(xi) =
       P(xi) / q(xi)^2 for some xi in it: nonzero, with the asymptotic sign
       of P. A left ray is the mirror image, for n <= -C, which is why it
-      walks -C - 1 too. So Delta needs neither its own polynomial nor its
-      own cutoff: its zeros are the walked ones, and one witness beyond C
-      stands for its negatives there.
+      reads f(-C - 1) too. So Delta needs neither its own polynomial nor
+      its own cutoff: its zeros are the walked ones, and the same witness
+      beyond C stands for its negatives there.
     """
     num, den = f.cleared
     direction = ray.direction
-    cf = ray_root_free_cutoff(ray, f.num, f.den)
     slope = f.derivative_numerator()
-    cutoff = max(cf, ray_root_free_cutoff(ray, slope))
-    segment = ray.segment_to(cutoff)
-    start = segment.start - 1 if direction < 0 else segment.start
+    cutoff = ray_root_free_cutoff(ray, f.num, f.den, slope)
+    if direction < 0:
+        segment = range(-cutoff, ray.bound + 1)
+        prev = f.pair(-cutoff - 1)
+    else:
+        segment = range(ray.bound, cutoff + 1)
+        prev = None
 
     zeros: list[int] = []
     negatives: list[int] = []
     delta_zeros: list[int] = []
     delta_negatives: list[int] = []
-    best = prev = None
-    for n in range(start, segment.stop):
+    best = None
+    for n in segment:
         d = den(n)
         if d == 0:
             raise PoleOnRay(n)
@@ -577,10 +569,7 @@ def walk_ray(f: RationalFunction, ray: Ray) -> RayWalk:
         if d < 0:
             v, d = -v, -d
         if v <= 0:
-            if v == 0:
-                zeros.append(n)
-            elif -cf <= n <= cf:
-                negatives.append(n)
+            (zeros if v == 0 else negatives).append(n)
         if prev is not None:
             a, b = prev
             step = v * b - a * d  # the sign of f(n) - f(n-1)
@@ -590,15 +579,16 @@ def walk_ray(f: RationalFunction, ray: Ray) -> RayWalk:
             best = (v, d)
         prev = (v, d)
 
+    beyond = direction * (cutoff + 1)
     if not f.num.is_zero and asymptotic_sign(f.num, direction) != asymptotic_sign(f.den, direction):
-        negatives.append(ray.beyond(cf))
+        negatives.append(beyond)
     sup = None
     if f.num.degree <= f.den.degree:
         sup = max(Fraction(*best), limit_at_infinity(f).value)
     delta = None
     if not slope.is_zero:
         if asymptotic_sign(slope, direction) < 0:
-            delta_negatives.append(ray.beyond(cutoff))
+            delta_negatives.append(beyond)
         delta = RaySign(tuple(delta_zeros), tuple(delta_negatives))
     return RayWalk(RaySign(tuple(zeros), tuple(negatives)), sup, delta)
 

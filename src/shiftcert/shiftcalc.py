@@ -210,8 +210,12 @@ class TransformedWeights(_TransformedWeightsFields):
     side never flattens).
 
     A named tuple of its fields. It has no ``__slots__``, so its instance
-    dict can keep the memos of the two tail forms.
+    dict can keep the memos of the two tail forms; a copy or pickle holds
+    the fields alone.
     """
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @cached_property
     def left_form(self) -> RationalFunction | None:
@@ -224,25 +228,17 @@ class TransformedWeights(_TransformedWeightsFields):
         return _gamma_form(self.spec.right_tail)
 
     def value_sq(self, n: int) -> Fraction | None:
-        return self.values_sq(n, n + 1)[0][0]
+        return self.values_sq(n, n + 1)[0]
 
-    def values_sq(
-        self, start: int, stop: int
-    ) -> tuple[list[Fraction | None], list[Fraction]]:
+    def values_sq(self, start: int, stop: int) -> list[Fraction | None]:
         """``value_sq(n)`` for start <= n < stop, raising at the first index
-        where it would raise, plus the diagonal entries d_n for
-        start <= n <= stop they were computed from. Each exact modulus is
-        evaluated once."""
-        values, diag = self.pairs_sq(start, stop)
-        return (
-            [None if v is None else Fraction(*v) for v in values],
-            [Fraction(*d) for d in diag],
-        )
+        where it would raise. Each exact modulus is evaluated once."""
+        return [None if v is None else Fraction(*v) for v in self.pairs_sq(start, stop)]
 
-    def pairs_sq(self, start: int, stop: int) -> tuple[list[Pair | None], list[Pair]]:
+    def pairs_sq(self, start: int, stop: int) -> list[Pair | None]:
         """``values_sq`` as int pairs: the expanded :class:`SparseRange`."""
         exact = sparse_range(self.spec.value_pairs(start - 1, stop + 1), start)
-        return _expand(exact.gamma_sq(), start, stop), _expand(exact.diag, start, stop + 1)
+        return _expand(exact.gamma_sq(), start, stop)
 
 
 def _gamma_form(tail: TailSpec) -> RationalFunction | None:
@@ -307,7 +303,7 @@ def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> Transform
 
 def _max_defined(tw: TransformedWeights, lo: int, hi: int, best: Fraction) -> Fraction:
     """The largest of ``best`` and every defined g_n^2, lo <= n <= hi."""
-    values, _ = tw.pairs_sq(lo, hi + 1)
+    values = tw.pairs_sq(lo, hi + 1)
     defined = [v for v in values if v is not None]
     return max(best, Fraction(*pair_max(defined))) if defined else best
 
@@ -357,7 +353,7 @@ def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> Fraction:
         raise ValueError("left ray is flat; boundedness requires d_n > 0 below upto")
 
     end = min(tw.spec.window_start - 2, upto)
-    values, _ = tw.pairs_sq(end, upto + 1)
+    values = tw.pairs_sq(end, upto + 1)
     if None in values:
         raise ValueError(f"transformed weight undefined at n = {end + values.index(None)}")
     best = max(tw.left_limit_sq.value, Fraction(*pair_max(values)))

@@ -42,9 +42,21 @@ class SpecFileError(ValueError):
         self.field = field
 
 
+def _shown(value: Any) -> str:
+    """A rejected JSON value as an error message names it, in a few bytes
+    whatever its size: a string quoted, cut after 40 characters, anything
+    else by its JSON type."""
+    if isinstance(value, str):
+        if len(value) <= 40:
+            return repr(value)
+        return f"{value[:40]!r}... ({len(value)} characters)"
+    names = {dict: "object", list: "array", bool: "boolean", type(None): "null"}
+    return f"<JSON {names.get(type(value), 'number')}>"
+
+
 def parse_rational(text: str, field: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise SpecFileError(field, f"malformed rational string {text!r}")
+        raise SpecFileError(field, f"malformed rational string {_shown(text)}")
     limit = sys.get_int_max_str_digits()
     if limit and any(len(part.lstrip("+-")) > limit for part in text.split("/")):
         raise SpecFileError(field, f"an integer in the rational string has more than {limit} digits")
@@ -78,9 +90,12 @@ def format_rational(value: Fraction) -> str:
 def _require_keys(obj: dict, allowed: set[str], required: set[str], field: str) -> None:
     if not isinstance(obj, dict):
         raise SpecFileError(field, "expected a JSON object")
-    unknown = set(obj) - allowed
+    unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise SpecFileError(field, f"unknown field(s): {', '.join(sorted(unknown))}")
+        named = ", ".join(map(_shown, unknown[:3]))
+        if len(unknown) > 3:
+            named += f" ({len(unknown)} in all)"
+        raise SpecFileError(field, f"unknown field(s): {named}")
     missing = required - set(obj)
     if missing:
         raise SpecFileError(field, f"missing field(s): {', '.join(sorted(missing))}")
@@ -110,7 +125,7 @@ def _parse_tail(obj: Any, field: str) -> TailSpec:
         if all(c == 0 for c in den):
             raise SpecFileError(f"{field}.den", "denominator is the zero polynomial")
         return RationalTail(RationalFunction.of(num, den))
-    raise SpecFileError(f"{field}.kind", f"unknown tail kind {kind!r}")
+    raise SpecFileError(f"{field}.kind", f"unknown tail kind {_shown(kind)}")
 
 
 def spec_from_dict(obj: Any) -> tuple[WeightSpec, dict[str, str]]:

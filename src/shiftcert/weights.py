@@ -52,8 +52,12 @@ class WeightSpec(_WeightSpecFields):
     """Moduli |beta_n|: window on [window_start, window_end], tails outside.
 
     A named tuple of its fields. It has no ``__slots__``, so its instance
-    dict can keep the memos: ``_window_pairs`` and each tail's walk.
+    dict can keep the memos: ``_window_pairs`` and each tail's walk. A copy
+    or pickle holds the fields alone.
     """
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def window_end(self) -> int:
@@ -151,9 +155,16 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
+def witness_key(n: int) -> tuple[int, int]:
+    """Orders witness indices by |n|, ties toward negative."""
+    return (abs(n), 0 if n < 0 else 1)
+
+
 def _validate_tail(spec: WeightSpec, side: str) -> tuple[Violation | None, Fraction | None]:
     """The violation of the spec's tail on this side, or its certified
-    supremum, read off the tail's walk."""
+    supremum, read off the tail's walk. A pole or zero is named by its
+    lowest index, a negative value by its smallest |n| (ties toward
+    negative); none of these depends on the walk's cutoff."""
     tail = getattr(spec, f"{side}_tail")
     if isinstance(tail, ConstantTail):
         if tail.value <= 0:
@@ -178,7 +189,7 @@ def _validate_tail(spec: WeightSpec, side: str) -> tuple[Violation | None, Fract
     if sign.zeros:
         where = f"zero weight at n = {sign.zeros[0]}"
     elif sign.negatives:
-        where = f"negative value at n = {sign.negatives[0]}"
+        where = f"negative value at n = {min(sign.negatives, key=witness_key)}"
     else:
         return None, walk.sup
     return Violation("nonpositive-tail", f"{side} tail: {where}"), None

@@ -153,6 +153,47 @@ class TestClassifyCommand:
         assert result.err == "parse error: file: invalid JSON: nested too deeply\n"
         assert result.out == ""
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            pytest.param(
+                "window_values[0]",
+                lambda spec: spec.update(window_values=[["1"] * 200_000]),
+                id="list-as-rational",
+            ),
+            pytest.param(
+                "spec",
+                lambda spec: spec.update((f"extra{i}", 1) for i in range(100_000)),
+                id="unknown-fields",
+            ),
+            pytest.param(
+                "window_values[0]",
+                lambda spec: spec.update(window_values=["1." * 250_000]),
+                id="long-rational-string",
+            ),
+            pytest.param(
+                "left_tail.kind",
+                lambda spec: spec["left_tail"].update(kind="k" * 500_000),
+                id="long-tail-kind",
+            ),
+        ],
+    )
+    def test_parse_errors_do_not_echo_large_input(self, tmp_path, field, change):
+        payload = {
+            "window_start": 0,
+            "window_values": ["1"],
+            "left_tail": {"kind": "constant", "value": "1"},
+            "right_tail": {"kind": "constant", "value": "2"},
+        }
+        change(payload)
+        spec = tmp_path / "large.json"
+        spec.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_cli("classify", str(spec))
+        assert result.code == 2
+        assert result.err.startswith(f"parse error: {field}: ")
+        assert result.err.count("\n") == 1 and len(result.err.encode()) < 200
+        assert result.out == ""
+
     def test_degree_cap_applies_before_the_gcd(self, tmp_path):
         # A degree-50,000 tail: reducing it by its GCD would take minutes,
         # so the written degree is refused before any polynomial is built.

@@ -26,7 +26,8 @@ from shiftcert import (
     transformed_weights,
     validate,
 )
-from shiftcert.polycert import CUTOFF_SEARCH_START, RaySign, ray_root_free_cutoff, walk_ray
+from shiftcert import polycert
+from shiftcert.polycert import CUTOFF_SEARCH_START, RaySign, walk_ray
 from shiftcert.classifier import VerdictClass, _tail_violation
 from shiftcert.shiftcalc import NotHyponormalAtIndex
 from shiftcert.weights import scale_spec
@@ -159,25 +160,38 @@ def _brute_force_delta(f: RationalFunction, ray: Ray, span: int = 10**4):
     return zeros, negatives
 
 
-def _expected_tail_message(f: RationalFunction, ray: Ray, side: str) -> str:
-    """The validation message of a tail f on its ray, by the rule the
-    single-walk engine keeps: the lowest integer pole; else the lowest
-    zero; else the lowest negative value within the root-free cutoff of
-    f's numerator and denominator, or the first integer beyond it."""
-    cutoff = ray_root_free_cutoff(ray, f.num, f.den)
-    values = {}
-    for n in ray.segment_to(cutoff):
-        if f.den(n) == 0:
+def _expected_tail_message(f: RationalFunction, ray: Ray, side: str, span: int = 10**4) -> str:
+    """The validation message of a tail f on its ray, from a scan of the
+    ray's first 10^4 integers: the lowest integer pole; else the lowest
+    zero; else the negative value of smallest |n|, ties toward negative."""
+    num, den = int_cleared_coeffs(f.num), int_cleared_coeffs(f.den)
+    if ray.kind == "le":
+        points = range(ray.bound - span, ray.bound + 1)
+    else:
+        points = range(ray.bound, ray.bound + span + 1)
+    zeros, negatives = [], []
+    for n in points:
+        b = _int_eval(den, n)
+        if b == 0:
             return f"{side} tail denominator vanishes at n = {n}"
-        values[n] = f(n)
-    zeros = [n for n, v in values.items() if v == 0]
+        a = _int_eval(num, n) if num else 0
+        if a == 0:
+            zeros.append(n)
+        elif (a < 0) != (b < 0):
+            negatives.append(n)
     if zeros:
         return f"{side} tail: zero weight at n = {zeros[0]}"
-    negatives = [n for n, v in values.items() if v < 0]
-    if not negatives and f(ray.beyond(cutoff)) < 0:
-        negatives.append(ray.beyond(cutoff))
     assert negatives, "only called on a tail that is not positive"
-    return f"{side} tail: negative value at n = {negatives[0]}"
+    return f"{side} tail: negative value at n = {min(negatives, key=lambda n: (abs(n), n > 0))}"
+
+
+def _tail_spec(f: RationalFunction, ray: Ray) -> tuple[WeightSpec, str]:
+    """A spec with f as its tail on this ray, the other tail a positive
+    constant, and the side f is on."""
+    one, tail = Fraction(1), RationalTail(f)
+    if ray.kind == "le":
+        return WeightSpec(ray.bound + 1, (one,), tail, ConstantTail(one)), "left"
+    return WeightSpec(ray.bound - 1, (one,), ConstantTail(one), tail), "right"
 
 
 class TestWalkAgainstBruteForce:
@@ -239,12 +253,7 @@ class TestWalkAgainstBruteForce:
                     delta_negatives += 1
             if f.is_zero or f.num.degree > f.den.degree:
                 continue
-            # f as a tail on this ray, the other tail a positive constant.
-            one, tail = Fraction(1), RationalTail(f)
-            if ray.kind == "le":
-                spec, side = WeightSpec(ray.bound + 1, (one,), tail, ConstantTail(one)), "left"
-            else:
-                spec, side = WeightSpec(ray.bound - 1, (one,), ConstantTail(one), tail), "right"
+            spec, side = _tail_spec(f, ray)
             report = validate(spec)
             if not report.ok:
                 assert [v.detail for v in report.violations] == [
@@ -252,6 +261,36 @@ class TestWalkAgainstBruteForce:
                 ]
                 invalid += 1
         assert poles > 3 and delta_negatives > 10 and invalid > 10 and far > 5
+
+    @staticmethod
+    def _answers(f: RationalFunction, ray: Ray):
+        """Every index and value a walk of f on the ray reports, and f's
+        validation messages as a tail there."""
+        try:
+            walk = walk_ray(f, ray)
+        except PoleOnRay as exc:
+            return ("pole", exc.index)
+        negatives = walk.sign.negatives
+        nearest = min(negatives, key=lambda n: (abs(n), n > 0)) if negatives else None
+        delta = walk.delta
+        step = None
+        if delta is not None:
+            witness = _tail_violation(delta) if delta.negatives else None
+            step = (delta.zeros, witness)
+        messages = None
+        if not f.is_zero and f.num.degree <= f.den.degree:
+            messages = [v.detail for v in validate(_tail_spec(f, ray)[0]).violations]
+        return walk.sign.zeros, nearest, walk.sup, step, messages
+
+    def test_answers_do_not_depend_on_the_cutoff(self, monkeypatch):
+        # A larger cutoff walks further; it must not change what is named.
+        cases = list(self._cases())
+        expected = [self._answers(f, ray) for f, ray in cases]
+        cutoff = polycert.ray_root_free_cutoff
+        monkeypatch.setattr(
+            polycert, "ray_root_free_cutoff", lambda ray, *polys: 2 * cutoff(ray, *polys) + 17
+        )
+        assert [self._answers(f, ray) for f, ray in cases] == expected
 
 
 def random_tail(rng: random.Random) -> RationalTail:
@@ -397,11 +436,10 @@ class TestRangeEvaluatorAgainstFractions:
                 assert (excinfo.value.index, excinfo.value.value) == expected[1:]
                 raised += 1
                 continue
-            pairs, pair_diag = tw.pairs_sq(lo, hi)
+            pairs = tw.pairs_sq(lo, hi)
             assert [None if v is None else Fraction(*v) for v in pairs] == expected
             assert all(v is None or v[1] > 0 for v in pairs)
-            assert [Fraction(*d) for d in pair_diag] == expected_diag
-            assert tw.values_sq(lo, hi) == (expected, expected_diag)
+            assert tw.values_sq(lo, hi) == expected
         assert raised > 10
 
 

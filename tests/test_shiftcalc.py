@@ -234,7 +234,7 @@ class TestSupremumCertificate:
                 spec = _moved(make(rng), self.SHIFTS[i % len(self.SHIFTS)])
                 tw = transformed_weights(spec, commutator_diagonal(spec))
                 lo, hi = spec.window_start - self.REACH, spec.window_end + self.REACH
-                values, _ = tw.values_sq(lo, hi)
+                values = tw.values_sq(lo, hi)
                 defined = [v for v in values if v is not None]
                 limits = [tw.left_limit_sq.value, tw.right_limit_sq.value]
                 assert sup_sq_global(tw) == max(defined + limits)
@@ -248,7 +248,7 @@ class TestSupremumCertificate:
     def test_scan_doubles_past_a_far_peak(self, monkeypatch):
         spec = _peak_far_spec(1000)
         tw = transformed_weights(spec, commutator_diagonal(spec))
-        values, _ = tw.values_sq(-3000, 1)
+        values = tw.values_sq(-3000, 1)
         peak = -3000 + values.index(max(values))
         assert peak < -40
         scans = []

@@ -4,6 +4,7 @@ kept per instance, and polynomials that are not sequences."""
 
 from __future__ import annotations
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from shiftcert.polycert import Limit, Polynomial, RationalFunction, Ray, RaySign
 from shiftcert.shiftcalc import (
     CommutatorDiagonal,
     TransformedWeights,
+    bounded_on_left_ray,
     commutator_diagonal,
     transformed_weights,
 )
@@ -322,6 +324,26 @@ class TestMemosPerInstance:
     def test_equal_values_keep_their_own_memos(self):
         f, g = RationalFunction.of([1], [1, 1]), RationalFunction.of([1], [1, 1])
         assert f == g and f.cleared is not g.cleared
+
+    @pytest.mark.parametrize(
+        "make, fill",
+        [
+            pytest.param(example_two, classify, id="weight-spec"),
+            pytest.param(
+                lambda: _tw(example_one()),
+                lambda tw: bounded_on_left_ray(tw, tw.flat_from - 1),
+                id="transformed-weights",
+            ),
+        ],
+    )
+    def test_copies_leave_the_memos_behind(self, make, fill):
+        value = make()
+        fresh = pickle.dumps(value)
+        fill(value)
+        assert value.__dict__
+        assert pickle.dumps(value) == fresh
+        for twin in (pickle.loads(fresh), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value and twin.__dict__ == {}
 
 
 class TestReplayDetails:

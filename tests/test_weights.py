@@ -66,15 +66,15 @@ class TestValidate:
     @pytest.mark.parametrize(
         "side, num, den, detail",
         [
-            ("left", [-3, 1], [1, 0, 1], "left tail: negative value at n = -4"),
-            ("left", [-2, 0, -1], [1, 0, 1], "left tail: negative value at n = -3"),
+            ("left", [-3, 1], [1, 0, 1], "left tail: negative value at n = -1"),
+            ("left", [-2, 0, -1], [1, 0, 1], "left tail: negative value at n = -1"),
             ("right", [-7, 1], [1, 0, 1], "right tail: zero weight at n = 7"),
             ("left", [0], [1], "left tail: not strictly positive"),
             ("left", [-1], [5, 1], "left tail denominator vanishes at n = -5"),
         ],
     )
     def test_tail_violation_detail(self, side, num, den, detail):
-        # The first zero, else the first negative value of the walk, is named.
+        # The lowest pole or zero, else the negative value of smallest |n|, is named.
         tail = RationalTail(RationalFunction.of(num, den))
         one = ConstantTail(Fraction(1))
         left, right = (tail, one) if side == "left" else (one, tail)
