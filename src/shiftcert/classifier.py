@@ -30,9 +30,16 @@ difference's zeros and negatives off.
 
 Every verdict carries a :class:`Certificate` holding the certified
 structure, the witnesses, exact limits and bounds, and replayable spot
-checks; :func:`replay` recomputes all of it from scratch and compares it
-field by field. Verdicts, certificates and their parts are immutable
-NamedTuples.
+checks. :func:`replay` is a checker apart from the decision code above: it
+verifies each claim of a certificate from a fresh copy of the spec, and
+shares with :func:`classify` the tail walk
+(:func:`~shiftcert.polycert.walk_ray`), exact evaluation and integer
+polynomial arithmetic, and the gamma-supremum certificate
+(:func:`~shiftcert.shiftcalc.bounded_on_left_ray`) only where its own
+one-step check does not settle ``left_sup_sq``. So it catches a wrong
+dispatch, not only a nondeterministic one, at about two thirds of the
+cost of classifying again (README.md gives the measured cost).
+Verdicts, certificates and their parts are immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -42,7 +49,20 @@ from fractions import Fraction
 from itertools import groupby, zip_longest
 from typing import NamedTuple
 
-from .polycert import Limit, RaySign, RayWalk
+from .polycert import (
+    Limit,
+    Pair,
+    PoleOnRay,
+    Polynomial,
+    RationalFunction,
+    RaySign,
+    RayWalk,
+    _no_roots_beyond,
+    asymptotic_sign,
+    int_product,
+    int_shift,
+    pair_max,
+)
 from .shiftcalc import (
     CommutatorDiagonal,
     TransformedWeights,
@@ -51,7 +71,13 @@ from .shiftcalc import (
     transformed_weights,
 )
 from .weights import (
-    TailSpec, ValidationReport, WeightSpec, tail_constant_value, validate, witness_key
+    MAX_TAIL_DEGREE,
+    TailSpec,
+    ValidationReport,
+    WeightSpec,
+    tail_constant_value,
+    validate,
+    witness_key,
 )
 
 # Unused here: perfbench/spans.py wraps these names in this module.
@@ -276,9 +302,7 @@ def _replay_points(
         ReplayPoint("d", n, d) for n, d in enumerate(diag.seam_values, start=first)
     ]
     if tw is not None:
-        gamma_indices = sorted(
-            set([first - 2, first - 1, first, last + 1, last + 2] + extra_indices)
-        )[:10]
+        gamma_indices = sorted({first - 2, first - 1, first, last + 1, last + 2, *extra_indices})
         # One range call per run of consecutive indices shares the moduli.
         for _, pairs in groupby(enumerate(gamma_indices), lambda p: p[1] - p[0]):
             run = [n for _, n in pairs]
@@ -403,13 +427,52 @@ class ReplayResult(NamedTuple):
     detail: str | None = None
 
 
-def _point_mismatch(recorded: ReplayPoint | None, fresh: ReplayPoint | None) -> str:
-    if recorded is None:
-        assert fresh is not None
+# An expected replay point: kind, index and the value as an int pair.
+_Point = tuple[str, int, int, int]
+# Pads the shorter of the recorded and the expected replay points.
+_ABSENT = object()
+
+
+def _same(recorded: object, expected: object) -> bool:
+    """Whether a recorded certificate value is the expected one: of the same
+    type, member by member, and equal."""
+    if recorded is expected:
+        return True
+    if type(recorded) is not type(expected):
+        return False
+    if isinstance(recorded, tuple):
+        return len(recorded) == len(expected) and all(map(_same, recorded, expected))
+    return recorded == expected
+
+
+def _same_point(recorded: object, expected: _Point) -> bool:
+    """Whether a recorded replay point is the expected one: a ReplayPoint of
+    its kind, int index and Fraction value, the value compared with the
+    expected int pair by cross-multiplication."""
+    kind, index, num, den = expected
+    return (
+        type(recorded) is ReplayPoint
+        and recorded.kind == kind
+        and type(recorded.index) is int
+        and recorded.index == index
+        and type(recorded.value) is Fraction
+        and recorded.value.numerator * den == num * recorded.value.denominator
+    )
+
+
+def _point_mismatch(recorded: object, expected: _Point) -> str:
+    """Names the first recorded point that differs from the expected one;
+    either may be :data:`_ABSENT`, past the end of its list."""
+    if expected is not _ABSENT:
+        kind, index, num, den = expected
+        fresh = ReplayPoint(kind, index, Fraction(num, den))
+    if recorded is _ABSENT:
         return f"missing replay point {fresh.kind} at n = {fresh.index}"
-    if fresh is None:
+    if type(recorded) is not ReplayPoint:
+        return f"replay point {recorded!r} is not a ReplayPoint"
+    if expected is _ABSENT:
         return f"unexpected replay point {recorded.kind} at n = {recorded.index}"
-    if (recorded.kind, recorded.index) == (fresh.kind, fresh.index):
+    if _same(recorded[:2], fresh[:2]):
         return (
             f"{recorded.kind} at n = {recorded.index}: recorded {recorded.value}, "
             f"recomputed {fresh.value}"
@@ -420,24 +483,270 @@ def _point_mismatch(recorded: ReplayPoint | None, fresh: ReplayPoint | None) -> 
     )
 
 
-def replay(cert: Certificate, spec: WeightSpec) -> ReplayResult:
-    """Classify the spec from scratch and compare every certificate field.
+def _limit_sq(tail: TailSpec, delta: RaySign | None) -> Limit:
+    """The limit of g_n^2 along a tail: the squared ratio of the leading
+    coefficients when num and den have one degree, else 0, and 0 on a
+    constant tail. One ``Fraction`` is built, where
+    ``limit_at_infinity(tail.fn).value ** 2`` builds four."""
+    if delta is None:
+        return Limit(Fraction(0))
+    p, q = tail.fn.cleared
+    return Limit(Fraction(p.ints[-1] ** 2, q.ints[-1] ** 2) if p.degree == q.degree else Fraction(0))
 
-    The spec is classified as a fresh instance, ``WeightSpec(*spec)``, so
-    no memo of an earlier classification (a tail's walk) is reused. The
-    replay points are compared in order, so a changed, dropped or added
-    point is reported with its kind and index.
+
+def _bounds_left_gamma(fn: RationalFunction, end: int, best: Pair) -> bool:
+    """Whether one Descartes certificate shows best >= g_n^2 for every
+    n <= end on a left tail |beta_n| = p(n) / q(n) whose d_n > 0 there.
+
+    With a = p^2 and b = q^2, d_n = e(n) / (b(n) b(n - 1)) for
+    e = a b(n - 1) - a(n - 1) b, and g_n^2 = num / den for
+    num = a e(n + 1) b(n - 1), den = b b(n + 1) e, so den > 0 where d_n > 0
+    off the poles. Then best = s / t bounds g_n^2 where s den - t num >= 0,
+    which holds on n <= end when that polynomial is zero or positive toward
+    -infinity with no real root below end. False says only that this one
+    certificate does not settle it.
     """
+    p, q = (c.ints for c in fn.cleared)
+    a, b = int_product(p, p), int_product(q, q)
+    a_, b_ = int_shift(a, -1), int_shift(b, -1)
+    e = [x - y for x, y in zip(int_product(a, b_), int_product(a_, b))]
+    num = int_product(int_product(a, int_shift(e, 1)), b_)
+    den = int_product(int_product(b, int_shift(b, 1)), e)
+    s, t = best
+    gap = [s * y - t * x for x, y in zip_longest(num, den, fillvalue=0)]
+    while gap and gap[-1] == 0:
+        gap.pop()
+    if not gap:
+        return True
+    poly = Polynomial(tuple(gap))
+    return asymptotic_sign(poly, -1) > 0 and _no_roots_beyond(poly, -end, -1)
+
+
+def _expected_certificate(spec: WeightSpec) -> Certificate:
+    """The one certificate :func:`replay` accepts for a fresh spec, its
+    replay points as (kind, index, numerator, denominator) tuples.
+
+    Every fact comes from the spec's tail walks and from one exact
+    evaluation of the moduli that the seams and the replay points need,
+    never from the decision code. Raises ValueError, naming the fault, when
+    the spec is invalid.
+    """
+    first, last = spec.window_start, spec.window_end
+    window = [(v.numerator, v.denominator) for v in spec.window_values]
+    if not window:
+        raise ValueError("invalid spec: the window is empty")
+    if min(window)[0] <= 0:
+        n = first + next(i for i, (p, _) in enumerate(window) if p <= 0)
+        raise ValueError(f"invalid spec: window value at n = {n} is not positive")
+    sups = list(spec.window_values)  # the candidates for sup_modulus, and their pairs
+    sup_pairs = list(window)
+    values = []
+    deltas: list[RaySign | None] = []  # a tail's first difference; None if constant
+    for side, tail in (("left", spec.left_tail), ("right", spec.right_tail)):
+        const = tail_constant_value(tail)
+        if const is None:
+            num, den = tail.fn.num.degree, tail.fn.den.degree
+            if num > MAX_TAIL_DEGREE or den > MAX_TAIL_DEGREE:
+                raise ValueError(f"invalid spec: {side} tail degree exceeds {MAX_TAIL_DEGREE}")
+            if num > den:
+                raise ValueError(f"invalid spec: {side} tail is unbounded")
+            try:
+                walk = getattr(spec, f"{side}_walk")
+            except PoleOnRay as exc:
+                raise ValueError(f"invalid spec: {side} tail: {exc}") from None
+            if walk.sign.zeros or walk.sign.negatives:
+                fault = "zero" if walk.sign.zeros else "negative value"
+                raise ValueError(f"invalid spec: {side} tail has a {fault}")
+            sups.append(walk.sup)
+            deltas.append(walk.delta)
+        elif const.numerator <= 0:
+            raise ValueError(f"invalid spec: {side} tail constant {const} is not positive")
+        else:
+            sups.append(const)
+            deltas.append(None)
+        sup_pairs.append((sups[-1].numerator, sups[-1].denominator))
+        values.append(const)
+    left, right = deltas
+
+    # The squared moduli from base = first - 1 - pad to last + 1 + pad: the
+    # seams need first - 1 to last + 1, and the transformed weights of a
+    # varying left tail two more on each side.
+    pad = 0 if left is None else 2
+    base = first - 1 - pad
+    moduli = (
+        *spec.value_pairs(base, first),
+        *window,
+        *spec.value_pairs(last + 1, last + 2 + pad),
+    )
+    squares = [(p * p, q * q) for p, q in moduli]
+    beta = (first - 1, first, last, last + 1) if first < last else (first - 1, first, last + 1)
+    points: list[_Point] = [("beta_sq", n, *squares[n - base]) for n in beta]
+    relations: list[Relation] = []
+    violations: list[int] = []  # pairs n - 1 with d_n < 0
+    seam_equal: list[int] = []
+    nonzero = None  # the last seam n with d_n != 0
+    seams = zip(squares[pad:], squares[pad + 1 : len(squares) - pad])
+    for n, ((a0, b0), (a1, b1)) in enumerate(seams, start=first):
+        a, b = a1 * b0 - a0 * b1, b0 * b1  # d_n
+        points.append(("d", n, a, b))
+        if a:
+            nonzero = n
+            relations.append(Relation.LT)
+            if a < 0:
+                violations.append(n - 1)
+        else:
+            seam_equal.append(n - 1)
+            relations.append(Relation.EQ)
+    sup = sups[sup_pairs.index(pair_max(sup_pairs))]  # the first largest, as max() picks
+
+    # A negative d_n lies at a seam or at a negative first difference.
+    for delta in deltas:
+        if delta is not None:
+            violations += [z - 1 for z in delta.negatives]
+    if violations:
+        witness = min(violations, key=witness_key)
+        return Certificate(
+            VerdictClass.NOT_HYPONORMAL, None, None, witness, None, None, None, None, None,
+            None, None, sup, tuple(points),
+        )
+
+    # The pattern: the equal pairs, ascending; every other pair rises.
+    left_eq = () if left is None else tuple([z - 1 for z in left.zeros])
+    right_eq = None if right is None else tuple([z - 1 for z in right.zeros])
+    equal = [*left_eq, *seam_equal, *((last + 1,) if right_eq is None else right_eq)]
+    eq = set(equal)
+
+    def rise_from(pair: int) -> int | None:
+        """The first rise at or after ``pair``; None when none follows."""
+        while pair in eq:
+            pair += 1
+        return None if right is None and pair > last else pair
+
+    k = equal[0] if equal and left is not None else None
+    profile = StructureProfile(
+        Shape.CONSTANT if left is None else Shape.STRICT_INCREASE,
+        values[0],
+        left_eq,
+        tuple(relations),
+        Shape.CONSTANT if right is None else Shape.STRICT_INCREASE,
+        values[1],
+        right_eq,
+        k,
+    )
+    klass = VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL
+    criterion = witness = first_equality = flat_pair_index = left_run_end = None
+    left_sup = flat_from = None
+    if left is None:
+        # A constant left tail: the first rise, if any, obstructs.
+        left_run_end = rise_from(first - 1)
+        if left_run_end is None:
+            klass = VerdictClass.NORMAL
+        else:
+            criterion, witness = Criterion.CONSTANT_LEFT, left_run_end + 1
+        return Certificate(
+            klass, criterion, profile, witness, None, None, left_run_end, None, None, None,
+            None, sup, tuple(points),
+        )
+
+    def gamma_sq(n: int) -> Pair | None:
+        """g_n^2 = |beta_n|^2 d_{n+1} / d_n as an int pair, (0, 1) where
+        d_n = d_{n+1} = 0 and None where d_n = 0 < d_{n+1}."""
+        i = n - base
+        if 0 < i < len(squares) - 1:
+            (s0, t0), (s, t), (s1, t1) = squares[i - 1 : i + 2]
+        else:
+            (s0, t0), (s, t), (s1, t1) = [(p * p, q * q) for p, q in spec.value_pairs(n - 1, n + 2)]
+        a, b = s * t0 - s0 * t, t * t0  # d_n
+        c, e = s1 * t - s * t1, t1 * t  # d_{n+1}
+        if a > 0:
+            return s * c * b, t * e * a
+        return None if c else (0, 1)
+
+    if right is None:
+        flat_from = nonzero
+        if flat_from is None:
+            flat_from, zeros = first - 1, set(left.zeros)
+            while flat_from in zeros:
+                flat_from -= 1
+    left_limit = _limit_sq(spec.left_tail, left)
+    right_limit = _limit_sq(spec.right_tail, right)
+    extra: tuple[int, ...] = ()
+    rise = None if k is None else rise_from(k)
+    if k is None:
+        klass, criterion = VerdictClass.NEAR_SUBNORMAL, Criterion.STRICT_INCREASE
+    elif rise is None:
+        klass, criterion, first_equality = VerdictClass.NEAR_SUBNORMAL, Criterion.FLAT_TAIL, k
+        # g_n^2 follows the left tail's form for n <= end; d_n > 0 for n <= k.
+        end, limit = min(first - 2, k - 1), left_limit.value
+        best = pair_max([(limit.numerator, limit.denominator), *map(gamma_sq, range(end, k))])
+        if _bounds_left_gamma(spec.left_tail.fn, end, best):
+            left_sup = Fraction(*best)
+        else:
+            tw = TransformedWeights(spec, left_limit, right_limit, flat_from)
+            left_sup = bounded_on_left_ray(tw, k - 1)
+        extra = (k - 1, k)
+    else:
+        first_equality = k
+        flat_pair_index = next(
+            (e for e in equal if rise_from(e - 1) == e - 1 and rise_from(e + 1) == e + 1),
+            None,
+        )
+        if flat_pair_index is None:
+            criterion, witness = Criterion.FLAT_TAIL_VIOLATION, rise + 1
+        else:
+            criterion, witness = Criterion.FLAT_PAIR, flat_pair_index
+            extra = (flat_pair_index - 1,)
+
+    for n in sorted({first - 2, first - 1, first, last + 1, last + 2, *extra}):
+        g = gamma_sq(n)
+        if g is not None:
+            points.append(("gamma_sq", n, *g))
+    return Certificate(
+        klass, criterion, profile, witness, first_equality, flat_pair_index, None,
+        left_limit, right_limit, left_sup, flat_from, sup, tuple(points),
+    )
+
+
+def replay(cert: Certificate, spec: WeightSpec) -> ReplayResult:
+    """Check every claim of the certificate against the spec.
+
+    A checker, not a second classification: it never runs :func:`classify`,
+    :func:`check_hyponormal` or :func:`~shiftcert.weights.validate`. On a
+    fresh instance, ``WeightSpec(*spec)``, it walks each varying tail once
+    and evaluates the moduli once around the window and at the cited
+    indices, as int pairs. From those it checks validity and
+    ``sup_modulus``; the witness of a violation, smallest |n| first; the
+    profile, from the seam values and each tail's first difference; that
+    the class, criterion and cited indices are the ones the rules name on
+    that pattern of equal pairs and rises; the limits, from the tails'
+    leading coefficients; ``flat_from``; ``left_sup_sq``, by
+    :func:`_bounds_left_gamma` or, where that one check does not settle
+    it, the gamma-supremum certificate
+    (:func:`~shiftcert.shiftcalc.bounded_on_left_ray`); and each replay
+    point, by direct evaluation. Each field has exactly one value it
+    accepts, of the type ``classify`` gives.
+
+    The first field that differs is named in the detail, with the value
+    expected; the replay points are compared in order, so a changed,
+    dropped or added point is reported with its kind and index. A malformed
+    certificate or an invalid spec gives ``consistent=False``, never an
+    exception.
+    """
+    if type(cert) is not Certificate:
+        return ReplayResult(False, f"not a certificate: {type(cert).__name__}")
     try:
-        fresh = classify(WeightSpec(*spec)).certificate
-    except (ValueError, ZeroDivisionError) as exc:
-        return ReplayResult(False, f"recomputation failed: {exc}")
-    for name, a, b in zip(Certificate._fields, cert, fresh):
-        if name == "replay_points":
-            for p, q in zip_longest(a, b):
-                if p != q:
-                    return ReplayResult(False, _point_mismatch(p, q))
-        elif a != b:
+        expected = _expected_certificate(WeightSpec(*spec))
+    except ValueError as exc:
+        return ReplayResult(False, str(exc))
+    for name, a, b in zip(Certificate._fields[:-1], cert, expected):
+        if a is not b and not _same(a, b):
             label = name.replace("_", " ")
             return ReplayResult(False, f"{label} mismatch: recorded {a}, recomputed {b}")
+    points = cert.replay_points
+    if type(points) is not tuple:
+        detail = f"replay points mismatch: recorded a {type(points).__name__}, not a tuple"
+        return ReplayResult(False, detail)
+    for p, q in zip_longest(points, expected.replay_points, fillvalue=_ABSENT):
+        if p is _ABSENT or q is _ABSENT or not _same_point(p, q):
+            return ReplayResult(False, _point_mismatch(p, q))
     return ReplayResult(True)

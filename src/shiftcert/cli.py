@@ -1,12 +1,14 @@
 """Command-line interface: classify, oracle cross-check, fixture export.
 
 Exit codes: 0 = classified (any class); 2 = parse or validation failure,
-or an ``oracle`` run without numpy installed; 3 = certificate
-replay failure or oracle disagreement. A replay failure is an internal
-inconsistency and never occurs on well-formed input. The oracle can
-disagree on well-formed input when the exact engine finds a negative d_n
-that lies within the oracle's tol: the truncation cannot tell it from
-zero, so it sees no hyponormality failure.
+or an ``oracle`` run without numpy installed; 3 = a certificate the
+checker rejects, or oracle disagreement. ``classify`` hands each verdict's
+certificate to :func:`~shiftcert.classifier.replay`, which checks every
+claim against a fresh copy of the spec without classifying again; a
+rejection is an internal inconsistency and never occurs on well-formed
+input. The oracle can disagree on well-formed input when the exact engine
+finds a negative d_n that lies within the oracle's tol: the truncation
+cannot tell it from zero, so it sees no hyponormality failure.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 # An exact rational as (numerator, positive denominator), not reduced.
@@ -64,6 +64,29 @@ def pair_max(pairs: Iterable[Pair]) -> Pair:
         if c * b > a * d:
             a, b = c, d
     return a, b
+
+
+def int_product(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """The coefficients, lowest degree first, of the product of two
+    nonempty integer coefficient lists; a trailing zero in either gives
+    trailing zeros."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        if a:
+            for j, b in enumerate(ys):
+                out[i + j] += a * b
+    return out
+
+
+def int_shift(xs: Sequence[int], delta: int) -> list[int]:
+    """The coefficients of x(n + delta) for those of x(n): the integer
+    Taylor shift."""
+    c = list(xs)
+    if delta:
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += delta * c[j + 1]
+    return c
 
 
 def _canonical(ints: list[int], denom: int) -> "Polynomial":
@@ -216,13 +239,7 @@ class Polynomial(_Immutable):
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
-        out = [0] * (len(self.ints) + len(other.ints) - 1)
-        for i, a in enumerate(self.ints):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.ints):
-                out[i + j] += a * b
-        return _canonical(out, self.denom * other.denom)
+        return _canonical(int_product(self.ints, other.ints), self.denom * other.denom)
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = _frac(c)
@@ -240,12 +257,7 @@ class Polynomial(_Immutable):
         The integer Taylor shift is invertible over Z, so it keeps the
         content and the form stays canonical.
         """
-        c = list(self.ints)
-        if delta:
-            for i in range(len(c) - 1):
-                for j in range(len(c) - 2, i - 1, -1):
-                    c[j] += delta * c[j + 1]
-        return Polynomial(tuple(c), self.denom)
+        return Polynomial(tuple(int_shift(self.ints, delta)), self.denom)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder over Q[n], by pseudo-division on the ints."""

@@ -249,7 +249,8 @@ class TestClassifyCommand:
 
     def test_classify_walks_each_tail_once_and_replay_once_more(self, fixture_dir, monkeypatch):
         # ex2 varies on both sides: classify walks each tail once, and
-        # replay classifies a fresh copy of the spec, which walks it again.
+        # replay checks the certificate on a fresh copy of the spec, which
+        # walks it again.
         import shiftcert.weights
 
         walked = []

@@ -195,6 +195,32 @@ def test_classify_walk_count(monkeypatch):
     assert 0 < count <= GOLDEN_CLASSIFY_EVALS
 
 
+# Exact polynomial evaluations that replaying every golden certificate
+# takes: the checker walks each varying tail of a fresh copy of the spec
+# once and evaluates the moduli around the window and at the cited
+# indices; the gamma supremum of a flat-tail verdict is bounded from those
+# values and one Descartes check. A change that evaluates more must say
+# why and raise this.
+GOLDEN_REPLAY_EVALS = 478
+
+
+def test_replay_evaluation_count(monkeypatch):
+    evaluate = Polynomial.__call__
+    count = 0
+
+    def counted(poly, x):
+        nonlocal count
+        count += 1
+        return evaluate(poly, x)
+
+    specs = [load_spec(GOLDEN_DIR / f"{name}.spec.json")[0] for name in _golden_names()]
+    certificates = [classify(spec).certificate for spec in specs]
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    for spec, cert in zip(specs, certificates):
+        assert replay(cert, spec).consistent
+    assert 0 < count <= GOLDEN_REPLAY_EVALS
+
+
 # left_sup_sq of degree_sixteen_spec, as the GCD-reduced gamma form gave it.
 DEGREE_SIXTEEN_LEFT_SUP_SQ = Fraction(
     int(
