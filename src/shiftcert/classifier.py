@@ -34,9 +34,10 @@ checks. :func:`replay` is a checker apart from the decision code above: it
 verifies each claim of a certificate from a fresh copy of the spec, and
 shares with :func:`classify` the tail walk
 (:func:`~shiftcert.polycert.walk_ray`), exact evaluation and integer
-polynomial arithmetic, and the gamma-supremum certificate
-(:func:`~shiftcert.shiftcalc.bounded_on_left_ray`) only where its own
-one-step check does not settle ``left_sup_sq``. So it catches a wrong
+polynomial arithmetic, the gamma form and the first step of the
+gamma-supremum certificate (:func:`~shiftcert.shiftcalc.gamma_bounded`),
+and the whole certificate (:func:`~shiftcert.shiftcalc.bounded_on_left_ray`)
+only where that step does not settle ``left_sup_sq``. So it catches a wrong
 dispatch, not only a nondeterministic one, at about two thirds of the
 cost of classifying again (README.md gives the measured cost).
 Verdicts, certificates and their parts are immutable NamedTuples.
@@ -53,14 +54,9 @@ from .polycert import (
     Limit,
     Pair,
     PoleOnRay,
-    Polynomial,
-    RationalFunction,
+    Ray,
     RaySign,
     RayWalk,
-    _no_roots_beyond,
-    asymptotic_sign,
-    int_product,
-    int_shift,
     pair_max,
 )
 from .shiftcalc import (
@@ -68,6 +64,8 @@ from .shiftcalc import (
     TransformedWeights,
     bounded_on_left_ray,
     commutator_diagonal,
+    gamma_bounded,
+    gamma_form,
     transformed_weights,
 )
 from .weights import (
@@ -494,34 +492,6 @@ def _limit_sq(tail: TailSpec, delta: RaySign | None) -> Limit:
     return Limit(Fraction(p.ints[-1] ** 2, q.ints[-1] ** 2) if p.degree == q.degree else Fraction(0))
 
 
-def _bounds_left_gamma(fn: RationalFunction, end: int, best: Pair) -> bool:
-    """Whether one Descartes certificate shows best >= g_n^2 for every
-    n <= end on a left tail |beta_n| = p(n) / q(n) whose d_n > 0 there.
-
-    With a = p^2 and b = q^2, d_n = e(n) / (b(n) b(n - 1)) for
-    e = a b(n - 1) - a(n - 1) b, and g_n^2 = num / den for
-    num = a e(n + 1) b(n - 1), den = b b(n + 1) e, so den > 0 where d_n > 0
-    off the poles. Then best = s / t bounds g_n^2 where s den - t num >= 0,
-    which holds on n <= end when that polynomial is zero or positive toward
-    -infinity with no real root below end. False says only that this one
-    certificate does not settle it.
-    """
-    p, q = (c.ints for c in fn.cleared)
-    a, b = int_product(p, p), int_product(q, q)
-    a_, b_ = int_shift(a, -1), int_shift(b, -1)
-    e = [x - y for x, y in zip(int_product(a, b_), int_product(a_, b))]
-    num = int_product(int_product(a, int_shift(e, 1)), b_)
-    den = int_product(int_product(b, int_shift(b, 1)), e)
-    s, t = best
-    gap = [s * y - t * x for x, y in zip_longest(num, den, fillvalue=0)]
-    while gap and gap[-1] == 0:
-        gap.pop()
-    if not gap:
-        return True
-    poly = Polynomial(tuple(gap))
-    return asymptotic_sign(poly, -1) > 0 and _no_roots_beyond(poly, -end, -1)
-
-
 def _expected_certificate(spec: WeightSpec) -> Certificate:
     """The one certificate :func:`replay` accepts for a fresh spec, its
     replay points as (kind, index, numerator, denominator) tuples.
@@ -542,7 +512,10 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     sup_pairs = list(window)
     values = []
     deltas: list[RaySign | None] = []  # a tail's first difference; None if constant
-    for side, tail in (("left", spec.left_tail), ("right", spec.right_tail)):
+    for side, tail, tail_walk in (
+        ("left", spec.left_tail, lambda: spec.left_walk),
+        ("right", spec.right_tail, lambda: spec.right_walk),
+    ):
         const = tail_constant_value(tail)
         if const is None:
             num, den = tail.fn.num.degree, tail.fn.den.degree
@@ -551,7 +524,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
             if num > den:
                 raise ValueError(f"invalid spec: {side} tail is unbounded")
             try:
-                walk = getattr(spec, f"{side}_walk")
+                walk = tail_walk()
             except PoleOnRay as exc:
                 raise ValueError(f"invalid spec: {side} tail: {exc}") from None
             if walk.sign.zeros or walk.sign.negatives:
@@ -679,7 +652,9 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         # g_n^2 follows the left tail's form for n <= end; d_n > 0 for n <= k.
         end, limit = min(first - 2, k - 1), left_limit.value
         best = pair_max([(limit.numerator, limit.denominator), *map(gamma_sq, range(end, k))])
-        if _bounds_left_gamma(spec.left_tail.fn, end, best):
+        # The first step of the gamma-supremum certificate, on n <= end.
+        ray, form = Ray.le(end), gamma_form(spec.left_tail.fn)
+        if gamma_bounded(ray.orient(form[0]), ray.orient(form[1]), 0, best):
             left_sup = Fraction(*best)
         else:
             tw = TransformedWeights(spec, left_limit, right_limit, flat_from)
@@ -720,8 +695,9 @@ def replay(cert: Certificate, spec: WeightSpec) -> ReplayResult:
     the class, criterion and cited indices are the ones the rules name on
     that pattern of equal pairs and rises; the limits, from the tails'
     leading coefficients; ``flat_from``; ``left_sup_sq``, by
-    :func:`_bounds_left_gamma` or, where that one check does not settle
-    it, the gamma-supremum certificate
+    the first step of the gamma-supremum certificate
+    (:func:`~shiftcert.shiftcalc.gamma_bounded`) or, where that one check
+    does not settle it, the whole certificate
     (:func:`~shiftcert.shiftcalc.bounded_on_left_ray`); and each replay
     point, by direct evaluation. Each field has exactly one value it
     accepts, of the type ``classify`` gives.

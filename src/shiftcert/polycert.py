@@ -20,15 +20,17 @@ NamedTuples.
 
 :func:`walk_ray` answers every question the engine asks about a rational
 function f at *every* integer of a half-line ``n <= a`` or ``n >= a`` from
-one walk: :func:`ray_root_free_cutoff` finds one cutoff M by a doubling
-search, certifying with Descartes' rule of signs that no real root lies
-beyond M toward the ray's direction, so beyond M every certified polynomial
-keeps its asymptotic sign; the walk then evaluates each integer of the
-finite rest of the ray once, exactly, ascending and denominator first. M
-decides only how far the walk goes, never an index it reports. The
-answers (:class:`RayWalk`) are f's zeros and negative values
-(:class:`RaySign`), its supremum, and the zeros and negative values of its
-first difference f(n) - f(n-1), read off consecutive walked values.
+one walk. Every ray question is asked outward from the ray's bound, on
+m >= 0: :meth:`Ray.at` maps m to n = a - m or a + m, and :meth:`Ray.orient`
+turns a polynomial p into u(m) = p(at(m)). :func:`ray_root_free_cutoff`
+finds one cutoff C in m by a doubling search, certifying with Descartes'
+rule of signs that no oriented polynomial has a real root beyond C, so
+beyond C each keeps the sign of its leading coefficient; the walk then
+evaluates the oriented f once, exactly, at each m = 0, ..., C. C decides
+only how far the walk goes, never an index it reports. The answers
+(:class:`RayWalk`) are f's zeros and negative values (:class:`RaySign`),
+its supremum, and the zeros and negative values of its first difference
+f(n) - f(n-1), read off consecutive walked values.
 :func:`sign_on_ray` and :func:`sup_on_ray` are views of that one walk.
 """
 
@@ -286,9 +288,9 @@ def integer_root_free_bound(p: Polynomial) -> int:
     """An integer B with no real roots of p beyond |x| > B: the Cauchy bound.
 
     Every real root x satisfies |x| < 1 + max|c_i| / |c_lead|, and B is
-    that bound rounded up, not the smallest such integer; beyond B the sign
-    of p equals the sign of its leading term (adjusted for direction).
-    Constants get B = 1 (no roots at all).
+    that bound rounded up, not the smallest such integer; for x > B, p(x)
+    has the sign of its leading coefficient. Constants get B = 1 (no roots
+    at all).
     """
     if p.is_zero:
         raise ValueError("zero polynomial has roots everywhere")
@@ -299,32 +301,17 @@ def integer_root_free_bound(p: Polynomial) -> int:
     return 1 - (-biggest // lead)
 
 
-def asymptotic_sign(p: Polynomial, direction: int) -> int:
-    """Sign of a nonzero p(n) for n far out toward +inf (direction=+1) or
-    -inf (-1)."""
-    s = 1 if p.ints[-1] > 0 else -1
-    if direction < 0 and p.degree % 2 == 1:
-        s = -s
-    return s
-
-
-def _no_roots_beyond(p: Polynomial, m: int, direction: int) -> bool:
-    """Certify that p has no real roots x with direction*x > m (Descartes).
-
-    Substituting x = direction * (m + t) reduces the claim to "no positive
-    roots of q(t)"; zero sign changes among q's integer coefficients
-    certify that exactly (negating t flips the odd ones when direction < 0).
-    """
-    q = p.compose_shift(direction * m).ints
-    if direction < 0:
-        q = [-c if i % 2 else c for i, c in enumerate(q)]
-    has_positive = any(c > 0 for c in q)
-    has_negative = any(c < 0 for c in q)
-    return not (has_positive and has_negative)
+def _no_roots_beyond(p: Polynomial, m: int) -> bool:
+    """Certify that p has no real root x > m (Descartes' rule of signs):
+    the Taylor shift q(t) = p(m + t) has no sign change among its integer
+    coefficients, so no positive root."""
+    q = int_shift(p.ints, m)
+    return not (any(c > 0 for c in q) and any(c < 0 for c in q))
 
 
 class Ray(NamedTuple):
-    """All integers n <= bound ("le") or n >= bound ("ge")."""
+    """All integers n <= bound ("le") or n >= bound ("ge"), read outward
+    from the bound: the ray's integers are ``at(m)`` for m = 0, 1, 2, ..."""
 
     kind: str  # "le" | "ge"
     bound: int
@@ -337,35 +324,37 @@ class Ray(NamedTuple):
     def ge(a: int) -> "Ray":
         return Ray("ge", a)
 
-    @property
-    def direction(self) -> int:
-        return -1 if self.kind == "le" else 1
+    def at(self, m: int) -> int:
+        """The integer m steps outward from the bound."""
+        return self.bound - m if self.kind == "le" else self.bound + m
 
-
-CUTOFF_SEARCH_START = 32
+    def orient(self, p: Polynomial) -> Polynomial:
+        """u with u(m) = p(at(m)): one Taylor shift to the bound, with the
+        odd coefficients negated on a left ray."""
+        u = int_shift(p.ints, self.bound)
+        if self.kind == "le":
+            u[1::2] = [-c for c in u[1::2]]
+        return Polynomial(tuple(u), p.denom)
 
 
 def ray_root_free_cutoff(ray: Ray, *polys: Polynomial) -> int:
-    """A cutoff M >= |ray.bound| past every real root of every polynomial.
-
-    Each nonzero polynomial in ``polys`` has no real root x with
-    ray.direction * x > M, so beyond M it keeps its asymptotic sign and the
-    integers of the ray with |n| <= M are its finite rest; zero polynomials
-    are skipped. The Cauchy bound can be enormous when a derived
-    polynomial's leading coefficient is accidentally tiny, so each
-    polynomial's cutoff is searched upward by doubling, with an exact
-    Descartes certificate at each candidate. The Cauchy bound itself always
-    certifies (all derivatives keep their asymptotic sign beyond it, by
-    Gauss-Lucas), so the search stops there at worst.
+    """A cutoff C >= 0, in steps m from the ray's bound, past every real
+    root of each polynomial u in ``polys``, oriented on the ray
+    (:meth:`Ray.orient`), so for m > C each keeps the sign of its leading
+    coefficient. C reaches the origin when the ray holds it, so past C |n|
+    grows with m. Each cutoff is searched upward by doubling from there,
+    with an exact Descartes certificate at each candidate, and stops at u's
+    Cauchy bound at worst, which the Taylor shift can inflate.
     """
-    cutoff = abs(ray.bound)
-    for p in polys:
-        if p.is_zero:
+    floor = max(0, ray.bound if ray.kind == "le" else -ray.bound)
+    cutoff = floor
+    for u in polys:
+        if u.degree < 1:  # no roots
             continue
-        cauchy = integer_root_free_bound(p)
-        m = min(CUTOFF_SEARCH_START, cauchy)
-        while m < cauchy and not _no_roots_beyond(p, m, ray.direction):
-            m *= 2
+        cauchy = integer_root_free_bound(u)
+        m = floor
+        while m < cauchy and not _no_roots_beyond(u, m):
+            m = max(1, 2 * m)
         cutoff = max(cutoff, min(m, cauchy))
     return cutoff
 
@@ -375,10 +364,11 @@ class RaySign(NamedTuple):
     on the integers of a ray.
 
     ``zeros`` ascend; ``negatives`` holds each walked n with f(n) < 0,
-    ascending, then the integer just beyond the cutoff C, direction *
-    (C + 1), when f is negative there (it is then negative on the whole
-    rest of the ray). Every other integer of the ray has f(n) > 0. So the
-    negative of smallest |n| is listed, and is the same for any cutoff.
+    ascending, then the first integer beyond the walk, when f is negative
+    there (it is then negative on the whole rest of the ray). Every other
+    integer of the ray has f(n) > 0. The walk reaches the origin when the
+    ray holds it, so the negative of smallest |n| is listed, and is the
+    same for any cutoff.
     """
 
     zeros: tuple[int, ...]
@@ -499,15 +489,19 @@ class RationalFunction(_Immutable):
         """p'q - pq' for f = p/q over the integer polynomials of
         ``cleared``: the numerator of f' = (p'q - pq') / q^2, so its sign is
         the sign of f' off the poles."""
-        p, q = (c.ints for c in self.cleared)
-        out = [0] * (len(p) + len(q) - 2)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                if i != j:  # the n^(i+j-1) terms of p'q - pq'
-                    out[i + j - 1] += (i - j) * a * b
-        while out and out[-1] == 0:
-            out.pop()
-        return Polynomial(tuple(out))
+        return _slope(*(c.ints for c in self.cleared))
+
+
+def _slope(p: Sequence[int], q: Sequence[int]) -> Polynomial:
+    """p'q - pq' for integer coefficient lists p and q."""
+    out = [0] * (len(p) + len(q) - 2)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if i != j:  # the n^(i+j-1) terms of p'q - pq'
+                out[i + j - 1] += (i - j) * a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return Polynomial(tuple(out))
 
 
 def limit_at_infinity(f: RationalFunction) -> Limit:
@@ -534,75 +528,78 @@ class RayWalk(NamedTuple):
 def walk_ray(f: RationalFunction, ray: Ray) -> RayWalk:
     """Walk f once over the ray and read every ray fact off the walk.
 
-    With f = p/q over integers, C is the root-free cutoff of p, q and
-    P = p'q - pq', the numerator of f'; C >= |ray.bound|. The walk
-    evaluates f at each integer of the ray with |n| <= C, ascending,
-    denominator first, so :class:`PoleOnRay` is raised at the lowest pole.
-    On a left ray it first reads f(-C - 1), as the first difference's
-    previous value. C decides only how far the walk goes: every index the
-    answers name is the same for any larger cutoff.
+    f = p/q over integers is oriented on the ray, u(m) = f(at(m)) being
+    P(m) / Q(m), and C is the root-free cutoff of P, Q and P'Q - PQ', the
+    numerator of u'. The walk evaluates u at m = 0, ..., C, denominator
+    first; :class:`PoleOnRay` names the lowest pole. C decides only how far
+    the walk goes: every index the answers name is the same for any larger
+    cutoff.
 
     * f's zeros and negatives are the walked ones; beyond C, f has the sign
-      of its leading terms, and the witness direction * (C + 1) stands for
+      of its oriented leading terms, and the witness at(C + 1) stands for
       the rest, so the negative of smallest |n| is always listed.
     * Beyond C, f is monotone, so the supremum is the largest walked value
       or the limit at infinity.
-    * The first difference Delta(n) = f(n) - f(n-1) is signed on the walk
-      by cross-multiplying the walked pairs f(n) and f(n-1). If n - 1 >= C,
-      the interval (n-1, n) lies beyond every real root of q and of P, so f
-      is smooth there and, by the mean value theorem, Delta(n) = f'(xi) =
-      P(xi) / q(xi)^2 for some xi in it: nonzero, with the asymptotic sign
-      of P. A left ray is the mirror image, for n <= -C, which is why it
-      reads f(-C - 1) too. So Delta needs neither its own polynomial nor
-      its own cutoff: its zeros are the walked ones, and the same witness
-      beyond C stands for its negatives there.
+    * The first difference f(n) - f(n-1) is D(m) = u(m + 1) - u(m) at
+      n = at(m + 1) on a right ray and -D(m) at n = at(m) on a left one,
+      signed by cross-multiplying walked pairs. For m >= C, u is smooth on
+      (m, m + 1) and P'Q - PQ' keeps its leading sign there, so by the mean
+      value theorem D(m) is nonzero with that sign. So the difference
+      needs neither its own polynomial nor its own cutoff: its zeros are
+      the walked ones, and the witness at D(C) stands for its negatives
+      beyond.
     """
-    num, den = f.cleared
-    direction = ray.direction
-    slope = f.derivative_numerator()
-    cutoff = ray_root_free_cutoff(ray, f.num, f.den, slope)
-    if direction < 0:
-        segment = range(-cutoff, ray.bound + 1)
-        prev = f.pair(-cutoff - 1)
-    else:
-        segment = range(ray.bound, cutoff + 1)
-        prev = None
+    num, den = (ray.orient(p) for p in f.cleared)
+    slope = _slope(num.ints, den.ints)
+    cutoff = ray_root_free_cutoff(ray, num, den, slope)
+    flip = -1 if ray.kind == "le" else 1  # f(n) - f(n-1) = flip * D(m)
 
     zeros: list[int] = []
     negatives: list[int] = []
-    delta_zeros: list[int] = []
-    delta_negatives: list[int] = []
-    best = None
-    for n in segment:
-        d = den(n)
+    poles: list[int] = []
+    delta_zeros: list[int] = []  # each m with D(m) = 0
+    delta_negatives: list[int] = []  # each m with flip * D(m) < 0
+    best = prev = None
+    for m in range(cutoff + 1):
+        d = den(m)
         if d == 0:
-            raise PoleOnRay(n)
-        v = num(n)
+            poles.append(m)  # raised below, so what follows is never read
+            continue
+        v = num(m)
         if d < 0:
             v, d = -v, -d
         if v <= 0:
-            (zeros if v == 0 else negatives).append(n)
+            (zeros if v == 0 else negatives).append(m)
         if prev is not None:
             a, b = prev
-            step = v * b - a * d  # the sign of f(n) - f(n-1)
+            step = flip * (v * b - a * d)  # the sign of flip * D(m - 1)
             if step <= 0:
-                (delta_zeros if step == 0 else delta_negatives).append(n)
+                (delta_zeros if step == 0 else delta_negatives).append(m - 1)
         if best is None or v * best[1] > best[0] * d:
             best = (v, d)
         prev = (v, d)
+    if poles:
+        raise PoleOnRay(min(map(ray.at, poles)))
 
-    beyond = direction * (cutoff + 1)
-    if not f.num.is_zero and asymptotic_sign(f.num, direction) != asymptotic_sign(f.den, direction):
-        negatives.append(beyond)
+    # The walked m as n ascending, then index(beyond), the rest's witness.
+    def answer(index, zeros: list[int], negatives: list[int], beyond: int | None) -> RaySign:
+        rest = () if beyond is None else (index(beyond),)
+        return RaySign(tuple(sorted(map(index, zeros))), tuple(sorted(map(index, negatives))) + rest)
+
+    negative_beyond = not num.is_zero and (num.ints[-1] < 0) != (den.ints[-1] < 0)
+    sign = answer(ray.at, zeros, negatives, cutoff + 1 if negative_beyond else None)
     sup = None
-    if f.num.degree <= f.den.degree:
-        sup = max(Fraction(*best), limit_at_infinity(f).value)
+    if num.degree <= den.degree:  # the limit, lead(num) / lead(den) or 0, as a pair
+        limit = (num.ints[-1] * den.ints[-1], den.ints[-1] ** 2) if num.degree == den.degree else (0, 1)
+        sup = Fraction(*pair_max((best, limit)))
     delta = None
     if not slope.is_zero:
-        if asymptotic_sign(slope, direction) < 0:
-            delta_negatives.append(beyond)
-        delta = RaySign(tuple(delta_zeros), tuple(delta_negatives))
-    return RayWalk(RaySign(tuple(zeros), tuple(negatives)), sup, delta)
+        falls_beyond = flip * slope.ints[-1] < 0
+        delta = answer(
+            lambda m: max(ray.at(m), ray.at(m + 1)),
+            delta_zeros, delta_negatives, cutoff if falls_beyond else None,
+        )
+    return RayWalk(sign, sup, delta)
 
 
 def sign_on_ray(f: RationalFunction, ray: Ray) -> RaySign:

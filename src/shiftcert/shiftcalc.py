@@ -31,15 +31,18 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 from .polycert import (
     Limit,
     Pair,
+    Polynomial,
     RationalFunction,
     Ray,
     _no_roots_beyond,
-    asymptotic_sign,
+    int_product,
+    int_shift,
     limit_at_infinity,
     pair_max,
 )
@@ -241,22 +244,47 @@ class TransformedWeights(_TransformedWeightsFields):
         return _expand(exact.gamma_sq(), start, stop)
 
 
-def _gamma_form(tail: TailSpec) -> RationalFunction | None:
-    """beta^2 d(n+1) / d(n) on a varying tail; None on a constant one.
+def gamma_form(fn: RationalFunction) -> tuple[Polynomial, Polynomial]:
+    """The unreduced numerator and denominator of g_n^2 = beta^2 d(n+1) / d(n)
+    on a varying tail beta = fn = p / q, built on integer coefficient lists.
 
-    With beta = p / q over integer polynomials, d = e / (q^2 q(n-1)^2) for
-    e = p^2 q(n-1)^2 - p(n-1)^2 q^2, so the form is the unreduced ratio
-    p^2 e(n+1) q(n-1)^2 / (q^2 q(n+1)^2 e), whose denominator vanishes
-    nowhere on a validated tail with d_n > 0.
+    With a = p^2 and b = q^2, d = e / (b b(n-1)) for
+    e = a b(n-1) - a(n-1) b, so the form is a e(n+1) b(n-1) / (b b(n+1) e),
+    whose denominator vanishes nowhere on a validated tail with d_n > 0.
     """
-    if tail_constant_value(tail) is not None:
-        return None
-    p, q = tail.fn.cleared
-    pm, qm = p.compose_shift(-1), q.compose_shift(-1)
-    p2, q2, qm2 = p * p, q * q, qm * qm
-    e = p2 * qm2 - pm * pm * q2
-    q1 = q.compose_shift(1)
-    return RationalFunction(p2 * e.compose_shift(1) * qm2, q2 * q1 * q1 * e)
+    p, q = (c.ints for c in fn.cleared)
+    a, b = int_product(p, p), int_product(q, q)
+    b_ = int_shift(b, -1)
+    e = [x - y for x, y in zip(int_product(a, b_), int_product(int_shift(a, -1), b))]
+    while e and e[-1] == 0:
+        e.pop()
+    num = int_product(int_product(a, int_shift(e, 1)), b_)
+    den = int_product(int_product(b, int_shift(b, 1)), e)
+    return Polynomial(tuple(num)), Polynomial(tuple(den))
+
+
+def _gamma_form(tail: TailSpec) -> RationalFunction | None:
+    """:func:`gamma_form` on a varying tail; None on a constant one."""
+    return None if tail_constant_value(tail) is not None else RationalFunction(*gamma_form(tail.fn))
+
+
+def gamma_bounded(num: Polynomial, den: Polynomial, m: int, best: Pair) -> bool:
+    """Whether one Descartes certificate shows best = s / t >= num / den at
+    every m' > m, for num and den oriented on a ray.
+
+    It holds when den and the gap P = s den - t num, formed on the integer
+    coefficients, both have a positive leading coefficient and no real root
+    beyond m: there den > 0 and P > 0, so num / den < s / t; a zero P means
+    num / den = s / t. False says only that this one certificate does not
+    settle it.
+    """
+    if den.ints[-1] < 0 or not _no_roots_beyond(den, m):
+        return False
+    s, t = best
+    gap = [s * y - t * x for x, y in zip_longest(num.ints, den.ints, fillvalue=0)]
+    while gap and gap[-1] == 0:
+        gap.pop()
+    return not gap or (gap[-1] > 0 and _no_roots_beyond(Polynomial(tuple(gap)), m))
 
 
 def _tail_limit_sq(tail: TailSpec) -> Limit:
@@ -310,34 +338,27 @@ def _max_defined(tw: TransformedWeights, lo: int, hi: int, best: Fraction) -> Fr
 
 def _sup_past(tw: TransformedWeights, form: RationalFunction, ray: Ray, best: Fraction) -> Fraction:
     """The largest of ``best`` (at least the limit and g_n^2 at the ray's
-    end) and g_n^2 on the ray, where ``form`` = num / den is g_n^2 unreduced.
+    end) and g_n^2 on the ray, where ``form`` is g_n^2 unreduced.
 
-    The ray's first w + 1 integers from its end are scanned, w = 0, 1, 2,
-    4, ..., raising S = a / b to any larger value, until P = a den - b num
-    and den both have a positive leading sign toward the ray's infinity and
-    no real root past the scan (Descartes' rule on the Taylor shift). Past
-    the scan den > 0 and P > 0 then, so g_n^2 < S; a zero P means g_n^2 = S.
+    The form is oriented on the ray once, num(m) / den(m) being g_n^2 at
+    n = ray.at(m). The ray's integers m = 0, ..., w are scanned, for
+    w = 0, 1, 2, 4, ..., raising S to any larger value, until
+    :func:`gamma_bounded` certifies S past the scan.
 
     It ends: S stops rising once the scan passes the largest value above
-    the limit, if any; then P's leading sign is positive, as S exceeds the
-    limit or g_n^2 nears it from below. Once the scan passes the real part
-    of every root of P and den, each Taylor shift has its roots in the
-    left half-plane, so its coefficients share one sign: the Cauchy bound
-    is the latest stop. A negative d_n lies before a root of den or where
-    den stays negative, so the scan reaches it and raises.
+    the limit, if any; then the gap's leading sign is positive, as S
+    exceeds the limit or g_n^2 nears it from below. Once the scan passes
+    the real part of every root of the gap and den, each Taylor shift has
+    its roots in the left half-plane, so its coefficients share one sign:
+    the Cauchy bound is the latest stop. A negative d_n lies before a root
+    of den or where den stays negative, so the scan reaches it and raises.
     """
-    num, den = form.num, form.den
-    direction, end = ray.direction, ray.bound
-    w = 0  # the scan has reached end + direction * w
-    while True:
-        m = direction * end + w  # certify no root x with direction * x > m
-        if asymptotic_sign(den, direction) > 0 and _no_roots_beyond(den, m, direction):
-            p = den.scale(best.numerator) - num.scale(best.denominator)
-            if p.is_zero or (asymptotic_sign(p, direction) > 0 and _no_roots_beyond(p, m, direction)):
-                return best
+    num, den = ray.orient(form.num), ray.orient(form.den)
+    w = 0  # the scan has reached m = w
+    while not gamma_bounded(num, den, w, (best.numerator, best.denominator)):
         w, last = max(1, 2 * w), w
-        lo, hi = sorted((end + direction * (last + 1), end + direction * w))
-        best = _max_defined(tw, lo, hi, best)
+        best = _max_defined(tw, *sorted((ray.at(last + 1), ray.at(w))), best)
+    return best
 
 
 def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> Fraction:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .polycert import Pair, PoleOnRay, RationalFunction, Ray, RayWalk, walk_ray
 # sign_on_ray and sup_on_ray are unused here: perfbench/spans.py wraps them
@@ -160,12 +160,14 @@ def witness_key(n: int) -> tuple[int, int]:
     return (abs(n), 0 if n < 0 else 1)
 
 
-def _validate_tail(spec: WeightSpec, side: str) -> tuple[Violation | None, Fraction | None]:
-    """The violation of the spec's tail on this side, or its certified
-    supremum, read off the tail's walk. A pole or zero is named by its
-    lowest index, a negative value by its smallest |n| (ties toward
-    negative); none of these depends on the walk's cutoff."""
-    tail = getattr(spec, f"{side}_tail")
+def _validate_tail(
+    side: str, tail: TailSpec, walk: Callable[[], RayWalk | None]
+) -> tuple[Violation | None, Fraction | None]:
+    """The violation of the tail on this side, or its certified supremum,
+    read off the tail's walk, which ``walk`` gives once the tail's degrees
+    pass. A pole or zero is named by its lowest index, a negative value by
+    its smallest |n| (ties toward negative); none of these depends on the
+    walk's cutoff."""
     if isinstance(tail, ConstantTail):
         if tail.value <= 0:
             detail = f"{side} tail constant {tail.value} is not positive"
@@ -181,17 +183,17 @@ def _validate_tail(spec: WeightSpec, side: str) -> tuple[Violation | None, Fract
     if fn.is_zero:
         return Violation("nonpositive-tail", f"{side} tail: not strictly positive"), None
     try:
-        walk = getattr(spec, f"{side}_walk")
+        tail_walk = walk()
     except PoleOnRay as exc:
         detail = f"{side} tail denominator vanishes at n = {exc.index}"
         return Violation("tail-pole", detail), None
-    sign = walk.sign
+    sign = tail_walk.sign
     if sign.zeros:
         where = f"zero weight at n = {sign.zeros[0]}"
     elif sign.negatives:
         where = f"negative value at n = {min(sign.negatives, key=witness_key)}"
     else:
-        return None, walk.sup
+        return None, tail_walk.sup
     return Violation("nonpositive-tail", f"{side} tail: {where}"), None
 
 
@@ -222,8 +224,11 @@ def validate(spec: WeightSpec) -> ValidationReport:
         else:
             sups.append(v)
 
-    for side in ("left", "right"):
-        violation, sup = _validate_tail(spec, side)
+    for side, tail, walk in (
+        ("left", spec.left_tail, lambda: spec.left_walk),
+        ("right", spec.right_tail, lambda: spec.right_walk),
+    ):
+        violation, sup = _validate_tail(side, tail, walk)
         if violation is not None:
             violations.append(violation)
         if sup is not None:

@@ -385,3 +385,37 @@ def growth_weight_rule(tau: float = 10.0, depth: int = 198):
         return math.sqrt(sq[max(k, -depth)])
 
     return rule
+
+
+def _reflect_tail(tail):
+    """The tail n -> tail(-n - 1): odd coefficients negated, then shifted
+    by one; the ratio is reduced again so its denominator stays monic."""
+    if isinstance(tail, ConstantTail):
+        return tail
+
+    def mirror(p: Polynomial) -> Polynomial:
+        flipped = Polynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.ints)), p.denom)
+        return flipped.compose_shift(1)
+
+    return RationalTail(RationalFunction.ratio(mirror(tail.fn.num), mirror(tail.fn.den)))
+
+
+def reflect_spec(spec: WeightSpec) -> WeightSpec:
+    """The spec of the adjoint shift: |beta'_n| = |beta_{-n-1}|. The window
+    is reversed onto [-window_end - 1, -window_start - 1] and each tail
+    moves to the other side, reflected."""
+    return WeightSpec(
+        -spec.window_end - 1,
+        spec.window_values[::-1],
+        _reflect_tail(spec.right_tail),
+        _reflect_tail(spec.left_tail),
+    )
+
+
+def translate_spec(spec: WeightSpec, t: int) -> WeightSpec:
+    """The spec with |beta'_n| = |beta_{n-t}|: every index moved up by t."""
+
+    def move(tail):
+        return tail if isinstance(tail, ConstantTail) else RationalTail(tail.fn.shift(-t))
+
+    return WeightSpec(spec.window_start + t, spec.window_values, move(spec.left_tail), move(spec.right_tail))

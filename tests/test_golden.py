@@ -176,7 +176,7 @@ def test_oracle_report_bytes_match(case, monkeypatch):
 # validation walks each varying tail once, and every other ray fact of the
 # classification is read off that walk. A change that walks more must say
 # why and raise this.
-GOLDEN_CLASSIFY_EVALS = 490
+GOLDEN_CLASSIFY_EVALS = 276
 
 
 def test_classify_walk_count(monkeypatch):
@@ -201,7 +201,7 @@ def test_classify_walk_count(monkeypatch):
 # indices; the gamma supremum of a flat-tail verdict is bounded from those
 # values and one Descartes check. A change that evaluates more must say
 # why and raise this.
-GOLDEN_REPLAY_EVALS = 478
+GOLDEN_REPLAY_EVALS = 268
 
 
 def test_replay_evaluation_count(monkeypatch):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcert.polycert import (
-    CUTOFF_SEARCH_START,
     Limit,
     PoleOnRay,
     Polynomial,
@@ -236,9 +235,19 @@ class TestSignOnRay:
         assert result == RaySign(zeros=(2,), negatives=())
 
     def test_identity_is_mixed_on_le_three(self):
-        # n on n <= 3: zero at 0, negative at every n <= -1 (the walked ones,
-        # then one beyond the cutoff), positive at 1, 2 and 3.
+        # n on n <= 3: zero at 0, negative at every n <= -1, positive at 1,
+        # 2 and 3. The walk stops at the origin, and the negative of
+        # smallest |n| is -1 however far it goes.
         result = sign_on_ray(rf([0, 1]), Ray.le(3))
+        assert result.zeros == (0,)
+        assert min(result.negatives, key=lambda n: (abs(n), n > 0)) == -1
+
+    def test_mixed_on_le_three_walked_past_the_origin(self):
+        # n / (n^2 + 2n + 50) on n <= 3: zero at 0, negative at every
+        # n <= -1 (the walked ones, then one beyond the cutoff), positive at
+        # 1, 2 and 3; the turning point at n = -sqrt(50) takes the walk
+        # past -1.
+        result = sign_on_ray(rf([0, 1], [50, 2, 1]), Ray.le(3))
         assert result.zeros == (0,)
         negatives = result.negatives
         assert list(negatives[:-1]) == list(range(negatives[0], 0))
@@ -303,12 +312,12 @@ class TestSupOnRay:
 
     def test_hump_past_the_root_bound_is_found(self):
         # -(n - 30)(n - 50) / (n^2 + 1) is positive only between 30 and 50
-        # and peaks at 96/1445 at n = 38, beyond CUTOFF_SEARCH_START.
+        # and peaks at 96/1445 at n = 38, beyond 32 steps from the bound.
         f = rf([-1500, 80, -1], [1, 0, 1])
         sup = sup_on_ray(f, Ray.ge(0))
         brute = max(f(n) for n in range(0, 200))
         assert sup == brute == f(38) == Fraction(96, 1445)
-        assert 38 > CUTOFF_SEARCH_START
+        assert 38 > 32
 
     def test_unbounded(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from shiftcert import (
     validate,
 )
 from shiftcert import polycert
-from shiftcert.polycert import CUTOFF_SEARCH_START, RaySign, walk_ray
+from shiftcert.polycert import RaySign, walk_ray
 from shiftcert.classifier import VerdictClass, _tail_violation
 from shiftcert.shiftcalc import NotHyponormalAtIndex
 from shiftcert.weights import scale_spec
@@ -113,9 +113,9 @@ class TestSignCertificationAgainstBruteForce:
 
 def hump_rational_function(rng: random.Random) -> RationalFunction:
     """-(n - a)(n - b) / (n^2 + c), mirrored or not, with 30 <= a < b <= 60:
-    positive only between a and b, and turning there, past
-    CUTOFF_SEARCH_START."""
-    a = rng.randint(CUTOFF_SEARCH_START - 2, 50)
+    positive only between a and b, and turning there, more than 32 steps
+    from 0."""
+    a = rng.randint(30, 50)
     b = a + rng.randint(2, 10)
     sign = rng.choice([-1, 1])
     num = [-a * b, sign * (a + b), -1]
