@@ -23,10 +23,11 @@ values, and every rule past hyponormality reads that pattern through
 :meth:`HyponormalityCheck.first_rise`; none evaluates a modulus again.
 
 Each varying tail is walked once per spec: the spec keeps its walk
-(:attr:`~shiftcert.weights.WeightSpec.left_walk`, ``right_walk``), which
-validation fills and :func:`check_hyponormal` and
+(:meth:`~shiftcert.weights.WeightSpec.walk`, side 0 the left tail and side
+1 the right), which validation fills and :func:`check_hyponormal` and
 :func:`~shiftcert.shiftcalc.transformed_weights` read the first
-difference's zeros and negatives off.
+difference's zeros and negatives off. A tail is constant exactly when its
+walk has no first difference.
 
 Every verdict carries a :class:`Certificate` holding the certified
 structure, the witnesses, exact limits and bounds, and replayable spot
@@ -56,7 +57,6 @@ from .polycert import (
     PoleOnRay,
     Ray,
     RaySign,
-    RayWalk,
     pair_max,
 )
 from .shiftcalc import (
@@ -70,10 +70,10 @@ from .shiftcalc import (
 )
 from .weights import (
     MAX_TAIL_DEGREE,
+    ConstantTail,
     TailSpec,
     ValidationReport,
     WeightSpec,
-    tail_constant_value,
     validate,
     witness_key,
 )
@@ -215,19 +215,20 @@ def _tail_violation(sgn: RaySign) -> int:
 
 
 def _tail_structure(
-    tail: TailSpec, walk: RayWalk | None
+    spec: WeightSpec, side: int
 ) -> tuple[Shape, Fraction | None, tuple[int, ...] | None, int | None]:
     """Shape, constant value, equal pairs and violating pair of one tail.
 
-    ``walk`` is the tail's walk; its first difference, signed at each n
-    with n and n - 1 in the tail, has the sign of d_n there. The equal
-    pairs are None for a constant tail (every deep pair is equal).
+    The tail's first difference, signed at each n with n and n - 1 in the
+    tail, has the sign of d_n there. The equal pairs are None for a
+    constant tail (every deep pair is equal), whose value is the
+    :class:`~shiftcert.weights.ConstantTail`'s or its walk's supremum.
     """
-    const = tail_constant_value(tail)
-    if const is not None:
+    sgn = spec.delta(side)
+    if sgn is None:
+        tail = spec.tail(side)
+        const = tail.value if isinstance(tail, ConstantTail) else spec.walk(side).sup
         return Shape.CONSTANT, const, None, None
-    assert walk is not None and walk.delta is not None
-    sgn = walk.delta
     if not sgn.negatives:
         return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
     return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
@@ -238,17 +239,13 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
 
     Tails are certified by the sign of their exact first difference
     f(n) - f(n-1), which has the sign of d_n on a validated tail, read off
-    each tail's walk (``spec.left_walk``, ``spec.right_walk``); the seam
-    pairs are compared directly. On failure the witness is the violating
-    pair of smallest |n| (ties toward negative).
+    each tail's walk (:meth:`~shiftcert.weights.WeightSpec.delta`); the
+    seam pairs are compared directly. On failure the witness is the
+    violating pair of smallest |n| (ties toward negative).
     """
     diag = commutator_diagonal(spec)
-    left_shape, left_value, left_equalities, left_witness = _tail_structure(
-        spec.left_tail, spec.left_walk
-    )
-    right_shape, right_value, right_equalities, right_witness = _tail_structure(
-        spec.right_tail, spec.right_walk
-    )
+    left_shape, left_value, left_equalities, left_witness = _tail_structure(spec, 0)
+    right_shape, right_value, right_equalities, right_witness = _tail_structure(spec, 1)
     # Seam value i is d_n at n = window_start + i, the pair n - 1.
     seams = list(enumerate(diag.seam_values, start=spec.window_start - 1))
     violations = [w for w in (left_witness, right_witness) if w is not None]
@@ -512,33 +509,31 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     sup_pairs = list(window)
     values = []
     deltas: list[RaySign | None] = []  # a tail's first difference; None if constant
-    for side, tail, tail_walk in (
-        ("left", spec.left_tail, lambda: spec.left_walk),
-        ("right", spec.right_tail, lambda: spec.right_walk),
-    ):
-        const = tail_constant_value(tail)
-        if const is None:
+    for side, name in enumerate(("left", "right")):
+        tail = spec.tail(side)
+        if isinstance(tail, ConstantTail):
+            sup = tail.value
+        else:
             num, den = tail.fn.num.degree, tail.fn.den.degree
             if num > MAX_TAIL_DEGREE or den > MAX_TAIL_DEGREE:
-                raise ValueError(f"invalid spec: {side} tail degree exceeds {MAX_TAIL_DEGREE}")
+                raise ValueError(f"invalid spec: {name} tail degree exceeds {MAX_TAIL_DEGREE}")
             if num > den:
-                raise ValueError(f"invalid spec: {side} tail is unbounded")
+                raise ValueError(f"invalid spec: {name} tail is unbounded")
             try:
-                walk = tail_walk()
+                walk = spec.walk(side)
             except PoleOnRay as exc:
-                raise ValueError(f"invalid spec: {side} tail: {exc}") from None
-            if walk.sign.zeros or walk.sign.negatives:
+                raise ValueError(f"invalid spec: {name} tail: {exc}") from None
+            sup = walk.sup  # a constant ratio's value
+            if walk.delta is not None and (walk.sign.zeros or walk.sign.negatives):
                 fault = "zero" if walk.sign.zeros else "negative value"
-                raise ValueError(f"invalid spec: {side} tail has a {fault}")
-            sups.append(walk.sup)
-            deltas.append(walk.delta)
-        elif const.numerator <= 0:
-            raise ValueError(f"invalid spec: {side} tail constant {const} is not positive")
-        else:
-            sups.append(const)
-            deltas.append(None)
-        sup_pairs.append((sups[-1].numerator, sups[-1].denominator))
-        values.append(const)
+                raise ValueError(f"invalid spec: {name} tail has a {fault}")
+        delta = spec.delta(side)
+        if delta is None and sup.numerator <= 0:
+            raise ValueError(f"invalid spec: {name} tail constant {sup} is not positive")
+        sups.append(sup)
+        sup_pairs.append((sup.numerator, sup.denominator))
+        deltas.append(delta)
+        values.append(sup if delta is None else None)
     left, right = deltas
 
     # The squared moduli from base = first - 1 - pad to last + 1 + pad: the
@@ -641,8 +636,8 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
             flat_from, zeros = first - 1, set(left.zeros)
             while flat_from in zeros:
                 flat_from -= 1
-    left_limit = _limit_sq(spec.left_tail, left)
-    right_limit = _limit_sq(spec.right_tail, right)
+    left_limit = _limit_sq(spec.tail(0), left)
+    right_limit = _limit_sq(spec.tail(1), right)
     extra: tuple[int, ...] = ()
     rise = None if k is None else rise_from(k)
     if k is None:
@@ -653,7 +648,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         end, limit = min(first - 2, k - 1), left_limit.value
         best = pair_max([(limit.numerator, limit.denominator), *map(gamma_sq, range(end, k))])
         # The first step of the gamma-supremum certificate, on n <= end.
-        ray, form = Ray.le(end), gamma_form(spec.left_tail.fn)
+        ray, form = Ray.le(end), gamma_form(spec.tail(0).fn)
         if gamma_bounded(ray.orient(form[0]), ray.orient(form[1]), 0, best):
             left_sup = Fraction(*best)
         else:

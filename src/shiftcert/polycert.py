@@ -450,12 +450,16 @@ class RationalFunction(_Immutable):
         return self.num.is_zero
 
     def constant_value(self) -> Fraction | None:
-        """The constant this function equals, or None if non-constant."""
+        """The constant this ratio equals off its poles, or None if it
+        varies. It answers for the ratio as given, reduced or not: num and
+        den are proportional when num lead(den) = den lead(num), coefficient
+        by coefficient."""
         if self.num.is_zero:
             return Fraction(0)
-        if self.num.degree == 0 and self.den.degree == 0:
-            return self.num.leading / self.den.leading
-        return None
+        p, q = self.num.ints, self.den.ints
+        if len(p) != len(q) or any(a * q[-1] != b * p[-1] for a, b in zip(p, q)):
+            return None
+        return self.num.leading / self.den.leading
 
     def scale(self, c: Scalar) -> "RationalFunction":
         """Return c f, reduced and monic when f is: a nonzero constant

@@ -46,7 +46,7 @@ from .polycert import (
     limit_at_infinity,
     pair_max,
 )
-from .weights import TailSpec, WeightSpec, tail_constant_value
+from .weights import WeightSpec
 
 # Unused here: perfbench/spans.py wraps this name in this module.
 from .polycert import ray_root_free_cutoff  # noqa: F401
@@ -207,13 +207,13 @@ class TransformedWeights(_TransformedWeightsFields):
     On a varying tail with limit L the d-form is a nonzero rational function
     (were it zero, the squared tail would be periodic, hence constant), so
     d_{n+1}/d_n -> 1 and g_n^2 -> L^2; on a constant tail g_n^2 = 0. The
-    tail limits are read off the weights. A tail form of None means the
-    transformed weights vanish identically on that side; ``flat_from`` is
-    the smallest index m with g_n = 0 for every n >= m (None when the right
-    side never flattens).
+    tail limits are read off the weights. A tail form (:meth:`form`) of
+    None means the transformed weights vanish identically on that side;
+    ``flat_from`` is the smallest index m with g_n = 0 for every n >= m
+    (None when the right side never flattens).
 
     A named tuple of its fields. It has no ``__slots__``, so its instance
-    dict can keep the memos of the two tail forms; a copy or pickle holds
+    dict can keep the memo of each side's tail form; a copy or pickle holds
     the fields alone.
     """
 
@@ -221,14 +221,18 @@ class TransformedWeights(_TransformedWeightsFields):
         return type(self), tuple(self)
 
     @cached_property
-    def left_form(self) -> RationalFunction | None:
-        """g_n^2 as a rational function, valid for n <= window_start - 2."""
-        return _gamma_form(self.spec.left_tail)
+    def _forms(self) -> dict[int, RationalFunction | None]:
+        return {}
 
-    @cached_property
-    def right_form(self) -> RationalFunction | None:
-        """g_n^2 as a rational function, valid for n >= window_end + 2."""
-        return _gamma_form(self.spec.right_tail)
+    def form(self, side: int) -> RationalFunction | None:
+        """g_n^2 as a rational function, valid for n <= window_start - 2
+        (side 0) or n >= window_end + 2 (side 1), kept once built; None on a
+        constant tail."""
+        forms, spec = self._forms, self.spec
+        if side not in forms:
+            varying = spec.delta(side) is not None
+            forms[side] = RationalFunction(*gamma_form(spec.tail(side).fn)) if varying else None
+        return forms[side]
 
     def value_sq(self, n: int) -> Fraction | None:
         return self.values_sq(n, n + 1)[0]
@@ -251,6 +255,7 @@ def gamma_form(fn: RationalFunction) -> tuple[Polynomial, Polynomial]:
     With a = p^2 and b = q^2, d = e / (b b(n-1)) for
     e = a b(n-1) - a(n-1) b, so the form is a e(n+1) b(n-1) / (b b(n+1) e),
     whose denominator vanishes nowhere on a validated tail with d_n > 0.
+    Raises ValueError on a constant tail, where e = 0 and g_n^2 = 0.
     """
     p, q = (c.ints for c in fn.cleared)
     a, b = int_product(p, p), int_product(q, q)
@@ -258,14 +263,11 @@ def gamma_form(fn: RationalFunction) -> tuple[Polynomial, Polynomial]:
     e = [x - y for x, y in zip(int_product(a, b_), int_product(int_shift(a, -1), b))]
     while e and e[-1] == 0:
         e.pop()
+    if not e:
+        raise ValueError(f"g_n^2 has no form on the constant tail {fn!r}")
     num = int_product(int_product(a, int_shift(e, 1)), b_)
     den = int_product(int_product(b, int_shift(b, 1)), e)
     return Polynomial(tuple(num)), Polynomial(tuple(den))
-
-
-def _gamma_form(tail: TailSpec) -> RationalFunction | None:
-    """:func:`gamma_form` on a varying tail; None on a constant one."""
-    return None if tail_constant_value(tail) is not None else RationalFunction(*gamma_form(tail.fn))
 
 
 def gamma_bounded(num: Polynomial, den: Polynomial, m: int, best: Pair) -> bool:
@@ -287,29 +289,28 @@ def gamma_bounded(num: Polynomial, den: Polynomial, m: int, best: Pair) -> bool:
     return not gap or (gap[-1] > 0 and _no_roots_beyond(Polynomial(tuple(gap)), m))
 
 
-def _tail_limit_sq(tail: TailSpec) -> Limit:
-    """Limit of g_n^2 along a tail: the squared weight limit, or 0 when the
-    tail is constant."""
-    if tail_constant_value(tail) is not None:
+def _tail_limit_sq(spec: WeightSpec, side: int) -> Limit:
+    """Limit of g_n^2 along that side's tail: the squared weight limit, or
+    0 when the tail is constant."""
+    if spec.delta(side) is None:
         return Limit(Fraction(0))
-    return Limit(limit_at_infinity(tail.fn).value ** 2)
+    return Limit(limit_at_infinity(spec.tail(side).fn).value ** 2)
 
 
 def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
     """Smallest m with d_n = 0 for all n > m, when the right side flattens."""
-    if tail_constant_value(spec.right_tail) is None:
+    if spec.delta(1) is not None:
         return None
     nonzero_seams = [
         spec.window_start + i for i, v in enumerate(diag.seam_values) if v != 0
     ]
     if nonzero_seams:
         return max(nonzero_seams)
-    if tail_constant_value(spec.left_tail) is None:
+    left = spec.delta(0)
+    if left is not None:
         # Down from the window, the first n where the first difference (zero
         # where d_n is) is nonzero; the walk holds all its zeros.
-        left_walk = spec.left_walk
-        assert left_walk is not None and left_walk.delta is not None
-        zeros = set(left_walk.delta.zeros)
+        zeros = set(left.zeros)
         n = spec.window_start - 1
         while n in zeros:
             n -= 1
@@ -323,8 +324,8 @@ def transformed_weights(spec: WeightSpec, diag: CommutatorDiagonal) -> Transform
     which reads the left tail's walk when it needs one."""
     return TransformedWeights(
         spec=spec,
-        left_limit_sq=_tail_limit_sq(spec.left_tail),
-        right_limit_sq=_tail_limit_sq(spec.right_tail),
+        left_limit_sq=_tail_limit_sq(spec, 0),
+        right_limit_sq=_tail_limit_sq(spec, 1),
         flat_from=_flat_from(spec, diag),
     )
 
@@ -369,7 +370,7 @@ def bounded_on_left_ray(tw: TransformedWeights, upto: int) -> Fraction:
     form's ray end up to ``upto`` are certified on the ray by
     :func:`_sup_past`.
     """
-    form = tw.left_form
+    form = tw.form(0)
     if form is None:
         raise ValueError("left ray is flat; boundedness requires d_n > 0 below upto")
 
@@ -391,7 +392,8 @@ def sup_sq_global(tw: TransformedWeights) -> Fraction:
     spec = tw.spec
     lo, hi = spec.window_start - 2, spec.window_end + 2
     best = _max_defined(tw, lo, hi, max(tw.left_limit_sq.value, tw.right_limit_sq.value))
-    for form, ray in ((tw.left_form, Ray.le(lo)), (tw.right_form, Ray.ge(hi))):
+    for side, ray in ((0, Ray.le(lo)), (1, Ray.ge(hi))):
+        form = tw.form(side)
         if form is not None:
             best = _sup_past(tw, form, ray, best)
     return best

@@ -7,7 +7,9 @@ self-commutator diagonal, the transformed weights, the classification
 certificates -- evaluates these moduli exactly, as int pairs
 (:meth:`WeightSpec.value_pair`, or :meth:`WeightSpec.value_pairs` over a
 range, which evaluates each region once). A spec keeps each varying tail's
-walk, which validation and classification share (``WeightSpec.left_walk``).
+walk, which validation and classification share (:meth:`WeightSpec.walk`;
+side 0 is the left tail and side 1 the right). A tail is constant exactly
+when its walk has no first difference (:meth:`WeightSpec.delta`).
 
 Weights are stored as moduli: every criterion used here depends only on
 |beta_n|, and a bilateral shift is unitarily equivalent to the shift whose
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .polycert import Pair, PoleOnRay, RationalFunction, Ray, RayWalk, walk_ray
+from .polycert import Pair, PoleOnRay, RationalFunction, Ray, RaySign, RayWalk, walk_ray
 # sign_on_ray and sup_on_ray are unused here: perfbench/spans.py wraps them
 # in this module.
 from .polycert import sign_on_ray, sup_on_ray  # noqa: F401
@@ -94,15 +96,32 @@ class WeightSpec(_WeightSpecFields):
     def _window_pairs(self) -> tuple[Pair, ...]:
         return tuple((v.numerator, v.denominator) for v in self.window_values)
 
-    @cached_property
-    def left_walk(self) -> RayWalk | None:
-        """The left tail's walk on :func:`left_ray`; None if constant."""
-        return _walk(self.left_tail, left_ray(self))
+    def tail(self, side: int) -> TailSpec:
+        """The left tail (side 0) or the right one (side 1)."""
+        return self.right_tail if side else self.left_tail
 
     @cached_property
-    def right_walk(self) -> RayWalk | None:
-        """The right tail's walk on :func:`right_ray`; None if constant."""
-        return _walk(self.right_tail, right_ray(self))
+    def _walks(self) -> dict[int, RayWalk | None]:
+        return {}
+
+    def walk(self, side: int) -> RayWalk | None:
+        """The walk of that side's tail, on n <= window_start - 1 (side 0)
+        or n >= window_end + 1 (side 1), kept once walked; None for a
+        :class:`ConstantTail`. A pole on the ray raises
+        :class:`~shiftcert.polycert.PoleOnRay` at each call."""
+        walks = self._walks
+        if side not in walks:
+            tail = self.tail(side)
+            ray = Ray.ge(self.window_end + 1) if side else Ray.le(self.window_start - 1)
+            walks[side] = None if isinstance(tail, ConstantTail) else walk_ray(tail.fn, ray)
+        return walks[side]
+
+    def delta(self, side: int) -> RaySign | None:
+        """The first difference f(n) - f(n-1) of that side's walk, None
+        exactly when the tail is constant, written as a
+        :class:`ConstantTail` or as a ratio that does not vary."""
+        walk = self.walk(side)
+        return None if walk is None else walk.delta
 
     def value(self, n: int) -> Fraction:
         """Exact modulus |beta_n|."""
@@ -120,25 +139,6 @@ def _tail_pairs(tail: TailSpec, start: int, stop: int) -> list[Pair]:
     if isinstance(tail, ConstantTail):
         return [(tail.value.numerator, tail.value.denominator)] * (stop - start)
     return list(map(tail.fn.pair, range(start, stop)))
-
-
-def _walk(tail: TailSpec, ray: Ray) -> RayWalk | None:
-    return None if isinstance(tail, ConstantTail) else walk_ray(tail.fn, ray)
-
-
-def tail_constant_value(tail: TailSpec) -> Fraction | None:
-    """The constant a tail equals everywhere, or None if genuinely varying."""
-    if isinstance(tail, ConstantTail):
-        return tail.value
-    return tail.fn.constant_value()
-
-
-def left_ray(spec: WeightSpec) -> Ray:
-    return Ray.le(spec.window_start - 1)
-
-
-def right_ray(spec: WeightSpec) -> Ray:
-    return Ray.ge(spec.window_end + 1)
 
 
 class Violation(NamedTuple):
@@ -160,32 +160,31 @@ def witness_key(n: int) -> tuple[int, int]:
     return (abs(n), 0 if n < 0 else 1)
 
 
-def _validate_tail(
-    side: str, tail: TailSpec, walk: Callable[[], RayWalk | None]
-) -> tuple[Violation | None, Fraction | None]:
-    """The violation of the tail on this side, or its certified supremum,
-    read off the tail's walk, which ``walk`` gives once the tail's degrees
-    pass. A pole or zero is named by its lowest index, a negative value by
-    its smallest |n| (ties toward negative); none of these depends on the
+def _validate_tail(spec: WeightSpec, side: int) -> tuple[Violation | None, Fraction | None]:
+    """The violation of that side's tail, or its certified supremum, read
+    off the tail's walk, which is taken once the tail's degrees pass. A
+    pole or zero is named by its lowest index, a negative value by its
+    smallest |n| (ties toward negative); none of these depends on the
     walk's cutoff."""
+    tail, name = spec.tail(side), ("left", "right")[side]
     if isinstance(tail, ConstantTail):
         if tail.value <= 0:
-            detail = f"{side} tail constant {tail.value} is not positive"
+            detail = f"{name} tail constant {tail.value} is not positive"
             return Violation("nonpositive-tail", detail), None
         return None, tail.value
 
     fn = tail.fn
     if fn.num.degree > MAX_TAIL_DEGREE or fn.den.degree > MAX_TAIL_DEGREE:
-        return Violation("degree-cap", f"{side} tail degree exceeds {MAX_TAIL_DEGREE}"), None
+        return Violation("degree-cap", f"{name} tail degree exceeds {MAX_TAIL_DEGREE}"), None
     if fn.num.degree > fn.den.degree:
-        detail = f"{side} tail deg(num) > deg(den): the modulus sequence is unbounded"
+        detail = f"{name} tail deg(num) > deg(den): the modulus sequence is unbounded"
         return Violation("unbounded-tail", detail), None
     if fn.is_zero:
-        return Violation("nonpositive-tail", f"{side} tail: not strictly positive"), None
+        return Violation("nonpositive-tail", f"{name} tail: not strictly positive"), None
     try:
-        tail_walk = walk()
+        tail_walk = spec.walk(side)
     except PoleOnRay as exc:
-        detail = f"{side} tail denominator vanishes at n = {exc.index}"
+        detail = f"{name} tail denominator vanishes at n = {exc.index}"
         return Violation("tail-pole", detail), None
     sign = tail_walk.sign
     if sign.zeros:
@@ -194,7 +193,7 @@ def _validate_tail(
         where = f"negative value at n = {min(sign.negatives, key=witness_key)}"
     else:
         return None, tail_walk.sup
-    return Violation("nonpositive-tail", f"{side} tail: {where}"), None
+    return Violation("nonpositive-tail", f"{name} tail: {where}"), None
 
 
 def validate(spec: WeightSpec) -> ValidationReport:
@@ -224,11 +223,8 @@ def validate(spec: WeightSpec) -> ValidationReport:
         else:
             sups.append(v)
 
-    for side, tail, walk in (
-        ("left", spec.left_tail, lambda: spec.left_walk),
-        ("right", spec.right_tail, lambda: spec.right_walk),
-    ):
-        violation, sup = _validate_tail(side, tail, walk)
+    for side in (0, 1):
+        violation, sup = _validate_tail(spec, side)
         if violation is not None:
             violations.append(violation)
         if sup is not None:

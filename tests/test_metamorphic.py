@@ -13,8 +13,14 @@ every golden spec.
   non-normal one becomes not hyponormal, since each strict rise n of T is
   a violated pair -n - 2 of the adjoint; the witness is the member of
   smallest |k| of that set, found here by evaluating the moduli.
+* Rewriting a constant tail: c (kn + r) / (kn + r), a ratio as given and
+  not reduced, with its pole off the tail's ray, is the tail
+  ``ConstantTail(c)``. The spec gets the same report bytes, a certificate
+  that replays, and the same transformed-weight limits, ``flat_from`` and
+  supremum, with no tail form on that side.
 
-Each relation reads only ``classify`` and direct evaluation of the moduli.
+The first two relations read only ``classify`` and direct evaluation of the
+moduli.
 A fault that answers one side of the engine unlike the mirror image of the
 other, or that names an index relative to the origin where it should not,
 breaks a relation; a fault that a translation and the adjoint both carry
@@ -24,12 +30,25 @@ along unchanged does not.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from shiftcert import classify
+from shiftcert import (
+    ConstantTail,
+    Polynomial,
+    RationalFunction,
+    RationalTail,
+    WeightSpec,
+    classify,
+    commutator_diagonal,
+    replay,
+    transformed_weights,
+)
 from shiftcert.classifier import Certificate, VerdictClass
+from shiftcert.cli import build_report, render_json
+from shiftcert.shiftcalc import sup_sq_global
 from shiftcert.specfile import load_spec
 from shiftcert.weights import witness_key
 
@@ -125,3 +144,57 @@ def test_reflection(specs):
         assert adjoint.witness == _adjoint_witness(spec), i
         obstructed += 1
     assert normal >= 40 and obstructed >= 300, (normal, obstructed)
+
+
+def _small(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 4), rng.choice((1, 2)))
+
+
+def _unreduced_constant(rng: random.Random, c: Fraction, on_ray) -> RationalFunction:
+    """c (kn + r) / (kn + r) as given, not reduced, its pole off the ray."""
+    while True:
+        k, r = rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-12, 12)
+        pole = Fraction(-r, k)
+        if pole.denominator > 1 or not on_ray(int(pole)):
+            return RationalFunction(Polynomial.of(c * r, c * k), Polynomial.of(r, k))
+
+
+def _report(verdict) -> str:
+    return render_json(build_report(verdict, {}))
+
+
+def test_an_unreduced_constant_tail_is_its_constant():
+    rng = random.Random(2503)
+    checked = {klass: 0 for klass in VerdictClass}
+    for i in range(200):
+        side = i % 2
+        # The moduli: the left tail's, the window, the right tail's; mostly
+        # nondecreasing, and now and then all equal.
+        moduli = [_small(rng) for _ in range(rng.randint(3, 6))]
+        if i % 4:
+            moduli.sort()
+        if i % 8 == 3:
+            moduli = moduli[:1] * len(moduli)
+        start, window = rng.randint(-6, 6), tuple(moduli[1:-1])
+        end = start + len(window) - 1
+        tails = [ConstantTail(moduli[0]), ConstantTail(moduli[-1])]
+        c = tails[side].value
+        plain = WeightSpec(start, window, *tails)
+        on_ray = (lambda n: n >= end + 1) if side else (lambda n: n <= start - 1)
+        tails[side] = RationalTail(_unreduced_constant(rng, c, on_ray))
+        spec = WeightSpec(start, window, *tails)
+
+        verdict = classify(spec)
+        assert _report(verdict) == _report(classify(plain)), i
+        result = replay(verdict.certificate, spec)
+        assert result.consistent, (i, result.detail)
+        tw, plain_tw = (transformed_weights(s, commutator_diagonal(s)) for s in (spec, plain))
+        assert tw.form(side) is None, i
+        assert tw.flat_from == plain_tw.flat_from, i
+        assert tw.left_limit_sq == plain_tw.left_limit_sq, i
+        assert tw.right_limit_sq == plain_tw.right_limit_sq, i
+        if verdict.klass is not VerdictClass.NOT_HYPONORMAL:  # else g_n^2 raises
+            assert sup_sq_global(tw) == sup_sq_global(plain_tw), i
+        checked[verdict.klass] += 1
+    assert checked[VerdictClass.NEAR_SUBNORMAL] == 0
+    assert all(checked[k] >= 20 for k in checked if k is not VerdictClass.NEAR_SUBNORMAL), checked

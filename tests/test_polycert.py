@@ -193,6 +193,13 @@ class TestRationalFunction:
         assert rf([3], [2]).constant_value() == Fraction(3, 2)
         assert rf([0]).constant_value() == 0
         assert rf([1], [0, 1]).constant_value() is None
+        # The ratio as given, not reduced: (4n + 4) / (n + 1) is 4 off its pole.
+        def given(num, den):
+            return RationalFunction(Polynomial.of(*num), Polynomial.of(*den))
+
+        assert given([4, 4], [1, 1]).constant_value() == 4
+        assert given([4, 2], [1, 1]).constant_value() is None
+        assert given([2, 3, 1], [1, 1]).constant_value() is None
 
 
 class TestRootFreeBound:

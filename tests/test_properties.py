@@ -375,8 +375,8 @@ class TestTransformLimitIsSquaredWeightLimit:
             spec = random_bounded_tail_spec(rng)
             tw = transformed_weights(spec, commutator_diagonal(spec))
             for form, limit in (
-                (tw.left_form, tw.left_limit_sq),
-                (tw.right_form, tw.right_limit_sq),
+                (tw.form(0), tw.left_limit_sq),
+                (tw.form(1), tw.right_limit_sq),
             ):
                 if form is None:
                     assert limit == Limit(Fraction(0))

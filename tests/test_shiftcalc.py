@@ -10,6 +10,7 @@ import pytest
 from shiftcert import (
     ConstantTail,
     NotHyponormalAtIndex,
+    Polynomial,
     RationalFunction,
     RationalTail,
     WeightSpec,
@@ -107,7 +108,7 @@ class TestTransformedWeights:
 
     def test_constant_left_gives_zero_weights(self, ex3):
         tw = transformed_weights(ex3, commutator_diagonal(ex3))
-        assert tw.left_form is None
+        assert tw.form(0) is None
         for n in range(-30, 0):
             assert tw.value_sq(n) == 0
         assert tw.value_sq(0) is None  # d_0 = 0, d_1 > 0
@@ -115,9 +116,9 @@ class TestTransformedWeights:
     def test_forms_match_pointwise(self, ex2):
         tw = transformed_weights(ex2, commutator_diagonal(ex2))
         for n in range(-1000, ex2.window_start - 1):
-            assert tw.left_form(n) == tw.value_sq(n)
+            assert tw.form(0)(n) == tw.value_sq(n)
         for n in range(ex2.window_end + 2, ex2.window_end + 1000):
-            assert tw.right_form(n) == tw.value_sq(n)
+            assert tw.form(1)(n) == tw.value_sq(n)
 
     def test_forms_match_pointwise_random(self):
         """The gamma forms take the values of g_n^2; they and the difference
@@ -130,8 +131,8 @@ class TestTransformedWeights:
             tw = transformed_weights(spec, commutator_diagonal(spec))
             lo, hi = spec.window_start, spec.window_end
             for tail, form, ns in (
-                (spec.left_tail, tw.left_form, range(lo - 60, lo - 1)),
-                (spec.right_tail, tw.right_form, range(hi + 2, hi + 60)),
+                (spec.left_tail, tw.form(0), range(lo - 60, lo - 1)),
+                (spec.right_tail, tw.form(1), range(hi + 2, hi + 60)),
             ):
                 if form is None:
                     continue
@@ -148,6 +149,20 @@ class TestTransformedWeights:
                     for n in ns:
                         if reduced.den(n) != 0:
                             assert f(n) == reduced(n)
+
+
+class TestGammaForm:
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            RationalFunction.of([3]),
+            RationalFunction(Polynomial.of(4, 4), Polynomial.of(1, 1)),
+        ],
+        ids=["reduced", "unreduced"],
+    )
+    def test_a_constant_tail_has_no_form(self, fn):
+        with pytest.raises(ValueError, match="constant tail"):
+            shiftcalc.gamma_form(fn)
 
 
 class TestBoundedOnLeftRay:

@@ -309,17 +309,17 @@ class TestMemosPerInstance:
 
     def test_tail_walks_are_computed_once(self):
         spec = example_two()
-        assert spec.left_walk is spec.left_walk
-        assert spec.right_walk is spec.right_walk
-        assert spec.left_walk is not None and spec.right_walk is not None
-        assert example_two().right_walk == spec.right_walk
+        assert spec.walk(0) is spec.walk(0)
+        assert spec.walk(1) is spec.walk(1)
+        assert spec.walk(0) is not None and spec.walk(1) is not None
+        assert example_two().walk(1) == spec.walk(1)
 
     def test_tail_forms_are_computed_once(self):
         tw = _tw(example_two())
-        assert tw.left_form is tw.left_form
-        assert tw.right_form is tw.right_form
-        assert tw.right_form is not None
-        assert _tw(example_two()).right_form == tw.right_form
+        assert tw.form(0) is tw.form(0)
+        assert tw.form(1) is tw.form(1)
+        assert tw.form(1) is not None
+        assert _tw(example_two()).form(1) == tw.form(1)
 
     def test_equal_values_keep_their_own_memos(self):
         f, g = RationalFunction.of([1], [1, 1]), RationalFunction.of([1], [1, 1])

@@ -118,21 +118,21 @@ class TestTailWalks:
         assert [v.detail for v in report.violations] == [
             f"{side} tail denominator vanishes at n = {index}"
         ]
-        walk = getattr(spec, f"{other}_walk")
+        walk = spec.walk(["left", "right"].index(other))
         assert walk is not None and not walk.sign.negatives
-        assert getattr(spec, f"{other}_walk") is walk
+        assert spec.walk(["left", "right"].index(other)) is walk
 
     def test_constant_tails_have_no_walk(self, ex3):
-        assert ex3.left_walk is None and ex3.right_walk is None
+        assert ex3.walk(0) is None and ex3.walk(1) is None
 
     def test_a_rebuilt_spec_walks_afresh(self, ex2):
         spec = WeightSpec(*ex2)
         assert validate(spec).ok
         fresh = WeightSpec(*spec)
         assert fresh == spec
-        assert "left_walk" not in vars(fresh) and "right_walk" not in vars(fresh)
-        assert fresh.left_walk == spec.left_walk and fresh.left_walk is not spec.left_walk
-        assert fresh.right_walk == spec.right_walk and fresh.right_walk is not spec.right_walk
+        assert "_walks" not in vars(fresh)
+        assert fresh.walk(0) == spec.walk(0) and fresh.walk(0) is not spec.walk(0)
+        assert fresh.walk(1) == spec.walk(1) and fresh.walk(1) is not spec.walk(1)
 
 
 class TestEvaluation:
