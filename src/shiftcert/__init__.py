@@ -25,7 +25,6 @@ from .polycert import (
     RationalFunction,
     Ray,
     RaySign,
-    integer_root_free_bound,
     limit_at_infinity,
     sign_on_ray,
     sup_on_ray,
@@ -78,7 +77,6 @@ __all__ = [
     "classify",
     "commutator_diagonal",
     "dump_spec",
-    "integer_root_free_bound",
     "limit_at_infinity",
     "load_spec",
     "replay",

@@ -7,8 +7,11 @@ certificate to :func:`~shiftcert.classifier.replay`, which checks every
 claim against a fresh copy of the spec without classifying again; a
 rejection is an internal inconsistency and never occurs on well-formed
 input. The oracle can disagree on well-formed input when the exact engine
-finds a negative d_n that lies within the oracle's tol: the truncation
-cannot tell it from zero, so it sees no hyponormality failure.
+finds a negative d_n that lies within the oracle's tol, which the
+truncation cannot tell from zero, or when small moduli fall under tol and
+the probe's sqrt(tol) cut, both absolute below modulus 1: ex3 scaled by
+1/100 (``examples --which ex3 --low 1/100 --high 1/50``) exits 3 at
+``oracle --max-dim 401``. A smaller ``--tol`` (1e-15 there) shows both.
 """
 
 from __future__ import annotations

@@ -3,20 +3,20 @@ rationals, on an integer core, with decidable sign and supremum analysis on
 integer rays.
 
 A :class:`Polynomial` is integer coefficients over one positive
-denominator, in a canonical form. Ring operations, Taylor shifts,
-pseudo-division and the primitive-PRS GCD (Collins 1967; Knuth, TAOCP
-Vol. 2, 4.6.1) all run on Python ints, and evaluation at an integer is
-integer Horner. A :class:`RationalFunction` caches a pair of integer
-polynomials with its ratio, so its value at an integer is an unreduced
-``(numerator, positive denominator)`` int pair. Only
-:meth:`RationalFunction.ratio`, which parsing calls, reduces by the GCD; the
-forms the engine derives from a tail are unreduced. A ``Fraction`` is built
-only where a value leaves this module.
+denominator, in a canonical form. Products (:func:`int_product`), Taylor
+shifts (:func:`int_shift`), pseudo-division and the primitive-PRS GCD
+(Collins 1967; Knuth, TAOCP Vol. 2, 4.6.1) all run on Python ints, and
+evaluation at an integer is integer Horner. A :class:`RationalFunction`
+caches a pair of integer polynomials with its ratio, so its value at an
+integer is an unreduced ``(numerator, positive denominator)`` int pair.
+Only :meth:`RationalFunction.ratio`, which parsing calls, reduces by the
+GCD; the forms the engine derives from a tail are unreduced. A ``Fraction``
+is built only where a value leaves this module.
 
 Both are immutable ``__slots__`` classes compared and hashed by their
-fields, not tuples, so ``+`` and ``*`` are only the ring operations; the
-records (:class:`Ray`, :class:`RaySign`, :class:`Limit`, :class:`RayWalk`) are
-NamedTuples.
+fields, not tuples, and define no ``+``, ``-`` or ``*``: the engine combines
+polynomials as integer coefficient lists. The records (:class:`Ray`,
+:class:`RaySign`, :class:`Limit`, :class:`RayWalk`) are NamedTuples.
 
 :func:`walk_ray` answers every question the engine asks about a rational
 function f at *every* integer of a half-line ``n <= a`` or ``n >= a`` from
@@ -159,8 +159,9 @@ class Polynomial(_Immutable):
     gives the rational coefficients. Evaluation at an integer is integer
     Horner and returns an int when ``denom`` is 1.
 
-    An immutable value compared and hashed by its fields; not a tuple, so
-    ``*`` and ``+`` mean only the polynomial ring operations.
+    An immutable value compared and hashed by its fields; not a tuple, and
+    without ``+``, ``-`` or ``*``: products and shifts run on ``ints``
+    through :func:`int_product` and :func:`int_shift`.
     """
 
     __slots__ = ("ints", "denom")
@@ -217,32 +218,6 @@ class Polynomial(_Immutable):
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.ints[-1], self.denom)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.denom, other.denom
-        xs, ys = self.ints, other.ints
-        if a != b:
-            g = math.gcd(a, b)
-            xs = [c * (b // g) for c in xs]
-            ys = [c * (a // g) for c in ys]
-            a = a // g * b
-        if len(xs) < len(ys):
-            xs, ys = ys, xs
-        out = list(xs)
-        for i, c in enumerate(ys):
-            out[i] += c
-        return _canonical(out, a)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.ints), self.denom)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        return _canonical(int_product(self.ints, other.ints), self.denom * other.denom)
-
     def scale(self, c: Scalar) -> "Polynomial":
         c = _frac(c)
         return _canonical([a * c.numerator for a in self.ints], self.denom * c.denominator)
@@ -252,14 +227,6 @@ class Polynomial(_Immutable):
         for c in reversed(self.ints):
             acc = acc * x + c
         return acc if self.denom == 1 else Fraction(acc, self.denom)
-
-    def compose_shift(self, delta: int) -> "Polynomial":
-        """Return q with q(n) = p(n + delta).
-
-        The integer Taylor shift is invertible over Z, so it keeps the
-        content and the form stays canonical.
-        """
-        return Polynomial(tuple(int_shift(self.ints, delta)), self.denom)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder over Q[n], by pseudo-division on the ints."""
@@ -449,18 +416,6 @@ class RationalFunction(_Immutable):
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def constant_value(self) -> Fraction | None:
-        """The constant this ratio equals off its poles, or None if it
-        varies. It answers for the ratio as given, reduced or not: num and
-        den are proportional when num lead(den) = den lead(num), coefficient
-        by coefficient."""
-        if self.num.is_zero:
-            return Fraction(0)
-        p, q = self.num.ints, self.den.ints
-        if len(p) != len(q) or any(a * q[-1] != b * p[-1] for a, b in zip(p, q)):
-            return None
-        return self.num.leading / self.den.leading
-
     def scale(self, c: Scalar) -> "RationalFunction":
         """Return c f, reduced and monic when f is: a nonzero constant
         factor adds no common root, so no GCD runs; c = 0 gives the
@@ -469,12 +424,6 @@ class RationalFunction(_Immutable):
         if num.is_zero:
             return RationalFunction.ratio(num, self.den)
         return RationalFunction(num, self.den)
-
-    def shift(self, delta: int) -> "RationalFunction":
-        """Return g with g(n) = f(n + delta), reduced and monic when f is."""
-        return RationalFunction(
-            self.num.compose_shift(delta), self.den.compose_shift(delta)
-        )
 
     def pair(self, n: int) -> Pair:
         """f(n) as an int pair, denominator evaluated first; raises
@@ -489,15 +438,12 @@ class RationalFunction(_Immutable):
     def __call__(self, n: Scalar) -> Fraction:
         return Fraction(*self.pair(n))
 
-    def derivative_numerator(self) -> Polynomial:
-        """p'q - pq' for f = p/q over the integer polynomials of
-        ``cleared``: the numerator of f' = (p'q - pq') / q^2, so its sign is
-        the sign of f' off the poles."""
-        return _slope(*(c.ints for c in self.cleared))
 
 
 def _slope(p: Sequence[int], q: Sequence[int]) -> Polynomial:
-    """p'q - pq' for integer coefficient lists p and q."""
+    """p'q - pq' for integer coefficient lists p and q: for f = p / q the
+    numerator of f' = (p'q - pq') / q^2, so off the poles it has the sign
+    of f', and it is zero exactly when f is constant."""
     out = [0] * (len(p) + len(q) - 2)
     for i, a in enumerate(p):
         for j, b in enumerate(q):

@@ -166,14 +166,11 @@ class CommutatorDiagonal(NamedTuple):
 
     def entry(self, n: int) -> Fraction:
         """d_n = |beta_n|^2 - |beta_{n-1}|^2, exactly."""
-        return self.entries(n, n + 1)[0]
-
-    def entries(self, start: int, stop: int) -> list[Fraction]:
-        """``entry(n)`` for start <= n < stop, each modulus evaluated once."""
-        return [Fraction(*d) for d in self.entry_pairs(start, stop)]
+        return Fraction(*self.entry_pairs(n, n + 1)[0])
 
     def entry_pairs(self, start: int, stop: int) -> list[Pair]:
-        """``entries`` as int pairs: the expanded :class:`SparseRange`."""
+        """``entry(n)`` for start <= n < stop as int pairs, each modulus
+        evaluated once: the expanded :class:`SparseRange`."""
         held = sparse_range(self.spec.value_pairs(start - 1, stop), start).diag
         return _expand(held, start, stop)
 
@@ -235,15 +232,13 @@ class TransformedWeights(_TransformedWeightsFields):
         return forms[side]
 
     def value_sq(self, n: int) -> Fraction | None:
-        return self.values_sq(n, n + 1)[0]
-
-    def values_sq(self, start: int, stop: int) -> list[Fraction | None]:
-        """``value_sq(n)`` for start <= n < stop, raising at the first index
-        where it would raise. Each exact modulus is evaluated once."""
-        return [None if v is None else Fraction(*v) for v in self.pairs_sq(start, stop)]
+        v = self.pairs_sq(n, n + 1)[0]
+        return None if v is None else Fraction(*v)
 
     def pairs_sq(self, start: int, stop: int) -> list[Pair | None]:
-        """``values_sq`` as int pairs: the expanded :class:`SparseRange`."""
+        """``value_sq(n)`` for start <= n < stop as int pairs, raising at the
+        first index where it would raise, each exact modulus evaluated once:
+        the expanded :class:`SparseRange`."""
         exact = sparse_range(self.spec.value_pairs(start - 1, stop + 1), start)
         return _expand(exact.gamma_sq(), start, stop)
 

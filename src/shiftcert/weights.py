@@ -127,12 +127,6 @@ class WeightSpec(_WeightSpecFields):
         """Exact modulus |beta_n|."""
         return Fraction(*self.value_pair(n))
 
-    def value_float(self, n: int) -> float:
-        """Nearest binary64 to the exact modulus: one correctly rounded
-        int / int division."""
-        p, q = self.value_pair(n)
-        return p / q
-
 
 def _tail_pairs(tail: TailSpec, start: int, stop: int) -> list[Pair]:
     """The tail's modulus pairs for start <= n < stop."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -17,7 +18,7 @@ from shiftcert import (
 )
 from shiftcert.classifier import Criterion, VerdictClass
 from shiftcert.fixtures import example_one, example_two, flat_pair, two_level
-from shiftcert.polycert import Polynomial
+from shiftcert.polycert import Polynomial, int_product, int_shift
 
 
 @pytest.fixture(scope="session")
@@ -144,11 +145,11 @@ def degree_sixteen_spec() -> WeightSpec:
     the tail rises toward the window (0: 2) and the constant right tail 2.
     """
     rng = random.Random(16)
-    q = Polynomial.of(1)
+    q = [1]
     for _ in range(8):
         c = rng.randrange(2**20, 2**21)
-        q = q * Polynomial.of(c, -2 * rng.randint(1, math.isqrt(c) - 1), 1)
-    left = RationalTail(RationalFunction.ratio(q + Polynomial.of(1), q))
+        q = int_product(q, [c, -2 * rng.randint(1, math.isqrt(c) - 1), 1])
+    left = RationalTail(RationalFunction.ratio(Polynomial.of(q[0] + 1, *q[1:]), Polynomial.of(*q)))
     return WeightSpec(0, (Fraction(2),), left, ConstantTail(Fraction(2)))
 
 
@@ -185,7 +186,7 @@ def tied_right_tail(rng: random.Random, window_end: int, low: Fraction) -> Ratio
     strictly increasing from there."""
     m = rng.randint(1, 4)
     num, _ = _tied_form(rng, m, low)
-    return RationalTail(RationalFunction.of(num, [0, 0, 1]).shift(m - window_end - 1))
+    return RationalTail(shift_function(RationalFunction.of(num, [0, 0, 1]), m - window_end - 1))
 
 
 def tied_left_tail(rng: random.Random, window_start: int, top: Fraction) -> RationalTail:
@@ -199,7 +200,7 @@ def tied_left_tail(rng: random.Random, window_start: int, top: Fraction) -> Rati
     # g(n) = top - f(m + s - 1 - n): negate f's numerator, add top, reflect.
     g = [top - num[2], -num[1], -num[0]]
     reflected = RationalFunction.of([c * (-1) ** i for i, c in enumerate(g[::-1])], [0, 0, 1])
-    return RationalTail(reflected.shift(-(m + window_start - 1)))
+    return RationalTail(shift_function(reflected, -(m + window_start - 1)))
 
 
 def make_plateau_spec(rng: random.Random) -> WeightSpec:
@@ -356,13 +357,41 @@ def brute_force_ray_argmax(f, ray, span: int = 10**4) -> int:
     return best
 
 
+def shift_polynomial(p: Polynomial, delta: int) -> Polynomial:
+    """q with q(n) = p(n + delta): the integer Taylor shift of p's ints,
+    which keeps their content, so the form stays canonical."""
+    return Polynomial(tuple(int_shift(p.ints, delta)), p.denom)
+
+
+def shift_function(f: RationalFunction, delta: int) -> RationalFunction:
+    """g with g(n) = f(n + delta), reduced and monic when f is."""
+    return RationalFunction(shift_polynomial(f.num, delta), shift_polynomial(f.den, delta))
+
+
+def int_difference(xs, ys) -> list[int]:
+    """The coefficients of x - y for integer coefficient lists x and y."""
+    return [a - b for a, b in zip_longest(xs, ys, fillvalue=0)]
+
+
+def constant_value(f: RationalFunction) -> Fraction | None:
+    """Reference: the constant f equals off its poles, or None if it
+    varies, for the ratio as given, reduced or not. In Fraction arithmetic,
+    num = c den coefficient by coefficient for c = lead(num) / lead(den)."""
+    if f.num.is_zero:
+        return Fraction(0)
+    num, den = f.num.coeffs, f.den.coeffs
+    c = num[-1] / den[-1]
+    return c if len(num) == len(den) and all(a == c * b for a, b in zip(num, den)) else None
+
+
 def difference_form(fn: RationalFunction) -> RationalFunction:
     """The first difference f(n) - f(n-1) = p/q - p(n-1)/q(n-1) as the
     unreduced ratio (p q(n-1) - p(n-1) q) / (q q(n-1)) of f's integer
     polynomials, built independently of the engine's walk."""
-    p, q = fn.cleared
-    pm, qm = p.compose_shift(-1), q.compose_shift(-1)
-    return RationalFunction(p * qm - pm * q, q * qm)
+    p, q = (c.ints for c in fn.cleared)
+    pm, qm = int_shift(p, -1), int_shift(q, -1)
+    num = int_difference(int_product(p, qm), int_product(pm, q))
+    return RationalFunction(Polynomial.of(*num), Polynomial.of(*int_product(q, qm)))
 
 
 def growth_weight_rule(tau: float = 10.0, depth: int = 198):
@@ -395,7 +424,7 @@ def _reflect_tail(tail):
 
     def mirror(p: Polynomial) -> Polynomial:
         flipped = Polynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.ints)), p.denom)
-        return flipped.compose_shift(1)
+        return shift_polynomial(flipped, 1)
 
     return RationalTail(RationalFunction.ratio(mirror(tail.fn.num), mirror(tail.fn.den)))
 
@@ -416,6 +445,6 @@ def translate_spec(spec: WeightSpec, t: int) -> WeightSpec:
     """The spec with |beta'_n| = |beta_{n-t}|: every index moved up by t."""
 
     def move(tail):
-        return tail if isinstance(tail, ConstantTail) else RationalTail(tail.fn.shift(-t))
+        return tail if isinstance(tail, ConstantTail) else RationalTail(shift_function(tail.fn, -t))
 
     return WeightSpec(spec.window_start + t, spec.window_values, move(spec.left_tail), move(spec.right_tail))

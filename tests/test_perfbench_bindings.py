@@ -94,7 +94,7 @@ def test_traced_exact_evaluations_cover_every_rational_tail_index(tmp_path):
     tw = transformed_weights(spec, commutator_diagonal(spec))
     tracer = spans.Tracer()
     with tracer.active():
-        tw.values_sq(-half_width, half_width)
+        tw.pairs_sq(-half_width, half_width)
     assert tracer.counters.exact_evals >= rational_indices(-half_width, half_width)
 
     # Through the CLI: a wider truncation costs one pair per extra

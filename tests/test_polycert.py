@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +17,25 @@ from shiftcert.polycert import (
     RationalFunction,
     Ray,
     RaySign,
+    _slope,
+    int_product,
+    int_shift,
     integer_root_free_bound,
     limit_at_infinity,
     poly_gcd,
     sign_on_ray,
     sup_on_ray,
+    walk_ray,
 )
 
-from conftest import euclid_gcd, fraction_divmod, fraction_horner
+from conftest import (
+    constant_value,
+    euclid_gcd,
+    fraction_divmod,
+    fraction_horner,
+    shift_function,
+    shift_polynomial,
+)
 
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=6
@@ -36,6 +48,21 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 def rf(num, den=(1,)) -> RationalFunction:
     return RationalFunction.of(num, den)
+
+
+def times(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p q through :func:`int_product` on the ints, over the product of the
+    denominators."""
+    if p.is_zero or q.is_zero:
+        return Polynomial.zero()
+    denom = p.denom * q.denom
+    return Polynomial.of(*(Fraction(c, denom) for c in int_product(p.ints, q.ints)))
+
+
+def values_at(xs, count: int) -> list[Fraction]:
+    """The Fraction reference values of the coefficient list xs at
+    n = 0, ..., count - 1, which fix a polynomial of degree < count."""
+    return [fraction_horner(xs, n) for n in range(count)]
 
 
 # Rational coefficients with numerators and denominators up to 2^200.
@@ -88,9 +115,9 @@ class TestIntegerCore:
     @settings(max_examples=150, deadline=None)
     def test_equal_polynomials_built_differently_are_identical(self, p, q, delta, c):
         routes = [
-            (p * q).divmod(q)[0],
-            (p + q) - q,
-            p.compose_shift(delta).compose_shift(-delta),
+            times(p, q).divmod(q)[0],
+            times(q, p).divmod(q)[0],
+            shift_polynomial(shift_polynomial(p, delta), -delta),
             p.scale(c).scale(1 / c),
             Polynomial.of(*p.coeffs, 0, 0),
         ]
@@ -111,50 +138,78 @@ class TestIntegerCore:
     @given(polys, polys, polys)
     @settings(max_examples=150, deadline=None)
     def test_prs_gcd_matches_euclid(self, a, b, common):
-        a, b = a * common, b * common
+        a, b = times(a, common), times(b, common)
         assert list(poly_gcd(a, b).coeffs) == euclid_gcd(list(a.coeffs), list(b.coeffs))
 
 
+int_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=5)
+
+
 class TestPolynomialArithmetic:
+    """The integer primitives the engine combines polynomials with:
+    int_product, int_shift and _slope, against Fraction references."""
+
     def test_difference_of_squares(self):
-        assert Polynomial.of(1, 1) * Polynomial.of(-1, 1) == Polynomial.of(-1, 0, 1)
+        assert int_product([1, 1], [-1, 1]) == [-1, 0, 1]
 
-    def test_additive_identity(self):
-        p = Polynomial.of(3, 0, 2)
-        assert p + Polynomial.zero() == p
+    @given(int_lists, st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_additive_identity(self, xs, a, b):
+        # Shifting by 0 is the identity, and shifts add.
+        assert int_shift(xs, 0) == xs
+        assert int_shift(int_shift(xs, a), b) == int_shift(xs, a + b)
+        assert int_product(xs, [1]) == int_product([1], xs) == xs
 
-    def test_cancellation_gives_zero(self):
-        p = Polynomial.of(0, 2)
-        assert (p - p).is_zero
+    @given(int_lists, st.integers(-6, 6).filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_cancellation_gives_zero(self, xs, c):
+        # p'q - pq' cancels exactly when p / q is constant.
+        assert _slope(xs, xs).is_zero
+        assert _slope([c * x for x in xs], xs).is_zero
+        assert _slope([0, 2], [0, 2]).is_zero
+        assert not _slope([1, 2], [1, 1]).is_zero
 
     def test_trailing_zeros_trimmed(self):
         assert Polynomial.of(1, 2, 0, 0).coeffs == (Fraction(1), Fraction(2))
 
-    @given(polys, polys, polys)
+    @given(int_lists, int_lists, int_lists)
     @settings(max_examples=150, deadline=None)
     def test_ring_laws(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a * b == b * a
+        def plus(xs, ys):
+            return [x + y for x, y in zip_longest(xs, ys, fillvalue=0)]
+
+        ab = int_product(a, b)
+        assert int_product(ab, c) == int_product(a, int_product(b, c))
+        assert Polynomial.of(*int_product(a, plus(b, c))) == Polynomial.of(*plus(ab, int_product(a, c)))
+        assert ab == int_product(b, a)
+        count = len(ab)
+        assert values_at(ab, count) == [x * y for x, y in zip(values_at(a, count), values_at(b, count))]
 
     @given(polys, nonzero_polys)
     @settings(max_examples=150, deadline=None)
     def test_division_invariant(self, a, b):
         q, r = a.divmod(b)
-        assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+        # a = q b + r at more points than the degree of either side.
+        for n in range(max(a.degree, q.degree + b.degree, r.degree) + 1):
+            assert fraction_horner(a.coeffs, n) == (
+                fraction_horner(q.coeffs, n) * fraction_horner(b.coeffs, n) + fraction_horner(r.coeffs, n)
+            )
+        assert times(a, b).divmod(b) == (a, Polynomial.zero())
 
     @given(polys, st.integers(-5, 5), st.integers(-10, 10))
     @settings(max_examples=150, deadline=None)
     def test_compose_shift_evaluates(self, p, delta, n):
-        assert p.compose_shift(delta)(n) == p(n + delta)
+        assert fraction_horner(p.coeffs, n + delta) == fraction_horner(
+            [Fraction(c, p.denom) for c in int_shift(p.ints, delta)], n
+        )
 
     def test_derivative(self):
         # p'q - pq' of the cleared integer polynomials: p' when q = 1.
-        assert RationalFunction.of([5, 3, 2]).derivative_numerator() == Polynomial.of(3, 4)
+        assert _slope(*(c.ints for c in RationalFunction.of([5, 3, 2]).cleared)) == Polynomial.of(3, 4)
         # (n + 1) / (n^2 + 1): (n^2 + 1) - (n + 1) 2n = 1 - 2n - n^2.
         f = RationalFunction.of([1, 1], [1, 0, 1])
-        assert f.derivative_numerator() == Polynomial.of(1, -2, -1)
+        assert _slope(*(c.ints for c in f.cleared)) == Polynomial.of(1, -2, -1)
 
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=100, deadline=None)
@@ -172,34 +227,44 @@ class TestRationalFunction:
         assert f.den.leading == 1  # monic normalization
 
     def test_shift_substitutes(self):
-        assert rf([1], [0, 1]).shift(1) == rf([1], [1, 1])
-        assert rf([-1, 2], [0, 1]).shift(-1) == rf([-3, 2], [-1, 1])
-        assert rf([7]).shift(5) == rf([7])
+        assert shift_function(rf([1], [0, 1]), 1) == rf([1], [1, 1])
+        assert shift_function(rf([-1, 2], [0, 1]), -1) == rf([-3, 2], [-1, 1])
+        assert shift_function(rf([7]), 5) == rf([7])
 
     @given(polys, nonzero_polys, st.integers(-4, 4))
     @settings(max_examples=100, deadline=None)
     def test_shift_round_trip(self, num, den, delta):
         f = RationalFunction.ratio(num, den)
-        assert f.shift(delta).shift(-delta) == f
+        assert shift_function(shift_function(f, delta), -delta) == f
 
     @given(polys, nonzero_polys, st.integers(-4, 4))
     @settings(max_examples=100, deadline=None)
     def test_shift_is_already_reduced(self, num, den, delta):
         f = RationalFunction.ratio(num, den)
-        g = f.shift(delta)
+        g = shift_function(f, delta)
         assert g == RationalFunction.ratio(g.num, g.den)
 
     def test_constant_value(self):
-        assert rf([3], [2]).constant_value() == Fraction(3, 2)
-        assert rf([0]).constant_value() == 0
-        assert rf([1], [0, 1]).constant_value() is None
         # The ratio as given, not reduced: (4n + 4) / (n + 1) is 4 off its pole.
         def given(num, den):
             return RationalFunction(Polynomial.of(*num), Polynomial.of(*den))
 
-        assert given([4, 4], [1, 1]).constant_value() == 4
-        assert given([4, 2], [1, 1]).constant_value() is None
-        assert given([2, 3, 1], [1, 1]).constant_value() is None
+        cases = [
+            (rf([3], [2]), Fraction(3, 2)),
+            (rf([0]), 0),
+            (rf([1], [0, 1]), None),
+            (given([4, 4], [1, 1]), 4),
+            (given([4, 2], [1, 1]), None),
+            (given([2, 3, 1], [1, 1]), None),
+        ]
+        for f, value in cases:
+            assert constant_value(f) == value
+            # The engine's test: a walk has no first difference exactly on
+            # a constant, and then its supremum is that constant.
+            walk = walk_ray(f, Ray.ge(2))
+            assert (walk.delta is None) == (value is not None)
+            if value is not None:
+                assert walk.sup == value
 
 
 class TestRootFreeBound:

@@ -29,6 +29,7 @@ from conftest import (
     make_flat_tail_spec,
     make_strict_spec,
     random_valid_spec,
+    translate_spec,
 )
 
 
@@ -212,15 +213,9 @@ class TestGlobalSup:
                     assert v <= sup
 
 
-def _moved(spec: WeightSpec, shift: int) -> WeightSpec:
-    """The spec with every modulus moved ``shift`` indices to the right."""
-
-    def move(tail):
-        return tail if isinstance(tail, ConstantTail) else RationalTail(tail.fn.shift(-shift))
-
-    return WeightSpec(
-        spec.window_start + shift, spec.window_values, move(spec.left_tail), move(spec.right_tail)
-    )
+def _fractions(pairs: list) -> list[Fraction | None]:
+    """``pairs_sq`` values as Fractions, None kept."""
+    return [None if v is None else Fraction(*v) for v in pairs]
 
 
 def _peak_far_spec(k: int) -> WeightSpec:
@@ -246,10 +241,10 @@ class TestSupremumCertificate:
         checked = 0
         for i in range(12):
             for make in (make_strict_spec, make_flat_tail_spec, make_flat_pair_spec):
-                spec = _moved(make(rng), self.SHIFTS[i % len(self.SHIFTS)])
+                spec = translate_spec(make(rng), self.SHIFTS[i % len(self.SHIFTS)])
                 tw = transformed_weights(spec, commutator_diagonal(spec))
                 lo, hi = spec.window_start - self.REACH, spec.window_end + self.REACH
-                values = tw.values_sq(lo, hi)
+                values = _fractions(tw.pairs_sq(lo, hi))
                 defined = [v for v in values if v is not None]
                 limits = [tw.left_limit_sq.value, tw.right_limit_sq.value]
                 assert sup_sq_global(tw) == max(defined + limits)
@@ -263,7 +258,7 @@ class TestSupremumCertificate:
     def test_scan_doubles_past_a_far_peak(self, monkeypatch):
         spec = _peak_far_spec(1000)
         tw = transformed_weights(spec, commutator_diagonal(spec))
-        values = tw.values_sq(-3000, 1)
+        values = _fractions(tw.pairs_sq(-3000, 1))
         peak = -3000 + values.index(max(values))
         assert peak < -40
         scans = []
@@ -288,7 +283,7 @@ class TestSupremumCertificate:
         pair = RationalFunction.pair
         counts = []
         for start in (10, 10**5):
-            spec = _moved(base, start - base.window_start)
+            spec = translate_spec(base, start - base.window_start)
             tw = transformed_weights(spec, commutator_diagonal(spec))
             count = 0
 

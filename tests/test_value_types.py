@@ -295,6 +295,40 @@ class TestPolynomialIsNotASequence:
         assert f != (f.num, f.den)
 
 
+# Helpers only tests read: the engine combines polynomials through
+# int_product, int_shift and _slope, and reads pairs, not Fraction lists.
+DELETED = {
+    Polynomial: ("__add__", "__neg__", "__sub__", "__mul__", "compose_shift"),
+    RationalFunction: ("shift", "derivative_numerator", "constant_value"),
+    WeightSpec: ("value_float",),
+    CommutatorDiagonal: ("entries",),
+    TransformedWeights: ("values_sq",),
+}
+
+
+class TestNoTestOnlySurface:
+    @pytest.mark.parametrize("cls", DELETED, ids=lambda cls: cls.__name__)
+    def test_deleted_names_are_gone(self, cls):
+        assert [name for name in DELETED[cls] if hasattr(cls, name)] == []
+
+    def test_polynomials_have_no_arithmetic_operators(self):
+        p, q = Polynomial.of(1, 2), Polynomial.of(1, 3)
+        with pytest.raises(TypeError):
+            p + q
+        with pytest.raises(TypeError):
+            p - q
+        with pytest.raises(TypeError):
+            p * q
+        with pytest.raises(TypeError):
+            -p
+
+    def test_root_free_bound_is_not_exported(self):
+        import shiftcert
+
+        assert "integer_root_free_bound" not in shiftcert.__all__
+        assert not hasattr(shiftcert, "integer_root_free_bound")
+
+
 class TestMemosPerInstance:
     def test_cleared_is_computed_once(self):
         f = RationalFunction.of([Fraction(1, 2)], [1, Fraction(1, 3)])

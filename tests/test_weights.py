@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ from shiftcert import (
     scale_spec,
     validate,
 )
-from shiftcert.fixtures import two_level
 
 from conftest import RECIPES, make_plateau_spec, random_valid_spec
 
@@ -145,15 +143,6 @@ class TestEvaluation:
     def test_right_tail_formula(self, ex2):
         assert ex2.value(4) == Fraction(7, 4)
 
-    def test_float_exact_dyadic(self, ex1):
-        assert ex1.value_float(-2) == 0.5
-
-    def test_float_rounding(self, ex2):
-        assert ex2.value_float(3) == 1.6666666666666667
-
-    def test_two_level_at_origin(self):
-        assert two_level().value_float(0) == 1.0
-
     def test_positive_on_wide_range(self, fixture_specs):
         # Positivity over every integer is certified by validate; corroborate
         # on a dense band plus geometric samples out to 10^6.
@@ -163,16 +152,6 @@ class TestEvaluation:
         for spec in fixture_specs.values():
             for n in samples:
                 assert spec.value(n) > 0
-
-    def test_float_within_half_ulp(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            spec = random_valid_spec(rng)
-            for n in range(-40, 41):
-                exact = spec.value(n)
-                approx = spec.value_float(n)
-                ulp = math.ulp(approx)
-                assert abs(Fraction(approx) - exact) <= Fraction(ulp) / 2
 
 
 class TestValuePairs:
