@@ -482,11 +482,11 @@ def _limit_sq(tail: TailSpec, delta: RaySign | None) -> Limit:
     """The limit of g_n^2 along a tail: the squared ratio of the leading
     coefficients when num and den have one degree, else 0, and 0 on a
     constant tail. One ``Fraction`` is built, where
-    ``limit_at_infinity(tail.fn).value ** 2`` builds four."""
+    ``limit_at_infinity(tail.fn).value ** 2`` builds two."""
     if delta is None:
         return Limit(Fraction(0))
-    p, q = tail.fn.cleared
-    return Limit(Fraction(p.ints[-1] ** 2, q.ints[-1] ** 2) if p.degree == q.degree else Fraction(0))
+    p, q = tail.fn.num.ints, tail.fn.den.ints
+    return Limit(Fraction(p[-1] ** 2, q[-1] ** 2) if len(p) == len(q) else Fraction(0))
 
 
 def _expected_certificate(spec: WeightSpec) -> Certificate:

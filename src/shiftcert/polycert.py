@@ -1,17 +1,17 @@
-"""Exact univariate polynomial and rational-function arithmetic over the
-rationals, on an integer core, with decidable sign and supremum analysis on
-integer rays.
+"""Exact univariate polynomial and rational-function arithmetic on integer
+coefficients, with decidable sign and supremum analysis on integer rays.
 
-A :class:`Polynomial` is integer coefficients over one positive
-denominator, in a canonical form. Products (:func:`int_product`), Taylor
-shifts (:func:`int_shift`), pseudo-division and the primitive-PRS GCD
-(Collins 1967; Knuth, TAOCP Vol. 2, 4.6.1) all run on Python ints, and
-evaluation at an integer is integer Horner. A :class:`RationalFunction`
-caches a pair of integer polynomials with its ratio, so its value at an
-integer is an unreduced ``(numerator, positive denominator)`` int pair.
-Only :meth:`RationalFunction.ratio`, which parsing calls, reduces by the
-GCD; the forms the engine derives from a tail are unreduced. A ``Fraction``
-is built only where a value leaves this module.
+A :class:`Polynomial` is integer coefficients. Products
+(:func:`int_product`), Taylor shifts (:func:`int_shift`), pseudo-division
+and the primitive-PRS GCD (Collins 1967; Knuth, TAOCP Vol. 2, 4.6.1) all
+run on Python ints, and evaluation at an integer is integer Horner. A
+:class:`RationalFunction` is a ratio of two such polynomials, so its value
+at an integer is an unreduced ``(numerator, positive denominator)`` int
+pair. Its canonical form is coprime, with joint content 1 and a positive
+leading denominator coefficient; only :meth:`RationalFunction.ratio`, which
+parsing calls, reduces to it by the GCD, and Gauss's lemma keeps each
+quotient integral. The forms the engine derives from a tail are unreduced.
+A ``Fraction`` is built only where a value leaves this module.
 
 Both are immutable ``__slots__`` classes compared and hashed by their
 fields, not tuples, and define no ``+``, ``-`` or ``*``: the engine combines
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -52,10 +51,6 @@ class PoleOnRay(ValueError):
     def __init__(self, index: int):
         super().__init__(f"denominator vanishes at integer n = {index}")
         self.index = index
-
-
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def pair_max(pairs: Iterable[Pair]) -> Pair:
@@ -91,19 +86,12 @@ def int_shift(xs: Sequence[int], delta: int) -> list[int]:
     return c
 
 
-def _canonical(ints: list[int], denom: int) -> "Polynomial":
-    """The polynomial sum(ints[i] n^i) / denom in canonical form."""
+def _poly(ints: list[int]) -> "Polynomial":
+    """The polynomial of the integer coefficients ints, trailing zeros
+    dropped."""
     while ints and ints[-1] == 0:
         ints.pop()
-    if denom == 1 or not ints:
-        return Polynomial(tuple(ints))
-    g = math.gcd(denom, *ints)
-    if denom < 0:
-        g = -g
-    if g != 1:
-        ints = [c // g for c in ints]
-        denom //= g
-    return Polynomial(tuple(ints), denom)
+    return Polynomial(tuple(ints))
 
 
 def _pseudo_divmod(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], list[int], int]:
@@ -126,13 +114,21 @@ def _pseudo_divmod(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], l
     return q, r[:n], lead ** (m - n + 1)
 
 
+def _exact_quotient(u: tuple[int, ...], v: tuple[int, ...]) -> list[int]:
+    """u / v for a primitive v dividing u over the rationals: the pseudo
+    quotient over its scale, integral by Gauss's lemma."""
+    q, _, s = _pseudo_divmod(u, v)
+    return [c // s for c in q]
+
+
 def _primitive(cs: list[int]) -> tuple[int, ...]:
-    """cs without trailing zeros, divided by its content."""
+    """cs without trailing zeros, divided by its content, with a positive
+    leading coefficient."""
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         return ()
-    g = math.gcd(*cs)
+    g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
     return tuple(c // g for c in cs)
 
 
@@ -151,58 +147,37 @@ class _Immutable:
 
 
 class Polynomial(_Immutable):
-    """Dense univariate polynomial sum(ints[i] n^i) / denom.
+    """Dense univariate polynomial sum(ints[i] n^i) with integer
+    coefficients.
 
-    ``ints`` ascend and end nonzero, ``denom`` is positive, and their gcd is
-    1, so equal polynomials have equal fields; the zero polynomial is
-    ``((), 1)`` and has degree -1. Build one with :meth:`of`; ``coeffs``
-    gives the rational coefficients. Evaluation at an integer is integer
-    Horner and returns an int when ``denom`` is 1.
+    ``ints`` ascend and end nonzero, so equal polynomials have equal fields;
+    the zero polynomial is ``()`` and has degree -1. Evaluation at an
+    integer is integer Horner.
 
-    An immutable value compared and hashed by its fields; not a tuple, and
+    An immutable value compared and hashed by its field; not a tuple, and
     without ``+``, ``-`` or ``*``: products and shifts run on ``ints``
     through :func:`int_product` and :func:`int_shift`.
     """
 
-    __slots__ = ("ints", "denom")
+    __slots__ = ("ints",)
     ints: tuple[int, ...]
-    denom: int
 
-    def __init__(self, ints: tuple[int, ...], denom: int = 1):
+    def __init__(self, ints: tuple[int, ...]):
         object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "denom", denom)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Polynomial:
             return NotImplemented
-        return self.ints == other.ints and self.denom == other.denom
+        return self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash((self.ints, self.denom))
+        return hash(self.ints)
 
     def __repr__(self) -> str:
-        return f"Polynomial(ints={self.ints!r}, denom={self.denom!r})"
+        return f"Polynomial(ints={self.ints!r})"
 
     def __reduce__(self):
-        return Polynomial, (self.ints, self.denom)
-
-    @staticmethod
-    def of(*coeffs: Scalar) -> "Polynomial":
-        fs = [_frac(c) for c in coeffs]
-        denom = math.lcm(*(f.denominator for f in fs))
-        return _canonical([f.numerator * (denom // f.denominator) for f in fs], denom)
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial(())
-
-    @staticmethod
-    def constant(c: Scalar) -> "Polynomial":
-        return Polynomial.of(c)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.denom) for c in self.ints)
+        return Polynomial, (self.ints,)
 
     @property
     def degree(self) -> int:
@@ -212,43 +187,21 @@ class Polynomial(_Immutable):
     def is_zero(self) -> bool:
         return not self.ints
 
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.ints[-1], self.denom)
-
-    def scale(self, c: Scalar) -> "Polynomial":
-        c = _frac(c)
-        return _canonical([a * c.numerator for a in self.ints], self.denom * c.denominator)
-
-    def __call__(self, x: Scalar) -> Scalar:
+    def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.ints):
             acc = acc * x + c
-        return acc if self.denom == 1 else Fraction(acc, self.denom)
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder over Q[n], by pseudo-division on the ints."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, s = _pseudo_divmod(self.ints, other.ints)
-        denom = self.denom * s
-        return _canonical([c * other.denom for c in q], denom), _canonical(r, denom)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return _canonical(list(self.ints), self.ints[-1])
+        return acc
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over Q[n]: the last nonzero member of
-    the primitive polynomial remainder sequence, made monic."""
+    """Primitive greatest common divisor with a positive leading
+    coefficient: the last nonzero member of the primitive polynomial
+    remainder sequence."""
     u, v = _primitive(list(a.ints)), _primitive(list(b.ints))
     while v:
         u, v = v, _primitive(_pseudo_divmod(u, v)[1])
-    return Polynomial(u).monic()
+    return Polynomial(u)
 
 
 def integer_root_free_bound(p: Polynomial) -> int:
@@ -301,7 +254,7 @@ class Ray(NamedTuple):
         u = int_shift(p.ints, self.bound)
         if self.kind == "le":
             u[1::2] = [-c for c in u[1::2]]
-        return Polynomial(tuple(u), p.denom)
+        return Polynomial(tuple(u))
 
 
 def ray_root_free_cutoff(ray: Ray, *polys: Polynomial) -> int:
@@ -349,21 +302,19 @@ class Limit(NamedTuple):
 
 
 class RationalFunction(_Immutable):
-    """Ratio num / den of polynomials.
+    """Ratio num / den of integer polynomials.
 
-    :meth:`ratio` and :meth:`of` reduce by the GCD to a monic denominator, a
-    canonical form. ``RationalFunction(num, den)`` is the ratio as given,
-    not reduced: its roots, poles and critical points include the reduced
-    form's, so a root-free cutoff certified on it holds for both. ``cleared``
-    holds the same ratio as two integer polynomials, which every evaluation
-    uses; it is computed on first use and kept in the instance dict.
+    :meth:`ratio` and :meth:`of` give the canonical form: num and den
+    coprime, their coefficients with joint content 1, and den's leading
+    coefficient positive. ``RationalFunction(num, den)`` is the ratio as
+    given, not reduced: its roots, poles and critical points include the
+    reduced form's, so a root-free cutoff certified on it holds for both.
 
     An immutable value compared and hashed by ``num`` and ``den``, like
     :class:`Polynomial` not a tuple.
     """
 
-    # The instance dict holds only the ``cleared`` memo.
-    __slots__ = ("num", "den", "__dict__")
+    __slots__ = ("num", "den")
     num: Polynomial
     den: Polynomial
 
@@ -385,59 +336,65 @@ class RationalFunction(_Immutable):
     def __reduce__(self):
         return RationalFunction, (self.num, self.den)
 
-    @cached_property
-    def cleared(self) -> tuple[Polynomial, Polynomial]:
-        """Polynomials with integer coefficients and the ratio num / den."""
-        a, b = self.num.denom, self.den.denom
-        g = math.gcd(a, b)
-        return (
-            Polynomial(tuple(c * (b // g) for c in self.num.ints)),
-            Polynomial(tuple(c * (a // g) for c in self.den.ints)),
-        )
-
     @staticmethod
     def ratio(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num / den in canonical form: both divided exactly by their
+        primitive GCD, then by their joint content."""
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            return RationalFunction(Polynomial.zero(), Polynomial.constant(1))
+        p, q = num.ints, den.ints
         g = poly_gcd(num, den)
         if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading
-        return RationalFunction(num.scale(1 / lead), den.scale(1 / lead))
+            p, q = _exact_quotient(p, g.ints), _exact_quotient(q, g.ints)
+        return _lowest_terms(p, q)
 
     @staticmethod
     def of(num: Iterable[Scalar], den: Iterable[Scalar] = (1,)) -> "RationalFunction":
-        return RationalFunction.ratio(Polynomial.of(*num), Polynomial.of(*den))
+        """The canonical form of the ratio of two rational coefficient
+        lists, lowest degree first, both brought over one common
+        denominator."""
+        num, den = list(num), list(den)
+        scale = math.lcm(*(c.denominator for c in num + den))
+        p, q = ([c.numerator * (scale // c.denominator) for c in cs] for cs in (num, den))
+        return RationalFunction.ratio(_poly(p), _poly(q))
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
     def scale(self, c: Scalar) -> "RationalFunction":
-        """Return c f, reduced and monic when f is: a nonzero constant
-        factor adds no common root, so no GCD runs; c = 0 gives the
-        canonical zero."""
-        num = self.num.scale(c)
-        if num.is_zero:
-            return RationalFunction.ratio(num, self.den)
-        return RationalFunction(num, self.den)
+        """Return c f, canonical when f is: a nonzero constant factor adds
+        no common root, so no GCD runs, and only the joint content is
+        divided out; c = 0 gives the canonical zero."""
+        return _lowest_terms(
+            [a * c.numerator for a in self.num.ints] if c else [],
+            [b * c.denominator for b in self.den.ints],
+        )
 
     def pair(self, n: int) -> Pair:
         """f(n) as an int pair, denominator evaluated first; raises
         ZeroDivisionError at a pole."""
-        num, den = self.cleared
-        d = den(n)
+        d = self.den(n)
         if d == 0:
             raise ZeroDivisionError(f"pole at n = {n}")
-        v = num(n)
+        v = self.num(n)
         return (v, d) if d > 0 else (-v, -d)
 
-    def __call__(self, n: Scalar) -> Fraction:
+    def __call__(self, n: int) -> Fraction:
         return Fraction(*self.pair(n))
 
+
+def _lowest_terms(num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
+    """num / den over their joint content, with den's leading coefficient
+    made positive: the canonical form when num and den are coprime."""
+    if not num:
+        return RationalFunction(Polynomial(()), Polynomial((1,)))
+    g = math.gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num, den = [c // g for c in num], [c // g for c in den]
+    return RationalFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))
 
 
 def _slope(p: Sequence[int], q: Sequence[int]) -> Polynomial:
@@ -449,9 +406,7 @@ def _slope(p: Sequence[int], q: Sequence[int]) -> Polynomial:
         for j, b in enumerate(q):
             if i != j:  # the n^(i+j-1) terms of p'q - pq'
                 out[i + j - 1] += (i - j) * a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return Polynomial(tuple(out))
+    return _poly(out)
 
 
 def limit_at_infinity(f: RationalFunction) -> Limit:
@@ -460,7 +415,7 @@ def limit_at_infinity(f: RationalFunction) -> Limit:
     dn, dd = f.num.degree, f.den.degree
     if dn > dd:
         raise ValueError("deg(num) > deg(den): the function has no finite limit")
-    return Limit(f.num.leading / f.den.leading if dn == dd else Fraction(0))
+    return Limit(Fraction(f.num.ints[-1], f.den.ints[-1]) if dn == dd else Fraction(0))
 
 
 class RayWalk(NamedTuple):
@@ -499,7 +454,7 @@ def walk_ray(f: RationalFunction, ray: Ray) -> RayWalk:
       the walked ones, and the witness at D(C) stands for its negatives
       beyond.
     """
-    num, den = (ray.orient(p) for p in f.cleared)
+    num, den = ray.orient(f.num), ray.orient(f.den)
     slope = _slope(num.ints, den.ints)
     cutoff = ray_root_free_cutoff(ray, num, den, slope)
     flip = -1 if ray.kind == "le" else 1  # f(n) - f(n-1) = flip * D(m)

@@ -29,7 +29,6 @@ NamedTuples.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
@@ -185,14 +184,7 @@ def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
     )
 
 
-class _TransformedWeightsFields(NamedTuple):
-    spec: WeightSpec
-    left_limit_sq: Limit
-    right_limit_sq: Limit
-    flat_from: int | None
-
-
-class TransformedWeights(_TransformedWeightsFields):
+class TransformedWeights(NamedTuple):
     """Squared transformed weights g_n, pointwise plus symbolic tail forms.
 
     ``value_sq(n)`` returns None exactly where d_n = 0 but d_{n+1} > 0: there
@@ -208,28 +200,20 @@ class TransformedWeights(_TransformedWeightsFields):
     None means the transformed weights vanish identically on that side;
     ``flat_from`` is the smallest index m with g_n = 0 for every n >= m
     (None when the right side never flattens).
-
-    A named tuple of its fields. It has no ``__slots__``, so its instance
-    dict can keep the memo of each side's tail form; a copy or pickle holds
-    the fields alone.
     """
 
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-    @cached_property
-    def _forms(self) -> dict[int, RationalFunction | None]:
-        return {}
+    spec: WeightSpec
+    left_limit_sq: Limit
+    right_limit_sq: Limit
+    flat_from: int | None
 
     def form(self, side: int) -> RationalFunction | None:
         """g_n^2 as a rational function, valid for n <= window_start - 2
-        (side 0) or n >= window_end + 2 (side 1), kept once built; None on a
-        constant tail."""
-        forms, spec = self._forms, self.spec
-        if side not in forms:
-            varying = spec.delta(side) is not None
-            forms[side] = RationalFunction(*gamma_form(spec.tail(side).fn)) if varying else None
-        return forms[side]
+        (side 0) or n >= window_end + 2 (side 1); None on a constant
+        tail."""
+        if self.spec.delta(side) is None:
+            return None
+        return RationalFunction(*gamma_form(self.spec.tail(side).fn))
 
     def value_sq(self, n: int) -> Fraction | None:
         v = self.pairs_sq(n, n + 1)[0]
@@ -252,7 +236,7 @@ def gamma_form(fn: RationalFunction) -> tuple[Polynomial, Polynomial]:
     whose denominator vanishes nowhere on a validated tail with d_n > 0.
     Raises ValueError on a constant tail, where e = 0 and g_n^2 = 0.
     """
-    p, q = (c.ints for c in fn.cleared)
+    p, q = fn.num.ints, fn.den.ints
     a, b = int_product(p, p), int_product(q, q)
     b_ = int_shift(b, -1)
     e = [x - y for x, y in zip(int_product(a, b_), int_product(int_shift(a, -1), b))]

@@ -162,10 +162,13 @@ def spec_from_dict(obj: Any) -> tuple[WeightSpec, dict[str, str]]:
 def _tail_to_dict(tail: TailSpec) -> dict:
     if isinstance(tail, ConstantTail):
         return {"kind": "constant", "value": format_rational(tail.value)}
+    # Each coefficient over den's leading one: the monic denominator form.
+    # A zero numerator is written "0", as the parser needs a coefficient.
+    lead = tail.fn.den.ints[-1]
     return {
         "kind": "rational",
-        "num": [format_rational(c) for c in tail.fn.num.coeffs],
-        "den": [format_rational(c) for c in tail.fn.den.coeffs],
+        "num": [format_rational(Fraction(c, lead)) for c in tail.fn.num.ints] or ["0"],
+        "den": [format_rational(Fraction(c, lead)) for c in tail.fn.den.ints],
     }
 
 

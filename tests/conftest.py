@@ -18,7 +18,7 @@ from shiftcert import (
 )
 from shiftcert.classifier import Criterion, VerdictClass
 from shiftcert.fixtures import example_one, example_two, flat_pair, two_level
-from shiftcert.polycert import Polynomial, int_product, int_shift
+from shiftcert.polycert import Polynomial, _poly, int_product, int_shift
 
 
 @pytest.fixture(scope="session")
@@ -149,7 +149,7 @@ def degree_sixteen_spec() -> WeightSpec:
     for _ in range(8):
         c = rng.randrange(2**20, 2**21)
         q = int_product(q, [c, -2 * rng.randint(1, math.isqrt(c) - 1), 1])
-    left = RationalTail(RationalFunction.ratio(Polynomial.of(q[0] + 1, *q[1:]), Polynomial.of(*q)))
+    left = RationalTail(RationalFunction.of([q[0] + 1, *q[1:]], q))
     return WeightSpec(0, (Fraction(2),), left, ConstantTail(Fraction(2)))
 
 
@@ -285,17 +285,6 @@ def euclid_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [c / a[-1] for c in a] if a else []
 
 
-def int_cleared_coeffs(p) -> list[int]:
-    """Coefficients scaled by the denominator lcm: integer Horner preserves
-    signs and zeros while staying far faster than Fraction arithmetic."""
-    if p.is_zero:
-        return []
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    return [int(c * scale) for c in p.coeffs]
-
-
 def _int_eval(coeffs: list[int], n: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -309,8 +298,7 @@ def brute_force_ray_sign(f, ray, span: int = 10**4):
     Returns ("pole", index) on a denominator zero, else
     (zeros, has_positive, has_negative) over the scanned segment.
     """
-    num = int_cleared_coeffs(f.num)
-    den = int_cleared_coeffs(f.den)
+    num, den = f.num.ints, f.den.ints
     if ray.kind == "le":
         points = range(ray.bound - span, ray.bound + 1)
     else:
@@ -337,11 +325,10 @@ def brute_force_ray_sign(f, ray, span: int = 10**4):
 def brute_force_ray_argmax(f, ray, span: int = 10**4) -> int:
     """Ray integer within span where f is largest (the lowest on ties).
 
-    Compares integer-cleared values by cross-multiplication, so no rational
+    Compares the integer values by cross-multiplication, so no rational
     arithmetic runs per point; f must have no pole in the scanned segment.
     """
-    num = int_cleared_coeffs(f.num)
-    den = int_cleared_coeffs(f.den)
+    num, den = f.num.ints, f.den.ints
     if ray.kind == "le":
         points = range(ray.bound - span, ray.bound + 1)
     else:
@@ -359,12 +346,13 @@ def brute_force_ray_argmax(f, ray, span: int = 10**4) -> int:
 
 def shift_polynomial(p: Polynomial, delta: int) -> Polynomial:
     """q with q(n) = p(n + delta): the integer Taylor shift of p's ints,
-    which keeps their content, so the form stays canonical."""
-    return Polynomial(tuple(int_shift(p.ints, delta)), p.denom)
+    which keeps their content and leading coefficient, so the form stays
+    canonical."""
+    return Polynomial(tuple(int_shift(p.ints, delta)))
 
 
 def shift_function(f: RationalFunction, delta: int) -> RationalFunction:
-    """g with g(n) = f(n + delta), reduced and monic when f is."""
+    """g with g(n) = f(n + delta), canonical when f is."""
     return RationalFunction(shift_polynomial(f.num, delta), shift_polynomial(f.den, delta))
 
 
@@ -379,8 +367,8 @@ def constant_value(f: RationalFunction) -> Fraction | None:
     num = c den coefficient by coefficient for c = lead(num) / lead(den)."""
     if f.num.is_zero:
         return Fraction(0)
-    num, den = f.num.coeffs, f.den.coeffs
-    c = num[-1] / den[-1]
+    num, den = f.num.ints, f.den.ints
+    c = Fraction(num[-1], den[-1])
     return c if len(num) == len(den) and all(a == c * b for a, b in zip(num, den)) else None
 
 
@@ -388,10 +376,10 @@ def difference_form(fn: RationalFunction) -> RationalFunction:
     """The first difference f(n) - f(n-1) = p/q - p(n-1)/q(n-1) as the
     unreduced ratio (p q(n-1) - p(n-1) q) / (q q(n-1)) of f's integer
     polynomials, built independently of the engine's walk."""
-    p, q = (c.ints for c in fn.cleared)
+    p, q = fn.num.ints, fn.den.ints
     pm, qm = int_shift(p, -1), int_shift(q, -1)
     num = int_difference(int_product(p, qm), int_product(pm, q))
-    return RationalFunction(Polynomial.of(*num), Polynomial.of(*int_product(q, qm)))
+    return RationalFunction(_poly(num), Polynomial(tuple(int_product(q, qm))))
 
 
 def growth_weight_rule(tau: float = 10.0, depth: int = 198):
@@ -418,12 +406,13 @@ def growth_weight_rule(tau: float = 10.0, depth: int = 198):
 
 def _reflect_tail(tail):
     """The tail n -> tail(-n - 1): odd coefficients negated, then shifted
-    by one; the ratio is reduced again so its denominator stays monic."""
+    by one; the ratio is reduced again so its denominator's leading
+    coefficient stays positive."""
     if isinstance(tail, ConstantTail):
         return tail
 
     def mirror(p: Polynomial) -> Polynomial:
-        flipped = Polynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.ints)), p.denom)
+        flipped = Polynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.ints)))
         return shift_polynomial(flipped, 1)
 
     return RationalTail(RationalFunction.ratio(mirror(tail.fn.num), mirror(tail.fn.den)))

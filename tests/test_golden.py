@@ -259,11 +259,11 @@ def test_engine_never_reduces(monkeypatch):
     assert verdict.certificate.criterion == Criterion.FLAT_TAIL
     assert verdict.certificate.left_sup_sq == DEGREE_SIXTEEN_LEFT_SUP_SQ
     truncation_report(specs["ex2"], classify(specs["ex2"]), 40, sweep=[10, 40])
-    # Scaling a parsed (reduced, monic) tail by a nonzero constant keeps it so.
+    # Scaling a parsed (canonical) tail by a nonzero constant keeps it so.
     scaled = scale_spec(example_two(), Fraction(3, 2)).right_tail.fn
     assert calls == 0
     fn = example_two().right_tail.fn
-    assert scaled == RationalFunction.ratio(fn.num.scale(Fraction(3, 2)), fn.den)
+    assert scaled == RationalFunction.of([Fraction(3, 2) * c for c in fn.num.ints], fn.den.ints)
 
 
 def regenerate() -> None:

@@ -156,7 +156,8 @@ def _unreduced_constant(rng: random.Random, c: Fraction, on_ray) -> RationalFunc
         k, r = rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-12, 12)
         pole = Fraction(-r, k)
         if pole.denominator > 1 or not on_ray(int(pole)):
-            return RationalFunction(Polynomial.of(c * r, c * k), Polynomial.of(r, k))
+            p, q = c.numerator, c.denominator
+            return RationalFunction(Polynomial((p * r, p * k)), Polynomial((q * r, q * k)))
 
 
 def _report(verdict) -> str:

@@ -11,7 +11,6 @@ from shiftcert import (
     ConstantTail,
     Limit,
     PoleOnRay,
-    Polynomial,
     RationalFunction,
     RationalTail,
     Ray,
@@ -39,7 +38,6 @@ from conftest import (
     brute_force_ray_sign,
     constant_value,
     difference_form,
-    int_cleared_coeffs,
     int_difference,
     random_labelled_spec,
     shift_function,
@@ -76,9 +74,9 @@ def factored_rational_function(rng: random.Random) -> RationalFunction:
         ints = [1]
         for _ in range(rng.randint(0, 3)):
             ints = int_product(ints, [rng.randint(-25, 25), 1])
-        return Polynomial.of(*(c * x for x in ints))
+        return [c * x for x in ints]
 
-    return RationalFunction.ratio(factors(), factors())
+    return RationalFunction.of(factors(), factors())
 
 
 class TestSignCertificationAgainstBruteForce:
@@ -143,7 +141,7 @@ def _brute_force_delta(f: RationalFunction, ray: Ray, span: int = 10**4):
     """The first difference f(n) - f(n-1) at each n of the ray within span
     whose n - 1 is on the ray too, from consecutive integer evaluations:
     (its zeros, its negatives)."""
-    num, den = int_cleared_coeffs(f.num), int_cleared_coeffs(f.den)
+    num, den = f.num.ints, f.den.ints
     if ray.kind == "le":
         points = range(ray.bound - span, ray.bound + 1)
     else:
@@ -168,7 +166,7 @@ def _expected_tail_message(f: RationalFunction, ray: Ray, side: str, span: int =
     """The validation message of a tail f on its ray, from a scan of the
     ray's first 10^4 integers: the lowest integer pole; else the lowest
     zero; else the negative value of smallest |n|, ties toward negative."""
-    num, den = int_cleared_coeffs(f.num), int_cleared_coeffs(f.den)
+    num, den = f.num.ints, f.den.ints
     if ray.kind == "le":
         points = range(ray.bound - span, ray.bound + 1)
     else:
@@ -495,15 +493,14 @@ class TestFirstDifferenceSignsTheDiagonal:
             for tail, ray in _tail_rays(spec):
                 if constant_value(tail.fn) is not None:
                     continue
-                p, q = (c.ints for c in tail.fn.cleared)
+                p, q = tail.fn.num.ints, tail.fn.den.ints
                 pm, qm = int_shift(p, -1), int_shift(q, -1)
 
                 def squares(x, y):  # x^2 y^2
                     return int_product(int_product(x, x), int_product(y, y))
 
-                square = RationalFunction.ratio(
-                    Polynomial.of(*int_difference(squares(p, qm), squares(pm, q))),
-                    Polynomial.of(*squares(q, qm)),
+                square = RationalFunction.of(
+                    int_difference(squares(p, qm), squares(pm, q)), squares(q, qm)
                 )
                 by_delta = sign_on_ray(difference_form(tail.fn), ray)
                 by_square = sign_on_ray(square, ray)

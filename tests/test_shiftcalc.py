@@ -157,7 +157,7 @@ class TestGammaForm:
         "fn",
         [
             RationalFunction.of([3]),
-            RationalFunction(Polynomial.of(4, 4), Polynomial.of(1, 1)),
+            RationalFunction(Polynomial((4, 4)), Polynomial((1, 1))),
         ],
         ids=["reduced", "unreduced"],
     )

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from shiftcert import InvalidSpec, classify
 from shiftcert.fixtures import FIXTURES
 from shiftcert.specfile import (
     SpecFileError,
@@ -126,6 +129,39 @@ class TestSpecDicts:
         assert payload["left_tail"]["kind"] == "rational"
         assert payload["right_tail"]["num"] == ["-1", "2"]
         assert payload["right_tail"]["den"] == ["0", "1"]
+
+    def test_zero_tail_round_trips(self):
+        # A zero numerator is written as ["0"], which parses back, so the
+        # reloaded spec fails validation with the original's message.
+        payload = _base_dict()
+        payload["left_tail"] = {"kind": "rational", "num": ["0"], "den": ["1"]}
+        spec, _ = spec_from_dict(payload)
+        written = spec_to_dict(spec)
+        assert written["left_tail"] == {"kind": "rational", "num": ["0"], "den": ["1"]}
+        rebuilt, _ = spec_from_dict(written)
+        assert rebuilt == spec
+        messages = []
+        for candidate in (spec, rebuilt):
+            with pytest.raises(InvalidSpec) as excinfo:
+                classify(candidate)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("left tail: not strictly positive")
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN_DIR.glob("*.spec.json")), ids=lambda path: path.name[: -len(".spec.json")]
+)
+def test_golden_spec_bytes_are_written_back(path):
+    """Each golden spec file is exactly what dump_spec writes for its
+    loaded spec: coefficients over the denominator's leading coefficient,
+    so the monic denominator form, fractional coefficients included."""
+    spec, meta = load_spec(path)
+    written = json.dumps(spec_to_dict(spec, **meta), indent=2, sort_keys=True) + "\n"
+    assert written == path.read_text(encoding="utf-8")
 
 
 class TestFiles:

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from shiftcert.classifier import (
     replay,
 )
 from shiftcert.fixtures import example_one, example_two
+from shiftcert import polycert, shiftcalc
 from shiftcert.oracle import Truncation, TruncationReport
 from shiftcert.polycert import Limit, Polynomial, RationalFunction, Ray, RaySign, RayWalk
 from shiftcert.shiftcalc import (
@@ -82,7 +85,7 @@ _SUBDIAGONAL = np.arange(4.0)
 # Type -> (a builder of one value, a builder of an unequal value, the
 # field names in declaration order). Each builder makes fresh field objects.
 CASES = {
-    Polynomial: (lambda: Polynomial.of(1, 2), lambda: Polynomial.of(1, 3), ("ints", "denom")),
+    Polynomial: (lambda: Polynomial((1, 2)), lambda: Polynomial((1, 3)), ("ints",)),
     Ray: (lambda: Ray.le(3), lambda: Ray.ge(3), ("kind", "bound")),
     RaySign: (lambda: RaySign((1,), (2, 3)), lambda: RaySign((), ()), ("zeros", "negatives")),
     Limit: (lambda: Limit(Fraction(1, 2)), lambda: Limit(Fraction(0)), ("value",)),
@@ -240,21 +243,20 @@ class TestValueContract:
 
 
 def test_reprs_are_pinned():
-    assert repr(Polynomial.of(Fraction(1, 2), 3)) == "Polynomial(ints=(1, 6), denom=2)"
+    assert repr(Polynomial((1, 6))) == "Polynomial(ints=(1, 6))"
     assert repr(Limit(Fraction(0))) == "Limit(value=Fraction(0, 1))"
     assert repr(Ray.ge(2)) == "Ray(kind='ge', bound=2)"
     assert repr(example_two()) == (
         "WeightSpec(window_start=0, window_values=(Fraction(2, 3),), "
         "left_tail=RationalTail(fn=RationalFunction("
-        "num=Polynomial(ints=(-1,), denom=1), den=Polynomial(ints=(-1, 1), denom=1))), "
+        "num=Polynomial(ints=(-1,)), den=Polynomial(ints=(-1, 1)))), "
         "right_tail=RationalTail(fn=RationalFunction("
-        "num=Polynomial(ints=(-1, 2), denom=1), den=Polynomial(ints=(0, 1), denom=1))))"
+        "num=Polynomial(ints=(-1, 2)), den=Polynomial(ints=(0, 1)))))"
     )
     assert repr(ReplayResult(True)) == "ReplayResult(consistent=True, detail=None)"
 
 
 def test_defaults():
-    assert Polynomial((1,)).denom == 1
     assert ReplayResult(True).detail is None
     assert Truncation(2, _SUBDIAGONAL, 1e-9).moduli is None
     assert _report().norm_trace == ()
@@ -266,10 +268,10 @@ def test_defaults():
 class TestPolynomialIsNotASequence:
     def test_reflected_product_with_an_int(self):
         with pytest.raises(TypeError):
-            3 * Polynomial.of(1, 2)
+            3 * Polynomial((1, 2))
 
     def test_no_length_iteration_or_order(self):
-        p, q = Polynomial.of(1, 2), Polynomial.of(1, 3)
+        p, q = Polynomial((1, 2)), Polynomial((1, 3))
         with pytest.raises(TypeError):
             len(p)
         with pytest.raises(TypeError):
@@ -289,20 +291,27 @@ class TestPolynomialIsNotASequence:
             3 * f
 
     def test_not_equal_to_its_fields_as_a_tuple(self):
-        p = Polynomial.of(1, 2)
-        assert p != (p.ints, p.denom)
+        p = Polynomial((1, 2))
+        assert p != (p.ints,) and p != p.ints
         f = RationalFunction.of([1], [1, 1])
         assert f != (f.num, f.den)
 
 
 # Helpers only tests read: the engine combines polynomials through
 # int_product, int_shift and _slope, and reads pairs, not Fraction lists.
+# A polynomial has integer coefficients only, and a rational function is
+# its canonical integer pair, so neither keeps a rational form or a memo.
 DELETED = {
-    Polynomial: ("__add__", "__neg__", "__sub__", "__mul__", "compose_shift"),
-    RationalFunction: ("shift", "derivative_numerator", "constant_value"),
+    Polynomial: (
+        "__add__", "__neg__", "__sub__", "__mul__", "compose_shift",
+        "denom", "of", "zero", "constant", "coeffs", "leading", "scale", "divmod", "monic",
+    ),
+    RationalFunction: ("shift", "derivative_numerator", "constant_value", "cleared"),
     WeightSpec: ("value_float",),
     CommutatorDiagonal: ("entries",),
-    TransformedWeights: ("values_sq",),
+    TransformedWeights: ("values_sq", "_forms"),
+    polycert: ("_canonical", "_frac", "cached_property"),
+    shiftcalc: ("_TransformedWeightsFields", "cached_property"),
 }
 
 
@@ -311,8 +320,16 @@ class TestNoTestOnlySurface:
     def test_deleted_names_are_gone(self, cls):
         assert [name for name in DELETED[cls] if hasattr(cls, name)] == []
 
+    def test_one_integer_representation(self):
+        assert Polynomial.__slots__ == ("ints",)
+        assert RationalFunction.__slots__ == ("num", "den")
+        package = Path(polycert.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"\b(denom|cleared)\b", text), path.name
+
     def test_polynomials_have_no_arithmetic_operators(self):
-        p, q = Polynomial.of(1, 2), Polynomial.of(1, 3)
+        p, q = Polynomial((1, 2)), Polynomial((1, 3))
         with pytest.raises(TypeError):
             p + q
         with pytest.raises(TypeError):
@@ -330,11 +347,6 @@ class TestNoTestOnlySurface:
 
 
 class TestMemosPerInstance:
-    def test_cleared_is_computed_once(self):
-        f = RationalFunction.of([Fraction(1, 2)], [1, Fraction(1, 3)])
-        assert f.cleared is f.cleared
-        assert f.cleared == (Polynomial((3,)), Polynomial((6, 2)))
-
     def test_window_pairs_are_computed_once(self):
         spec = example_two()
         assert spec._window_pairs is spec._window_pairs
@@ -348,36 +360,38 @@ class TestMemosPerInstance:
         assert spec.walk(0) is not None and spec.walk(1) is not None
         assert example_two().walk(1) == spec.walk(1)
 
-    def test_tail_forms_are_computed_once(self):
+    def test_tail_forms_are_equal_across_builds(self):
+        # TransformedWeights keeps no memo: each call builds the form anew.
         tw = _tw(example_two())
-        assert tw.form(0) is tw.form(0)
-        assert tw.form(1) is tw.form(1)
+        assert tw.form(0) == tw.form(0)
+        assert tw.form(1) == tw.form(1)
         assert tw.form(1) is not None
         assert _tw(example_two()).form(1) == tw.form(1)
 
     def test_equal_values_keep_their_own_memos(self):
-        f, g = RationalFunction.of([1], [1, 1]), RationalFunction.of([1], [1, 1])
-        assert f == g and f.cleared is not g.cleared
+        a, b = example_two(), example_two()
+        assert a == b and a.walk(1) == b.walk(1) and a.walk(1) is not b.walk(1)
 
     @pytest.mark.parametrize(
-        "make, fill",
+        "make, fill, memoized",
         [
-            pytest.param(example_two, classify, id="weight-spec"),
+            pytest.param(example_two, classify, True, id="weight-spec"),
             pytest.param(
                 lambda: _tw(example_one()),
                 lambda tw: bounded_on_left_ray(tw, tw.flat_from - 1),
+                False,
                 id="transformed-weights",
             ),
         ],
     )
-    def test_copies_leave_the_memos_behind(self, make, fill):
+    def test_copies_leave_the_memos_behind(self, make, fill, memoized):
         value = make()
         fresh = pickle.dumps(value)
         fill(value)
-        assert value.__dict__
+        assert bool(getattr(value, "__dict__", None)) == memoized
         assert pickle.dumps(value) == fresh
         for twin in (pickle.loads(fresh), copy.copy(value), copy.deepcopy(value)):
-            assert twin == value and twin.__dict__ == {}
+            assert twin == value and getattr(twin, "__dict__", {}) == {}
 
 
 class TestReplayDetails:
