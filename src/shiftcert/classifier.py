@@ -19,8 +19,9 @@ they are always bounded, and the structure alone decides.
 That structure is one certified fact: which pairs |beta_n|, |beta_{n+1}|
 are equal and which rise strictly. :func:`check_hyponormal` lists the equal
 pairs from the zeros of each tail's first difference and from the seam
-values, and every rule past hyponormality reads that pattern through
-:meth:`HyponormalityCheck.first_rise`; none evaluates a modulus again.
+values, and every rule past hyponormality reads that pattern off the one
+set of equal pairs: whether a pair rises, and where the next rise lies
+(:meth:`HyponormalityCheck.first_rise`); none evaluates a modulus again.
 
 Each varying tail is walked once per spec: the spec keeps its walk
 (:meth:`~shiftcert.weights.WeightSpec.walk`, side 0 the left tail and side
@@ -174,11 +175,11 @@ class HyponormalityCheck(NamedTuple):
 
     Once hyponormality holds the moduli are nondecreasing, so every pair
     is equal or a strict rise, and that pair pattern is all the rules past
-    hyponormality read, through :meth:`first_rise`. ``equal_pairs`` lists,
-    ascending, every equal pair outside a constant left tail; a constant
-    right tail contributes only its first pair, window_end + 1, and makes
-    every pair from there on equal. It is empty when the shift is not
-    hyponormal.
+    hyponormality read. ``equal_pairs`` lists, ascending, every equal pair
+    outside a constant left tail; a constant right tail contributes only
+    its first pair, window_end + 1, and makes every pair from there on
+    equal. Every other pair rises, and :meth:`first_rise` finds the next
+    rise. It is empty when the shift is not hyponormal.
     """
 
     hyponormal: bool
@@ -394,8 +395,11 @@ def classify(spec: WeightSpec) -> Verdict:
         )
 
     # Isolated flat pair: |beta_{j-1}| < |beta_j| = |beta_{j+1}| < |beta_{j+2}|.
-    isolated = (e for e in check.equal_pairs if check.first_rise(e - 1) == e - 1)
-    j0 = next((e for e in isolated if check.first_rise(e + 1) == e + 1), None)
+    # A constant right tail lists only its first pair, window_end + 1, though
+    # every pair after it is equal too.
+    eq, flat_right = set(check.equal_pairs), profile.right_shape == Shape.CONSTANT
+    isolated = (e for e in check.equal_pairs if e - 1 not in eq and e + 1 not in eq)
+    j0 = next((e for e in isolated if not flat_right or e + 1 <= spec.window_end), None)
     if j0 is not None:
         return build(
             VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
@@ -541,12 +545,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     # varying left tail two more on each side.
     pad = 0 if left is None else 2
     base = first - 1 - pad
-    moduli = (
-        *spec.value_pairs(base, first),
-        *window,
-        *spec.value_pairs(last + 1, last + 2 + pad),
-    )
-    squares = [(p * p, q * q) for p, q in moduli]
+    squares = [(p * p, q * q) for p, q in spec.value_pairs(base, last + 2 + pad)]
     beta = (first - 1, first, last, last + 1) if first < last else (first - 1, first, last + 1)
     points: list[_Point] = [("beta_sq", n, *squares[n - base]) for n in beta]
     relations: list[Relation] = []
@@ -657,10 +656,10 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         extra = (k - 1, k)
     else:
         first_equality = k
-        flat_pair_index = next(
-            (e for e in equal if rise_from(e - 1) == e - 1 and rise_from(e + 1) == e + 1),
-            None,
-        )
+        # A constant right tail lists only its first pair, last + 1, though
+        # every pair after it is equal too.
+        isolated = (e for e in equal if e - 1 not in eq and e + 1 not in eq)
+        flat_pair_index = next((e for e in isolated if right is not None or e + 1 <= last), None)
         if flat_pair_index is None:
             criterion, witness = Criterion.FLAT_TAIL_VIOLATION, rise + 1
         else:

@@ -315,8 +315,12 @@ def _load_and_classify(path: str, err) -> tuple[WeightSpec, Verdict, dict] | int
     return spec, verdict, meta
 
 
+# The largest finite binary64 value, exactly.
+_BINARY64_MAX = Fraction(sys.float_info.max)
+
+
 def _beyond_binary64(value: Fraction) -> bool:
-    return abs(value) > Fraction(sys.float_info.max)
+    return abs(value) > _BINARY64_MAX
 
 
 def _finite(obj: Any) -> bool:

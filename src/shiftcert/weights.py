@@ -4,10 +4,10 @@ A :class:`WeightSpec` tiles the integers into three regions: an explicit
 window of positive rationals and two closed-form tails (a positive constant,
 or a rational function with a finite limit). Everything downstream -- the
 self-commutator diagonal, the transformed weights, the classification
-certificates -- evaluates these moduli exactly, as int pairs
-(:meth:`WeightSpec.value_pair`, or :meth:`WeightSpec.value_pairs` over a
-range, which evaluates each region once). A spec keeps each varying tail's
-walk, which validation and classification share (:meth:`WeightSpec.walk`;
+certificates -- evaluates these moduli exactly, as int pairs over a range
+of indices (:meth:`WeightSpec.value_pairs`, the one code that maps an index
+onto the window or a tail). A spec keeps each varying tail's walk, its only
+memo, which validation and classification share (:meth:`WeightSpec.walk`;
 side 0 is the left tail and side 1 the right). A tail is constant exactly
 when its walk has no first difference (:meth:`WeightSpec.delta`).
 
@@ -54,8 +54,7 @@ class WeightSpec(_WeightSpecFields):
     """Moduli |beta_n|: window on [window_start, window_end], tails outside.
 
     A named tuple of its fields. It has no ``__slots__``, so its instance
-    dict can keep the memos: ``_window_pairs`` and each tail's walk. A copy
-    or pickle holds the fields alone.
+    dict can keep each tail's walk. A copy or pickle holds the fields alone.
     """
 
     def __reduce__(self):
@@ -65,36 +64,22 @@ class WeightSpec(_WeightSpecFields):
     def window_end(self) -> int:
         return self.window_start + len(self.window_values) - 1
 
-    def value_pair(self, n: int) -> Pair:
-        """Exact modulus |beta_n| as an unreduced (numerator, positive
-        denominator) int pair."""
-        if self.window_start <= n <= self.window_end:
-            v = self.window_values[n - self.window_start]
-        else:
-            tail = self.left_tail if n < self.window_start else self.right_tail
-            if not isinstance(tail, ConstantTail):
-                return tail.fn.pair(n)
-            v = tail.value
-        return v.numerator, v.denominator
-
     def value_pairs(self, start: int, stop: int) -> list[Pair]:
-        """``value_pair(n)`` for start <= n < stop, region by region: a slice
-        of the window, one pair repeated over a constant tail, and one
+        """The exact moduli |beta_n| for start <= n < stop as unreduced
+        (numerator, positive denominator) int pairs, region by region: a
+        slice of the window, one pair repeated over a constant tail, and one
         evaluation per index of a rational tail, ascending, so a pole raises
-        where the per-index loop would."""
+        at the first index that hits one."""
         ws, we = self.window_start, self.window_end + 1
         out: list[Pair] = []
         if start < ws:
             out += _tail_pairs(self.left_tail, start, min(stop, ws))
         if start < we and stop > ws:
-            out += self._window_pairs[max(start, ws) - ws : min(stop, we) - ws]
+            window = self.window_values[max(start, ws) - ws : min(stop, we) - ws]
+            out += [(v.numerator, v.denominator) for v in window]
         if stop > we:
             out += _tail_pairs(self.right_tail, max(start, we), stop)
         return out
-
-    @cached_property
-    def _window_pairs(self) -> tuple[Pair, ...]:
-        return tuple((v.numerator, v.denominator) for v in self.window_values)
 
     def tail(self, side: int) -> TailSpec:
         """The left tail (side 0) or the right one (side 1)."""
@@ -125,7 +110,7 @@ class WeightSpec(_WeightSpecFields):
 
     def value(self, n: int) -> Fraction:
         """Exact modulus |beta_n|."""
-        return Fraction(*self.value_pair(n))
+        return Fraction(*self.value_pairs(n, n + 1)[0])
 
 
 def _tail_pairs(tail: TailSpec, start: int, stop: int) -> list[Pair]:

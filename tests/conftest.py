@@ -203,11 +203,26 @@ def tied_left_tail(rng: random.Random, window_start: int, top: Fraction) -> Rati
     return RationalTail(shift_function(reflected, -(m + window_start - 1)))
 
 
-def make_plateau_spec(rng: random.Random) -> WeightSpec:
+def _long_run_window(rng: random.Random, base: Fraction) -> list[Fraction]:
+    """30-300 values in runs of equal values, of lengths 1-120 and often 2
+    (an isolated equal pair), each run a strict rise above the one before;
+    the first run ties with base or rises above it."""
+    length = rng.randint(30, 300)
+    values: list[Fraction] = []
+    current = base if rng.random() < 0.5 else base + rand_fraction(rng)
+    while len(values) < length:
+        values += [current] * (2 if rng.random() < 0.4 else rng.randint(1, 120))
+        current += rand_fraction(rng)
+    return values[:length]
+
+
+def make_plateau_spec(rng: random.Random, long_runs: bool = False) -> WeightSpec:
     """A hyponormal spec rich in equal moduli: a rising left tail (or a
     constant one), a window where each step ties or rises, and a right
     tail equal to the window's top, above it, or rising. Rising tails may
-    tie with the window across the seam or on their own first pair."""
+    tie with the window across the seam or on their own first pair. The
+    window holds 1-6 values, or with ``long_runs`` the runs of
+    :func:`_long_run_window`."""
     start = rng.randint(-4, 4)
     shape = rng.randrange(3)
     if shape == 0:
@@ -219,12 +234,15 @@ def make_plateau_spec(rng: random.Random) -> WeightSpec:
     else:
         base = rand_fraction(rng) + 1
         left = tied_left_tail(rng, start, base)
-    values = []
-    current = base
-    for _ in range(rng.randint(1, 6)):
-        if rng.random() < 0.5:
-            current += rand_fraction(rng)
-        values.append(current)
+    if long_runs:
+        values = _long_run_window(rng, base)
+    else:
+        values = []
+        current = base
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                current += rand_fraction(rng)
+            values.append(current)
     window = tuple(values)
     end = start + len(window) - 1
     top = window[-1]

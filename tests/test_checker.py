@@ -10,6 +10,7 @@ on an interpreter without numpy.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -342,3 +343,29 @@ def test_a_left_supremum_deep_in_the_ray_runs_the_full_certificate(monkeypatch):
     for wrong in (cert.left_sup_sq - 1, cert.left_sup_sq + 1, cert.left_limit_sq.value):
         result = replay(cert._replace(left_sup_sq=wrong), spec)
         assert result.detail.startswith("left sup sq mismatch: ")
+
+
+def test_a_long_flat_run_classifies_and_replays_within_two_seconds():
+    # The left tail (3 - n) / (2 - n) rises to 4/3 at n = -1, and the window
+    # holds 3/2, a run of 20,000 values 2, then a top. Each rule past
+    # hyponormality asks every equal pair only whether its neighbours rise,
+    # so the run costs time linear in its length, not quadratic.
+    left = RationalTail(RationalFunction.of([3, -1], [2, -1]))
+    run = (Fraction(3, 2), *[Fraction(2)] * 20_000)
+    flat_top = WeightSpec(0, (*run, Fraction(3)), left, ConstantTail(Fraction(3)))
+    isolated = WeightSpec(
+        0, (*run, Fraction(3), Fraction(3), Fraction(4)), left, ConstantTail(Fraction(5))
+    )
+    cases = [
+        # The top 3 meets the constant right tail 3: no pair is isolated.
+        (flat_top, Criterion.FLAT_TAIL_VIOLATION, 20_001, None),
+        # The pair 3 = 3 lies between the rises 2 < 3 and 3 < 4.
+        (isolated, Criterion.FLAT_PAIR, 20_001, 20_001),
+    ]
+    start = time.perf_counter()
+    for spec, criterion, witness, flat_pair_index in cases:
+        cert = classify(spec).certificate
+        assert (cert.criterion, cert.witness, cert.first_equality) == (criterion, witness, 1)
+        assert cert.flat_pair_index == flat_pair_index
+        assert replay(cert, spec) == (True, None)
+    assert time.perf_counter() - start < 2.0

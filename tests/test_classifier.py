@@ -18,7 +18,14 @@ from shiftcert import (
     replay,
     scale_spec,
 )
-from shiftcert.classifier import Criterion, Relation, ReplayPoint, Shape, VerdictClass
+from shiftcert.classifier import (
+    Certificate,
+    Criterion,
+    Relation,
+    ReplayPoint,
+    Shape,
+    VerdictClass,
+)
 
 from conftest import RECIPES, make_plateau_spec, random_labelled_spec
 
@@ -246,26 +253,45 @@ class TestRulesReadThePairPattern:
     """Plateau-rich specs: each rule's outcome and ``first_rise`` agree
     with a brute-force scan of the moduli."""
 
+    @staticmethod
+    def _against_brute_force(spec: WeightSpec) -> Certificate:
+        expected, first_rise = brute_force_rules(spec)
+        cert = classify(spec).certificate
+        got = (
+            cert.criterion,
+            cert.witness,
+            cert.first_equality,
+            cert.left_run_end,
+            cert.flat_pair_index,
+        )
+        assert got == expected, spec
+        check = check_hyponormal(spec)
+        for pair in range(spec.window_start - 6, spec.window_end + 6):
+            assert check.first_rise(pair) == first_rise(pair), (spec, pair)
+        return cert
+
     def test_plateau_specs_against_brute_force(self):
         rng = random.Random(8080)
         seen = set()
         for _ in range(600):
-            spec = make_plateau_spec(rng)
-            expected, first_rise = brute_force_rules(spec)
-            cert = classify(spec).certificate
-            got = (
-                cert.criterion,
-                cert.witness,
-                cert.first_equality,
-                cert.left_run_end,
-                cert.flat_pair_index,
-            )
-            assert got == expected, spec
-            check = check_hyponormal(spec)
-            for pair in range(spec.window_start - 6, spec.window_end + 6):
-                assert check.first_rise(pair) == first_rise(pair), (spec, pair)
+            cert = self._against_brute_force(make_plateau_spec(rng))
             seen.add(cert.verdict_class if cert.criterion is None else cert.criterion)
         assert seen == {VerdictClass.NORMAL, *Criterion}
+
+    def test_long_plateau_specs_against_brute_force(self):
+        # Windows of 30-300 values in runs of up to 120 equal values, with
+        # isolated equal pairs anywhere, among them a window top below a
+        # constant right tail, whose first pair is equal but not isolated.
+        rng = random.Random(4242)
+        seen = set()
+        for _ in range(150):
+            spec = make_plateau_spec(rng, long_runs=True)
+            cert = self._against_brute_force(spec)
+            assert replay(cert, spec) == (True, None), spec
+            seen.add(cert.criterion)
+        # A long run always holds an equal pair, so no spec is strictly
+        # increasing or normal.
+        assert seen == {*Criterion} - {Criterion.STRICT_INCREASE}
 
 
 class TestLeftTailEquality:

@@ -520,7 +520,7 @@ class TestResidualsAgainstPerIndexReference:
     def test_seam_tie_is_an_exact_zero(self):
         for side, n in (("right", 2), ("left", -1)):
             spec = _seam_tie(side)
-            pairs = {spec.value_pair(n - 1), spec.value_pair(n)}
+            pairs = set(spec.value_pairs(n - 1, n + 1))
             assert len(pairs) == 2 and spec.value(n - 1) == spec.value(n)
             assert commutator_diagonal(spec).entry(n) == 0
 

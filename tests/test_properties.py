@@ -426,7 +426,7 @@ class TestRangeEvaluatorAgainstFractions:
             half_width = max(-lo, hi)
             floats = build_truncation(spec, half_width, 1e-9).subdiagonal
             for n in range(lo, hi):
-                p, q = spec.value_pair(n)
+                [(p, q)] = spec.value_pairs(n, n + 1)
                 assert q > 0 and Fraction(p, q) == spec.value(n)
                 assert floats[n + half_width] == float(spec.value(n))
             diag = commutator_diagonal(spec)

@@ -301,13 +301,15 @@ class TestPolynomialIsNotASequence:
 # int_product, int_shift and _slope, and reads pairs, not Fraction lists.
 # A polynomial has integer coefficients only, and a rational function is
 # its canonical integer pair, so neither keeps a rational form or a memo.
+# A spec maps indices onto its window and tails in value_pairs alone, and
+# keeps no memo but its tail walks.
 DELETED = {
     Polynomial: (
         "__add__", "__neg__", "__sub__", "__mul__", "compose_shift",
         "denom", "of", "zero", "constant", "coeffs", "leading", "scale", "divmod", "monic",
     ),
     RationalFunction: ("shift", "derivative_numerator", "constant_value", "cleared"),
-    WeightSpec: ("value_float",),
+    WeightSpec: ("value_float", "value_pair", "_window_pairs"),
     CommutatorDiagonal: ("entries",),
     TransformedWeights: ("values_sq", "_forms"),
     polycert: ("_canonical", "_frac", "cached_property"),
@@ -347,10 +349,8 @@ class TestNoTestOnlySurface:
 
 
 class TestMemosPerInstance:
-    def test_window_pairs_are_computed_once(self):
+    def test_value_pairs_read_the_window_and_both_tails(self):
         spec = example_two()
-        assert spec._window_pairs is spec._window_pairs
-        assert spec._window_pairs == ((2, 3),)
         assert spec.value_pairs(-1, 2) == [(1, 2), (2, 3), (1, 1)]
 
     def test_tail_walks_are_computed_once(self):

@@ -16,7 +16,7 @@ from shiftcert import (
     validate,
 )
 
-from conftest import RECIPES, make_plateau_spec, random_valid_spec
+from conftest import RECIPES, fraction_horner, make_plateau_spec, random_valid_spec
 
 
 class TestValidate:
@@ -154,8 +154,19 @@ class TestEvaluation:
                 assert spec.value(n) > 0
 
 
+def reference_modulus(spec: WeightSpec, n: int) -> Fraction:
+    """|beta_n| from the window value or, on a tail, the constant or the
+    ratio of its coefficients evaluated by Horner's rule in Fractions."""
+    if spec.window_start <= n <= spec.window_end:
+        return spec.window_values[n - spec.window_start]
+    tail = spec.left_tail if n < spec.window_start else spec.right_tail
+    if isinstance(tail, ConstantTail):
+        return tail.value
+    return fraction_horner(tail.fn.num.ints, n) / fraction_horner(tail.fn.den.ints, n)
+
+
 class TestValuePairs:
-    """The region-wise range evaluator against the per-index one."""
+    """The region-wise range evaluator against a Fraction reference."""
 
     @staticmethod
     def _ranges(spec: WeightSpec, rng: random.Random):
@@ -174,14 +185,19 @@ class TestValuePairs:
         for _ in range(6):
             yield rng.randint(ws - 12, we + 12), rng.randint(ws - 12, we + 12)
 
-    def test_matches_value_pair(self):
+    def test_matches_the_fraction_reference(self):
         rng = random.Random(1313)
         makers = [maker for maker, _, _ in RECIPES] + [make_plateau_spec]
         for _ in range(25):
             for maker in makers:
                 spec = maker(rng)
                 for a, b in self._ranges(spec, rng):
-                    assert spec.value_pairs(a, b) == [spec.value_pair(n) for n in range(a, b)]
+                    pairs = spec.value_pairs(a, b)
+                    assert len(pairs) == max(b - a, 0)
+                    assert all(q > 0 for _, q in pairs)
+                    expected = [reference_modulus(spec, n) for n in range(a, b)]
+                    assert [Fraction(p, q) for p, q in pairs] == expected
+                    assert [spec.value(n) for n in range(a, b)] == expected
 
     @pytest.mark.parametrize("a, b", [(-9, 12), (-9, -2), (3, 12), (-5, -4), (7, 9)])
     def test_pole_raises_where_the_loop_does(self, a, b):
@@ -192,11 +208,10 @@ class TestValuePairs:
             RationalTail(RationalFunction.of([1], [5, 1])),
             RationalTail(RationalFunction.of([1], [-7, 1])),
         )
-        with pytest.raises(ZeroDivisionError) as expected:
-            [spec.value_pair(n) for n in range(a, b)]
+        pole = next(n for n in (-5, 7) if a <= n < b)  # the first one an ascending loop meets
         with pytest.raises(ZeroDivisionError) as got:
             spec.value_pairs(a, b)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"pole at n = {pole}"
 
 
 class TestScaling:
