@@ -406,7 +406,7 @@ def growth_weight_rule(tau: float = 10.0, depth: int = 198):
     Squared moduli descend from 4 by steps proportional to 2^(-n^2/tau),
     so the step ratios d_{n+1}/d_n explode toward -inf. Not expressible
     with rational-function tails (those always give finite transform
-    limits); used to exercise the oracle's growth diagnostic.
+    limits); used to show that ``norm_sweep`` sees growth on a raw rule.
     """
     steps = {n: 2.0 ** (-(n * n) / tau) for n in range(0, -depth - 2, -1)}
     eps = 2.0 / sum(steps.values())
@@ -420,6 +420,18 @@ def growth_weight_rule(tau: float = 10.0, depth: int = 198):
         return math.sqrt(sq[max(k, -depth)])
 
     return rule
+
+
+# Near subnormal with exact sup g_n^2 = 4: moduli (1/20)/(2 - n) for
+# n <= -1, 1/10 at 0 and 2n^2/(n^2 + 9) from n = 1. Its truncation norms
+# climb slowly toward 2 (1.160 at half width 6, 1.839 at 24), which a
+# growth ratio would misread as an unbounded transform.
+SLOW_PLATEAU_SPEC = {
+    "window_start": 0,
+    "window_values": ["1/10"],
+    "left_tail": {"kind": "rational", "num": ["-1/20"], "den": ["-2", "1"]},
+    "right_tail": {"kind": "rational", "num": ["0", "0", "2"], "den": ["9", "0", "1"]},
+}
 
 
 def _reflect_tail(tail):

@@ -20,6 +20,8 @@ import shiftcert
 from shiftcert.classifier import Criterion, VerdictClass
 from shiftcert.cli import MAX_DIM, MAX_SWEEP_DIM_SUM, main, render_json
 
+from conftest import SLOW_PLATEAU_SPEC
+
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 
 
@@ -385,8 +387,9 @@ class TestOracleCommand:
         assert "insufficient interior" in result.out
 
     def test_sweep_width_too_narrow_for_the_structure_shows_no_growth(self, fixture_dir):
-        # Half width 2 cannot hold ex2's structure: its norm, 1.127 against
-        # 1.903 at 32, is no evidence of growth, though it stays in the trace.
+        # Half width 2 cannot hold ex2's structure. Its norm, 1.127 against
+        # 1.903 at 32, stays in the trace, and the concordance never judges
+        # the trace: a truncation's norm only rises toward the supremum.
         result = run_cli(
             "oracle", str(fixture_dir / "ex2.json"), "--max-dim", "101", "--sweep", "2,32",
             "--format", "json",
@@ -395,6 +398,21 @@ class TestOracleCommand:
         oracle = json.loads(result.out)["oracle"]
         assert [item["half_width"] for item in oracle["norm_trace"]] == [2, 32]
         assert oracle["concordance"] == "agrees"
+
+    @pytest.mark.parametrize("sweep", ["6,24", "5,20"])
+    def test_slow_plateau_agrees_across_a_quadrupled_sweep(self, tmp_path, sweep):
+        # Norms that climb 1.160 -> 1.839 across a quadrupled width are a
+        # truncation approaching the exact supremum 2, not growth.
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(SLOW_PLATEAU_SPEC), encoding="utf-8")
+        result = run_cli("oracle", str(path), "--sweep", sweep, "--format", "json")
+        assert result.code == 0, result.out
+        oracle = json.loads(result.out)["oracle"]
+        assert oracle["concordance"] == "agrees"
+        assert oracle["invariance_violations"] == []
+        assert oracle["insufficient_interior"] is False
+        widths = [item["half_width"] for item in oracle["norm_trace"]]
+        assert widths == [int(w) for w in sweep.split(",")]
 
     def test_oracle_validates_only_through_classify(self, fixture_dir, monkeypatch):
         # The default tol comes from the certificate's modulus bound.

@@ -20,8 +20,11 @@ from shiftcert import (
     commutator_diagonal,
     load_spec,
     scale_spec,
+    spec_from_dict,
+    sup_sq_global,
     transformed_weights,
 )
+from shiftcert.classifier import VerdictClass
 from shiftcert.fixtures import flat_pair, two_level
 from shiftcert.oracle import (
     NotPSDError,
@@ -41,7 +44,13 @@ from shiftcert.oracle import (
     truncation_report,
 )
 
-from conftest import growth_weight_rule, random_labelled_spec, random_valid_spec
+from conftest import (
+    SLOW_PLATEAU_SPEC,
+    growth_weight_rule,
+    make_flat_tail_spec,
+    random_labelled_spec,
+    random_valid_spec,
+)
 from test_golden import GOLDEN_DIR, _golden_names, hand_specs
 
 
@@ -317,6 +326,28 @@ class TestNorms:
         trace = norm_sweep(ex1, [10, 40], default_tolerance(ex1))
         for _, value in trace:
             assert value == pytest.approx(2.0, abs=1e-9)
+
+    def test_truncation_norms_never_exceed_the_exact_supremum(self):
+        """On a spec file g_n tends to a finite limit, so a truncation's norm
+        only rises toward sqrt(sup g_n^2) and never past it: the one-sided
+        bound behind a concordance that does not judge the norm trace."""
+        golden = [load_spec(GOLDEN_DIR / f"{name}.spec.json")[0] for name in _golden_names()]
+        rng = random.Random(19)
+        drawn = [
+            random_labelled_spec(rng)[0] if i % 2 else make_flat_tail_spec(rng)
+            for i in range(200)
+        ]
+        checked = 0
+        for spec in golden + [spec_from_dict(SLOW_PLATEAU_SPEC)[0]] + drawn:
+            if classify(spec).klass != VerdictClass.NEAR_SUBNORMAL:
+                continue
+            sup = math.sqrt(sup_sq_global(transformed_weights(spec, commutator_diagonal(spec))))
+            for half_width, value in norm_sweep(spec, [4, 8, 16, 64], default_tolerance(spec)):
+                assert value <= sup * (1 + 1e-12), (spec, half_width, value, sup)
+            checked += 1
+        # Five goldens (ex1, ex2, random11, random15, random19), the slow
+        # plateau and at least 100 draws.
+        assert checked >= 5 + 1 + 100
 
     def test_growth_rule_trace(self):
         trace = norm_sweep(growth_weight_rule(), [5, 6, 20, 24], tol=1e-13)

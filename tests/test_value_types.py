@@ -25,7 +25,7 @@ from shiftcert.classifier import (
     replay,
 )
 from shiftcert.fixtures import example_one, example_two
-from shiftcert import polycert, shiftcalc
+from shiftcert import oracle, polycert, shiftcalc
 from shiftcert.oracle import Truncation, TruncationReport
 from shiftcert.polycert import Limit, Polynomial, RationalFunction, Ray, RaySign, RayWalk
 from shiftcert.shiftcalc import (
@@ -314,6 +314,7 @@ DELETED = {
     TransformedWeights: ("values_sq", "_forms"),
     polycert: ("_canonical", "_frac", "cached_property"),
     shiftcalc: ("_TransformedWeightsFields", "cached_property"),
+    oracle: ("_growth_detected", "GROWTH_RATIO"),
 }
 
 
