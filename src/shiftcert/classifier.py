@@ -17,11 +17,12 @@ when it varies, a nonzero d-form, so its transformed weights tend to L^2:
 they are always bounded, and the structure alone decides.
 
 That structure is one certified fact: which pairs |beta_n|, |beta_{n+1}|
-are equal and which rise strictly. :func:`check_hyponormal` lists the equal
-pairs from the zeros of each tail's first difference and from the seam
-values, and every rule past hyponormality reads that pattern off the one
-set of equal pairs: whether a pair rises, and where the next rise lies
-(:meth:`HyponormalityCheck.first_rise`); none evaluates a modulus again.
+are equal and which rise strictly. :func:`check_hyponormal` lists it as
+maximal runs of equal pairs, from the zeros of each tail's first
+difference, the runs of seam values of one sign and the constant tails.
+Every rule past hyponormality reads those runs (where the first starts
+and ends, which holds a single pair) and evaluates no modulus again, in
+time linear in the number of runs, however long a run is.
 
 Each varying tail is walked once per spec: the spec keeps its walk
 (:meth:`~shiftcert.weights.WeightSpec.walk`, side 0 the left tail and side
@@ -125,7 +126,9 @@ class StructureProfile(NamedTuple):
     Pair index n stands for the comparison |beta_n| vs |beta_{n+1}|.
     ``left_equalities`` lists the equal pairs strictly inside the left tail
     (pair n with n <= window_start - 2); for a constant tail they are not
-    enumerated (the shape carries that). ``right_equalities`` is None when
+    enumerated (the shape carries that). ``window_relations`` covers the
+    seam pairs window_start - 1 to window_end, ascending, as maximal runs
+    (relation, first pair, last pair). ``right_equalities`` is None when
     the right tail is constant (every deep pair is equal).
     ``first_equality`` is the globally minimal equal pair, or None when no
     equality exists or the left tail is constant (no minimal pair).
@@ -134,7 +137,7 @@ class StructureProfile(NamedTuple):
     left_shape: Shape
     left_value: Fraction | None
     left_equalities: tuple[int, ...]
-    window_relations: tuple[Relation, ...]
+    window_relations: tuple[tuple[Relation, int, int], ...]
     right_shape: Shape
     right_value: Fraction | None
     right_equalities: tuple[int, ...] | None
@@ -173,37 +176,24 @@ class Verdict(NamedTuple):
 class HyponormalityCheck(NamedTuple):
     """Outcome of :func:`check_hyponormal`, with the diagonal it was built on.
 
+    ``seam_runs`` holds the maximal runs of seams n whose d_n has one sign,
+    ascending, as (sign, first n, last n) with sign -1, 0 or 1.
+
     Once hyponormality holds the moduli are nondecreasing, so every pair
     is equal or a strict rise, and that pair pattern is all the rules past
-    hyponormality read. ``equal_pairs`` lists, ascending, every equal pair
-    outside a constant left tail; a constant right tail contributes only
-    its first pair, window_end + 1, and makes every pair from there on
-    equal. Every other pair rises, and :meth:`first_rise` finds the next
-    rise. It is empty when the shift is not hyponormal.
+    hyponormality read. ``equal_runs`` lists, ascending, the maximal runs
+    (first pair, last pair) of equal pairs; a constant left tail starts
+    the first with None, every pair up to its last equal, and a constant
+    right tail ends the last with None. Every other pair rises. It is
+    empty when the shift is not hyponormal.
     """
 
     hyponormal: bool
     witness: int | None  # violating pair, smallest |n|, ties toward negative
     profile: StructureProfile | None
     diag: CommutatorDiagonal
-    equal_pairs: tuple[int, ...]
-
-    def first_rise(self, pair: int) -> int | None:
-        """Smallest p >= pair with |beta_p| < |beta_{p+1}|, or None when
-        every pair from ``pair`` on is equal. Needs hyponormality."""
-        profile = self.profile
-        assert profile is not None
-        spec = self.diag.spec
-        if profile.left_shape == Shape.CONSTANT:
-            pair = max(pair, spec.window_start - 1)
-        for e in self.equal_pairs:
-            if e > pair:
-                break
-            if e == pair:
-                pair += 1
-        if profile.right_shape == Shape.CONSTANT and pair > spec.window_end:
-            return None
-        return pair
+    seam_runs: tuple[tuple[int, int, int], ...]
+    equal_runs: tuple[tuple[int | None, int | None], ...]
 
 
 def _tail_violation(sgn: RaySign) -> int:
@@ -248,55 +238,67 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     left_shape, left_value, left_equalities, left_witness = _tail_structure(spec, 0)
     right_shape, right_value, right_equalities, right_witness = _tail_structure(spec, 1)
     # Seam value i is d_n at n = window_start + i, the pair n - 1.
-    seams = list(enumerate(diag.seam_values, start=spec.window_start - 1))
+    runs, n = [], spec.window_start
+    for sign, group in groupby([(a > 0) - (a < 0) for a, _ in diag.seam_values]):
+        length = len(list(group))
+        runs.append((sign, n, n + length - 1))
+        n += length
     violations = [w for w in (left_witness, right_witness) if w is not None]
-    violations += [pair for pair, d in seams if d < 0]
+    # A negative run's pair nearest 0, which ranks first by witness_key.
+    violations += [max(first - 1, min(last - 1, 0)) for sign, first, last in runs if sign < 0]
     if violations:
-        return HyponormalityCheck(
-            False, min(violations, key=witness_key), None, diag, ()
-        )
+        witness = min(violations, key=witness_key)
+        return HyponormalityCheck(False, witness, None, diag, tuple(runs), ())
 
-    left_equalities = left_equalities or ()
-    right_pairs = (
-        [spec.window_end + 1] if right_equalities is None else list(right_equalities)
-    )
-    equal_pairs = (
-        list(left_equalities) + [pair for pair, d in seams if d == 0] + right_pairs
-    )
-    first_equality = (
-        equal_pairs[0] if equal_pairs and left_shape != Shape.CONSTANT else None
-    )
+    # The equal pairs as maximal runs (first, last); a constant tail's run
+    # has no first (left) or last (right) pair.
+    ws, we = spec.window_start, spec.window_end
+    spans = [(None, ws - 2)] if left_equalities is None else [(e, e) for e in left_equalities]
+    spans += [(first - 1, last - 1) for sign, first, last in runs if sign == 0]
+    spans += [(we + 1, None)] if right_equalities is None else [(e, e) for e in right_equalities]
+    equal_runs: list[tuple[int | None, int | None]] = []
+    for first, last in spans:
+        if equal_runs and equal_runs[-1][1] == first - 1:
+            first = equal_runs.pop()[0]
+        equal_runs.append((first, last))
     profile = StructureProfile(
         left_shape=left_shape,
         left_value=left_value,
-        left_equalities=left_equalities,
+        left_equalities=left_equalities or (),
         window_relations=tuple(
-            Relation.EQ if d == 0 else Relation.LT for d in diag.seam_values
+            (Relation.LT if sign else Relation.EQ, a - 1, b - 1) for sign, a, b in runs
         ),
         right_shape=right_shape,
         right_value=right_value,
         right_equalities=right_equalities,
-        first_equality=first_equality,
+        # None on a constant left tail, whose run has no first pair.
+        first_equality=equal_runs[0][0] if equal_runs else None,
     )
-    return HyponormalityCheck(True, None, profile, diag, tuple(equal_pairs))
+    return HyponormalityCheck(True, None, profile, diag, tuple(runs), tuple(equal_runs))
 
 
 def _replay_points(
     spec: WeightSpec,
-    diag: CommutatorDiagonal,
+    check: HyponormalityCheck,
     tw: TransformedWeights | None,
     extra_indices: list[int],
 ) -> tuple[ReplayPoint, ...]:
+    """|beta_n|^2 at the window's edges; d_n at the first and last seam of
+    each run of one sign, and at a seam witness; g_n^2 around the window
+    and at the cited indices."""
     first, last = spec.window_start, spec.window_end
+    diag = check.diag
     points: list[ReplayPoint] = []
     # The seam moduli start at index first - 1.
     points += [
-        ReplayPoint("beta_sq", n, Fraction(*diag.seam_moduli_sq[n - first + 1]))
+        ReplayPoint("beta_sq", n, Fraction(p * p, q * q))
         for n in sorted({first - 1, first, last, last + 1})
+        for p, q in [diag.seam_moduli[n - first + 1]]
     ]
-    points += [
-        ReplayPoint("d", n, d) for n, d in enumerate(diag.seam_values, start=first)
-    ]
+    seams = {n for _, a, b in check.seam_runs for n in (a, b)}
+    if check.witness is not None and first - 1 <= check.witness <= last:
+        seams.add(check.witness + 1)
+    points += [ReplayPoint("d", n, Fraction(*diag.seam_values[n - first])) for n in sorted(seams)]
     if tw is not None:
         gamma_indices = sorted({first - 2, first - 1, first, last + 1, last + 2, *extra_indices})
         # One range call per run of consecutive indices shares the moduli.
@@ -325,7 +327,6 @@ def classify(spec: WeightSpec) -> Verdict:
     def build(
         klass: VerdictClass,
         criterion: Criterion | None = None,
-        profile: StructureProfile | None = None,
         witness: int | None = None,
         first_equality: int | None = None,
         flat_pair_index: int | None = None,
@@ -337,7 +338,7 @@ def classify(spec: WeightSpec) -> Verdict:
         cert = Certificate(
             verdict_class=klass,
             criterion=criterion,
-            profile=profile,
+            profile=check.profile,
             witness=witness,
             first_equality=first_equality,
             flat_pair_index=flat_pair_index,
@@ -347,7 +348,7 @@ def classify(spec: WeightSpec) -> Verdict:
             left_sup_sq=left_sup_sq,
             flat_from=tw.flat_from if tw else None,
             sup_modulus=sup_modulus,
-            replay_points=_replay_points(spec, diag, tw, extra_points or []),
+            replay_points=_replay_points(spec, check, tw, extra_points or []),
         )
         return Verdict(klass, criterion, witness, cert)
 
@@ -356,17 +357,19 @@ def classify(spec: WeightSpec) -> Verdict:
 
     profile = check.profile
     assert profile is not None
+    # The first rise past the first run of equal pairs; None where that run
+    # never ends or no run exists.
+    end = check.equal_runs[0][1] if check.equal_runs else None
+    rise = None if end is None else end + 1
 
     if profile.left_shape == Shape.CONSTANT:
         # Constant left ray: near subnormal would force normality, so the
         # first strict rise, if any, obstructs it.
-        rise = check.first_rise(spec.window_start - 1)
         if rise is None:
-            return build(VerdictClass.NORMAL, profile=profile)
+            return build(VerdictClass.NORMAL)
         return build(
             VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
             criterion=Criterion.CONSTANT_LEFT,
-            profile=profile,
             witness=rise + 1,
             left_run_end=rise,
         )
@@ -378,33 +381,26 @@ def classify(spec: WeightSpec) -> Verdict:
         return build(
             VerdictClass.NEAR_SUBNORMAL,
             criterion=Criterion.STRICT_INCREASE,
-            profile=profile,
             tw=tw,
         )
 
-    rise = check.first_rise(k)
     if rise is None:
         return build(
             VerdictClass.NEAR_SUBNORMAL,
             criterion=Criterion.FLAT_TAIL,
-            profile=profile,
             first_equality=k,
             tw=tw,
             left_sup_sq=bounded_on_left_ray(tw, k - 1),
             extra_points=[k - 1, k],
         )
 
-    # Isolated flat pair: |beta_{j-1}| < |beta_j| = |beta_{j+1}| < |beta_{j+2}|.
-    # A constant right tail lists only its first pair, window_end + 1, though
-    # every pair after it is equal too.
-    eq, flat_right = set(check.equal_pairs), profile.right_shape == Shape.CONSTANT
-    isolated = (e for e in check.equal_pairs if e - 1 not in eq and e + 1 not in eq)
-    j0 = next((e for e in isolated if not flat_right or e + 1 <= spec.window_end), None)
+    # Isolated flat pair: |beta_{j-1}| < |beta_j| = |beta_{j+1}| < |beta_{j+2}|,
+    # a run of one equal pair.
+    j0 = next((a for a, b in check.equal_runs if a == b), None)
     if j0 is not None:
         return build(
             VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
             criterion=Criterion.FLAT_PAIR,
-            profile=profile,
             witness=j0,
             first_equality=k,
             flat_pair_index=j0,
@@ -414,7 +410,6 @@ def classify(spec: WeightSpec) -> Verdict:
     return build(
         VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL,
         criterion=Criterion.FLAT_TAIL_VIOLATION,
-        profile=profile,
         witness=rise + 1,
         first_equality=k,
         tw=tw,
@@ -503,7 +498,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     the spec is invalid.
     """
     first, last = spec.window_start, spec.window_end
-    window = [(v.numerator, v.denominator) for v in spec.window_values]
+    window = [v.as_integer_ratio() for v in spec.window_values]
     if not window:
         raise ValueError("invalid spec: the window is empty")
     if min(window)[0] <= 0:
@@ -540,61 +535,77 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         values.append(sup if delta is None else None)
     left, right = deltas
 
-    # The squared moduli from base = first - 1 - pad to last + 1 + pad: the
-    # seams need first - 1 to last + 1, and the transformed weights of a
-    # varying left tail two more on each side.
+    # The moduli from base = first - 1 - pad to last + 1 + pad: the seams
+    # need first - 1 to last + 1, and the transformed weights of a varying
+    # left tail two more on each side.
     pad = 0 if left is None else 2
     base = first - 1 - pad
-    squares = [(p * p, q * q) for p, q in spec.value_pairs(base, last + 2 + pad)]
-    beta = (first - 1, first, last, last + 1) if first < last else (first - 1, first, last + 1)
-    points: list[_Point] = [("beta_sq", n, *squares[n - base]) for n in beta]
-    relations: list[Relation] = []
-    violations: list[int] = []  # pairs n - 1 with d_n < 0
-    seam_equal: list[int] = []
-    nonzero = None  # the last seam n with d_n != 0
-    seams = zip(squares[pad:], squares[pad + 1 : len(squares) - pad])
-    for n, ((a0, b0), (a1, b1)) in enumerate(seams, start=first):
-        a, b = a1 * b0 - a0 * b1, b0 * b1  # d_n
-        points.append(("d", n, a, b))
-        if a:
-            nonzero = n
-            relations.append(Relation.LT)
-            if a < 0:
-                violations.append(n - 1)
+    moduli = spec.value_pairs(base, last + 2 + pad)
+
+    def squares(n: int, stop: int) -> list[Pair]:
+        """|beta_m|^2 for n <= m < stop, as int pairs."""
+        if base <= n and stop <= base + len(moduli):
+            pairs = moduli[n - base : stop - base]
         else:
-            seam_equal.append(n - 1)
-            relations.append(Relation.EQ)
+            pairs = spec.value_pairs(n, stop)
+        return [(p * p, q * q) for p, q in pairs]
+
+    beta = (first - 1, first, last, last + 1) if first < last else (first - 1, first, last + 1)
+    points: list[_Point] = [("beta_sq", n, *squares(n, n + 1)[0]) for n in beta]
+    # The positive moduli p0 / q0 = |beta_{n-1}| and p1 / q1 = |beta_n| give
+    # d_n the sign of p1 q0 - p0 q1, at each seam n = first, ..., last + 1.
+    seam = moduli[pad : len(moduli) - pad]
+    steps = [p1 * q0 - p0 * q1 for (p0, q0), (p1, q1) in zip(seam, seam[1:])]
+    runs: list[tuple[int, int, int]] = []  # (sign, first seam, last seam), maximal
+    n = first
+    for sign, group in groupby((a > 0) - (a < 0) for a in steps):
+        size = len(list(group))
+        runs.append((sign, n, n + size - 1))
+        n += size
     sup = sups[sup_pairs.index(pair_max(sup_pairs))]  # the first largest, as max() picks
 
-    # A negative d_n lies at a seam or at a negative first difference.
+    # A negative d_n lies at a seam or at a negative first difference. Of a
+    # run of negative seams, the pair closest to 0 comes first by
+    # witness_key: 0 clamped to the run's pairs.
+    violations = [sorted((a - 1, 0, b - 1))[1] for sign, a, b in runs if sign < 0]
     for delta in deltas:
         if delta is not None:
             violations += [z - 1 for z in delta.negatives]
+    witness = min(violations, key=witness_key) if violations else None
+    # d_n at both ends of each run, and at a witness pair's seam.
+    at = {n for _, a, b in runs for n in (a, b)}
+    if witness is not None and first <= witness + 1 <= last + 1:
+        at.add(witness + 1)
+    for n in sorted(at):
+        (a0, b0), (a1, b1) = squares(n - 1, n + 1)
+        points.append(("d", n, a1 * b0 - a0 * b1, b0 * b1))
     if violations:
-        witness = min(violations, key=witness_key)
         return Certificate(
             VerdictClass.NOT_HYPONORMAL, None, None, witness, None, None, None, None, None,
             None, None, sup, tuple(points),
         )
 
-    # The pattern: the equal pairs, ascending; every other pair rises.
+    # The pattern: the maximal runs of equal pairs, ascending, as (first,
+    # last); a constant tail's run has no first (left) or last (right) pair,
+    # None. Every other pair rises.
     left_eq = () if left is None else tuple([z - 1 for z in left.zeros])
     right_eq = None if right is None else tuple([z - 1 for z in right.zeros])
-    equal = [*left_eq, *seam_equal, *((last + 1,) if right_eq is None else right_eq)]
-    eq = set(equal)
-
-    def rise_from(pair: int) -> int | None:
-        """The first rise at or after ``pair``; None when none follows."""
-        while pair in eq:
-            pair += 1
-        return None if right is None and pair > last else pair
-
-    k = equal[0] if equal and left is not None else None
+    equal: list[tuple[int | None, int | None]] = []
+    for a, b in [
+        *([(None, first - 2)] if left is None else ((e, e) for e in left_eq)),
+        *((a - 1, b - 1) for sign, a, b in runs if not sign),
+        *([(last + 1, None)] if right is None else ((e, e) for e in right_eq)),
+    ]:
+        if equal and equal[-1][1] == a - 1:
+            a = equal.pop()[0]
+        equal.append((a, b))
+    k, end = equal[0] if equal else (None, None)
+    rise = None if end is None else end + 1  # the first rise past the first run
     profile = StructureProfile(
         Shape.CONSTANT if left is None else Shape.STRICT_INCREASE,
         values[0],
         left_eq,
-        tuple(relations),
+        tuple((Relation.LT if sign else Relation.EQ, a - 1, b - 1) for sign, a, b in runs),
         Shape.CONSTANT if right is None else Shape.STRICT_INCREASE,
         values[1],
         right_eq,
@@ -605,7 +616,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     left_sup = flat_from = None
     if left is None:
         # A constant left tail: the first rise, if any, obstructs.
-        left_run_end = rise_from(first - 1)
+        left_run_end = rise
         if left_run_end is None:
             klass = VerdictClass.NORMAL
         else:
@@ -618,11 +629,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     def gamma_sq(n: int) -> Pair | None:
         """g_n^2 = |beta_n|^2 d_{n+1} / d_n as an int pair, (0, 1) where
         d_n = d_{n+1} = 0 and None where d_n = 0 < d_{n+1}."""
-        i = n - base
-        if 0 < i < len(squares) - 1:
-            (s0, t0), (s, t), (s1, t1) = squares[i - 1 : i + 2]
-        else:
-            (s0, t0), (s, t), (s1, t1) = [(p * p, q * q) for p, q in spec.value_pairs(n - 1, n + 2)]
+        (s0, t0), (s, t), (s1, t1) = squares(n - 1, n + 2)
         a, b = s * t0 - s0 * t, t * t0  # d_n
         c, e = s1 * t - s * t1, t1 * t  # d_{n+1}
         if a > 0:
@@ -630,7 +637,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         return None if c else (0, 1)
 
     if right is None:
-        flat_from = nonzero
+        flat_from = next((b for sign, _, b in reversed(runs) if sign), None)
         if flat_from is None:
             flat_from, zeros = first - 1, set(left.zeros)
             while flat_from in zeros:
@@ -638,7 +645,6 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     left_limit = _limit_sq(spec.tail(0), left)
     right_limit = _limit_sq(spec.tail(1), right)
     extra: tuple[int, ...] = ()
-    rise = None if k is None else rise_from(k)
     if k is None:
         klass, criterion = VerdictClass.NEAR_SUBNORMAL, Criterion.STRICT_INCREASE
     elif rise is None:
@@ -656,10 +662,8 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         extra = (k - 1, k)
     else:
         first_equality = k
-        # A constant right tail lists only its first pair, last + 1, though
-        # every pair after it is equal too.
-        isolated = (e for e in equal if e - 1 not in eq and e + 1 not in eq)
-        flat_pair_index = next((e for e in isolated if right is not None or e + 1 <= last), None)
+        # An isolated equal pair is a run of one pair.
+        flat_pair_index = next((a for a, b in equal if a == b), None)
         if flat_pair_index is None:
             criterion, witness = Criterion.FLAT_TAIL_VIOLATION, rise + 1
         else:

@@ -47,7 +47,7 @@ from .specfile import SpecFileError, dump_spec, format_rational, load_spec, spec
 # validate is unused here: perfbench/spans.py wraps it in this module.
 from .weights import WeightSpec, validate  # noqa: F401
 
-REPORT_FORMAT = "shiftcert-report/1"
+REPORT_FORMAT = "shiftcert-report/2"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,7 +90,7 @@ def _structure_to_dict(profile: StructureProfile | None) -> dict | None:
         "left_shape": profile.left_shape.value,
         "left_value": _rational_or_none(profile.left_value),
         "left_equalities": list(profile.left_equalities),
-        "window_relations": [r.value for r in profile.window_relations],
+        "window_relations": [f"{r.value} {a}..{b}" for r, a, b in profile.window_relations],
         "right_shape": profile.right_shape.value,
         "right_value": _rational_or_none(profile.right_value),
         "right_equalities": (

@@ -571,10 +571,13 @@ def concordance(verdict: Verdict, report: TruncationReport) -> tuple[str, list[s
         if ok:
             notes.append("null space invariant")
     else:  # VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL
-        ok = bool(violations)
+        psd = report.psd_failure_index
+        ok = bool(violations) and psd is None
+        if psd is not None:
+            notes.append(f"unexpected negative commutator diagonal at index {psd}")
         notes.append(
             f"invariance violations at {[n for n, _ in violations[:5]]}"
-            if ok
+            if violations
             else "expected an invariance violation; found none"
         )
     return ("agrees" if ok else "disagrees"), notes

@@ -66,13 +66,6 @@ _ZERO: Pair = (0, 1)
 Run = tuple[int, list]
 
 
-def _differences(squares: list[Pair]) -> list[Pair]:
-    return [
-        (c - a, b) if b == d else (c * b - a * d, b * d)
-        for (a, b), (c, d) in zip(squares, squares[1:])
-    ]
-
-
 class SparseRange(NamedTuple):
     """d_n for start <= n <= stop and g_n^2 for start <= n < stop, held only
     where they can be nonzero, as runs of consecutive indices.
@@ -125,7 +118,10 @@ def sparse_range(moduli: Sequence[Pair], start: int) -> SparseRange:
         last = differs.find(0, first)
         n = start + first  # the run holds d_n, ..., d_{n + last - first - 1}
         squares = [(p * p, q * q) for p, q in moduli[first : last + 1]]
-        d = _differences(squares)
+        d = [
+            (c - a, b) if b == e else (c * b - a * e, b * e)
+            for (a, b), (c, e) in zip(squares, squares[1:])
+        ]
         # g_m for m = n - 1, ..., n + len(d) - 1: the d before the run and
         # the d after it are 0.
         g = [
@@ -154,14 +150,16 @@ class CommutatorDiagonal(NamedTuple):
     come from different regions, seam value i being d_n at
     n = window_start + i; beyond them, on n <= window_start - 1 and
     n >= window_end + 2, d_n has the sign of the tail's first difference
-    f(n) - f(n-1). ``seam_moduli_sq`` keeps the squared moduli
-    they were computed from, |beta_n|^2 for window_start - 1 <= n <=
-    window_end + 1, as int pairs.
+    f(n) - f(n-1). ``seam_moduli`` keeps the moduli they were computed
+    from, |beta_n| for window_start - 1 <= n <= window_end + 1. Both are
+    int pairs with a positive denominator, so a seam value's sign is its
+    numerator's; a seam value is unreduced, and (0, 1) wherever its two
+    moduli are one pair.
     """
 
     spec: WeightSpec
-    seam_values: tuple[Fraction, ...]
-    seam_moduli_sq: tuple[Pair, ...]
+    seam_values: tuple[Pair, ...]
+    seam_moduli: tuple[Pair, ...]
 
     def entry(self, n: int) -> Fraction:
         """d_n = |beta_n|^2 - |beta_{n-1}|^2, exactly."""
@@ -175,13 +173,12 @@ class CommutatorDiagonal(NamedTuple):
 
 
 def commutator_diagonal(spec: WeightSpec) -> CommutatorDiagonal:
-    moduli = spec.value_pairs(spec.window_start - 1, spec.window_end + 2)
-    squares = [(p * p, q * q) for p, q in moduli]
-    return CommutatorDiagonal(
-        spec=spec,
-        seam_values=tuple(Fraction(*d) for d in _differences(squares)),
-        seam_moduli_sq=tuple(squares),
-    )
+    """The seam values from one evaluation of the moduli, computed only where
+    two neighbouring pairs differ: the expanded :class:`SparseRange`."""
+    start, stop = spec.window_start, spec.window_end + 2
+    moduli = spec.value_pairs(start - 1, stop)
+    seams = _expand(sparse_range(moduli, start).diag, start, stop)
+    return CommutatorDiagonal(spec, tuple(seams), tuple(moduli))
 
 
 class TransformedWeights(NamedTuple):
@@ -280,11 +277,10 @@ def _flat_from(spec: WeightSpec, diag: CommutatorDiagonal) -> int | None:
     """Smallest m with d_n = 0 for all n > m, when the right side flattens."""
     if spec.delta(1) is not None:
         return None
-    nonzero_seams = [
-        spec.window_start + i for i, v in enumerate(diag.seam_values) if v != 0
-    ]
-    if nonzero_seams:
-        return max(nonzero_seams)
+    seams = diag.seam_values
+    last = next((i for i in range(len(seams) - 1, -1, -1) if seams[i][0]), None)
+    if last is not None:
+        return spec.window_start + last
     left = spec.delta(0)
     if left is not None:
         # Down from the window, the first n where the first difference (zero

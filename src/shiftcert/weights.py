@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Union
 
-from .polycert import Pair, PoleOnRay, RationalFunction, Ray, RaySign, RayWalk, walk_ray
+from .polycert import Pair, PoleOnRay, RationalFunction, Ray, RaySign, RayWalk, pair_max, walk_ray
 # sign_on_ray and sup_on_ray are unused here: perfbench/spans.py wraps them
 # in this module.
 from .polycert import sign_on_ray, sup_on_ray  # noqa: F401
@@ -76,7 +76,7 @@ class WeightSpec(_WeightSpecFields):
             out += _tail_pairs(self.left_tail, start, min(stop, ws))
         if start < we and stop > ws:
             window = self.window_values[max(start, ws) - ws : min(stop, we) - ws]
-            out += [(v.numerator, v.denominator) for v in window]
+            out += [v.as_integer_ratio() for v in window]
         if stop > we:
             out += _tail_pairs(self.right_tail, max(start, we), stop)
         return out
@@ -183,33 +183,28 @@ def validate(spec: WeightSpec) -> ValidationReport:
     tails, degree overruns).
     """
     violations: list[Violation] = []
-    sups: list[Fraction] = []
+    # The window's values as int pairs, then each tail's supremum.
+    sups = spec.value_pairs(spec.window_start, spec.window_end + 1)
 
-    if not spec.window_values:
+    if not sups:
         violations.append(Violation("empty-window", "window must hold at least one value"))
-    for i, v in enumerate(spec.window_values):
-        if v == 0:
-            violations.append(
-                Violation("zero-weight", f"zero weight at n = {spec.window_start + i}")
-            )
-        elif v < 0:
-            violations.append(
-                Violation(
-                    "nonpositive-weight",
-                    f"negative modulus {v} at n = {spec.window_start + i}",
-                )
-            )
-        else:
-            sups.append(v)
+    elif min(sups)[0] <= 0:  # the smallest numerator
+        for i, (p, q) in enumerate(sups):
+            n = spec.window_start + i
+            if p == 0:
+                violations.append(Violation("zero-weight", f"zero weight at n = {n}"))
+            elif p < 0:
+                detail = f"negative modulus {Fraction(p, q)} at n = {n}"
+                violations.append(Violation("nonpositive-weight", detail))
 
     for side in (0, 1):
         violation, sup = _validate_tail(spec, side)
         if violation is not None:
             violations.append(violation)
         if sup is not None:
-            sups.append(sup)
+            sups.append((sup.numerator, sup.denominator))
 
-    sup_bound = max(sups) if not violations and sups else None
+    sup_bound = None if violations else Fraction(*pair_max(sups))
     return ValidationReport(tuple(violations), sup_bound)
 
 

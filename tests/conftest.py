@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 
@@ -467,3 +467,27 @@ def translate_spec(spec: WeightSpec, t: int) -> WeightSpec:
         return tail if isinstance(tail, ConstantTail) else RationalTail(shift_function(tail.fn, -t))
 
     return WeightSpec(spec.window_start + t, spec.window_values, move(spec.left_tail), move(spec.right_tail))
+
+
+# The small scope: every tail p / q with p and q of degree <= 2 and
+# coefficients in -2..2 (q nonzero), on the left or the right; the other
+# tail the constant 1, 2 or 3; the window [1], [2], [1, 2] or [2, 2] from
+# n = 0. Spec i is the one at that place in the nested order side, constant,
+# window, numerator, denominator; coefficients are lowest degree first.
+_SCOPE_NUMS = list(product(range(-2, 3), repeat=3))
+_SCOPE_DENS = [c for c in _SCOPE_NUMS if any(c)]
+_SCOPE_CONSTANTS = (1, 2, 3)
+_SCOPE_WINDOWS = ((1,), (2,), (1, 2), (2, 2))
+SMALL_SCOPE_SIZE = 2 * len(_SCOPE_CONSTANTS) * len(_SCOPE_WINDOWS) * len(_SCOPE_NUMS) * len(_SCOPE_DENS)
+
+
+def small_scope_spec(i: int) -> WeightSpec:
+    """Spec i of the small scope, 0 <= i < SMALL_SCOPE_SIZE."""
+    i, den = divmod(i, len(_SCOPE_DENS))
+    i, num = divmod(i, len(_SCOPE_NUMS))
+    i, window = divmod(i, len(_SCOPE_WINDOWS))
+    side, const = divmod(i, len(_SCOPE_CONSTANTS))
+    varying = RationalTail(RationalFunction.of(_SCOPE_NUMS[num], _SCOPE_DENS[den]))
+    constant = ConstantTail(Fraction(_SCOPE_CONSTANTS[const]))
+    tails = (constant, varying) if side else (varying, constant)
+    return WeightSpec(0, tuple(map(Fraction, _SCOPE_WINDOWS[window])), *tails)

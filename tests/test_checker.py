@@ -29,6 +29,7 @@ from shiftcert.classifier import (
     StructureProfile,
     VerdictClass,
 )
+from shiftcert.cli import build_report, render_json
 from shiftcert.polycert import Limit
 from shiftcert.specfile import SpecFileError, load_spec
 
@@ -83,7 +84,7 @@ def _field_changes(cert: Certificate) -> list[tuple[str, object]]:
 def _profile_changes(profile: StructureProfile | None) -> list[StructureProfile | None]:
     if profile is None:
         constant = Shape.CONSTANT
-        relations = (Relation.LT,)
+        relations = ((Relation.LT, 0, 0),)
         return [StructureProfile(constant, Fraction(1), (), relations, constant, Fraction(2), None, None)]
     changes: list[StructureProfile | None] = [None]
     for name in ("left_shape", "right_shape"):
@@ -97,13 +98,33 @@ def _profile_changes(profile: StructureProfile | None) -> list[StructureProfile 
     else:
         changes.append(profile._replace(right_equalities=None))
         changes += [profile._replace(right_equalities=v) for v in _pairs_changes(right)]
-    relations = profile.window_relations
-    flip = {Relation.LT: Relation.EQ, Relation.EQ: Relation.LT}
-    for i, r in enumerate(relations):
-        changes.append(profile._replace(window_relations=relations[:i] + (flip[r],) + relations[i + 1 :]))
-    changes.append(profile._replace(window_relations=relations[:-1]))
-    changes.append(profile._replace(window_relations=relations + (Relation.LT,)))
+    changes += [profile._replace(window_relations=v) for v in _run_changes(profile.window_relations)]
     changes += [profile._replace(first_equality=v) for v in _index_changes(profile.first_equality)]
+    return changes
+
+
+def _run_changes(runs: tuple) -> list[tuple]:
+    """Each run's relation flipped, each boundary moved by one pair, each
+    run of two or more pairs split, each two neighbouring runs merged, each
+    run dropped, and one run of either relation appended."""
+    flip = {Relation.LT: Relation.EQ, Relation.EQ: Relation.LT}
+    changes = []
+    for i, (r, a, b) in enumerate(runs):
+        before, after = runs[:i], runs[i + 1 :]
+        changes.append(before + ((flip[r], a, b),) + after)
+        changes.append(before + after)
+        if a < b:
+            changes.append(before + ((r, a, a), (r, a + 1, b)) + after)
+        if i == 0:
+            changes += [((r, a + step, b),) + after for step in (-1, 1)]
+        if i == len(runs) - 1:
+            changes += [before + ((r, a, b + step),) for step in (-1, 1)]
+        if after:
+            (s, c, e), rest = after[0], after[1:]
+            changes.append(before + ((r, a, e),) + rest)
+            changes += [before + ((r, a, b + step), (s, c + step, e)) + rest for step in (-1, 1)]
+    _, _, last = runs[-1]
+    changes += [runs + ((r, last + 1, last + 1),) for r in Relation]
     return changes
 
 
@@ -369,3 +390,35 @@ def test_a_long_flat_run_classifies_and_replays_within_two_seconds():
         assert cert.flat_pair_index == flat_pair_index
         assert replay(cert, spec) == (True, None)
     assert time.perf_counter() - start < 2.0
+
+
+def test_a_report_grows_with_the_runs_not_the_window():
+    # The window 3/2, n values 2, then 3 after the left tail (3 - n) / (2 - n)
+    # and before the constant right tail 3 has the same runs for every n.
+    left = RationalTail(RationalFunction.of([3, -1], [2, -1]))
+    points = set()
+    for n in (2_000, 20_000):
+        window = (Fraction(3, 2), *[Fraction(2)] * n, Fraction(3))
+        spec = WeightSpec(0, window, left, ConstantTail(Fraction(3)))
+        verdict = classify(spec)
+        assert verdict.criterion == Criterion.FLAT_TAIL_VIOLATION
+        assert replay(verdict.certificate, spec) == (True, None)
+        report = render_json(build_report(verdict, {"path": "run.json"}))
+        assert len(report.encode()) < 8_000, n
+        points.add(len(verdict.certificate.replay_points))
+    assert len(points) == 1
+
+
+def test_a_seam_witness_inside_a_negative_run_keeps_its_d_point():
+    # Moduli 10 | 9, 8, 7, 6, 5 from n = -2 | 20: d_n < 0 on the seams -2..2,
+    # whose pairs -3..1 hold the witness 0 inside the run.
+    window = tuple(map(Fraction, (9, 8, 7, 6, 5)))
+    spec = WeightSpec(-2, window, ConstantTail(Fraction(10)), ConstantTail(Fraction(20)))
+    cert = classify(spec).certificate
+    assert cert.witness == 0
+    d = {p.index: p.value for p in cert.replay_points if p.kind == "d"}
+    assert d == {-2: -19, 1: 36 - 49, 2: 25 - 36, 3: 400 - 25}
+    assert replay(cert, spec) == (True, None)
+    dropped = tuple(p for p in cert.replay_points if (p.kind, p.index) != ("d", 1))
+    result = replay(cert._replace(replay_points=dropped), spec)
+    assert not result.consistent and "d at n = 1" in result.detail

@@ -87,10 +87,10 @@ class TestCheckHyponormal:
         check = check_hyponormal(fixture_specs["flatpair"])
         # pairs -1..2: 1 < 2, 2 = 2, 2 < 3, 3 = 3
         assert check.profile.window_relations == (
-            Relation.LT,
-            Relation.EQ,
-            Relation.LT,
-            Relation.EQ,
+            (Relation.LT, -1, -1),
+            (Relation.EQ, 0, 0),
+            (Relation.LT, 1, 1),
+            (Relation.EQ, 2, 2),
         )
 
 
@@ -219,7 +219,7 @@ def brute_force_rules(spec: WeightSpec):
     """The rules past hyponormality, re-derived by comparing ``spec.value``
     at every index within PLATEAU_REACH of the window: returns
     (criterion, witness, first_equality, left_run_end, flat_pair_index)
-    and a first-rise function over the scanned pairs. Every generated tie
+    and whether each scanned pair rises. Every generated tie
     lies within the reach, and past it each tail rises strictly, unless
     it is constant."""
     lo = spec.window_start - PLATEAU_REACH
@@ -234,28 +234,28 @@ def brute_force_rules(spec: WeightSpec):
     if isinstance(spec.left_tail, ConstantTail):
         rise = first_rise(spec.window_start - 1)
         if rise is None:
-            return (None, None, None, None, None), first_rise
-        return (Criterion.CONSTANT_LEFT, rise + 1, None, rise, None), first_rise
+            return (None, None, None, None, None), rises
+        return (Criterion.CONSTANT_LEFT, rise + 1, None, rise, None), rises
     equal = [p for p in rises if not rises[p]]
     if not equal:
-        return (Criterion.STRICT_INCREASE, None, None, None, None), first_rise
+        return (Criterion.STRICT_INCREASE, None, None, None, None), rises
     k = equal[0]
     rise = first_rise(k)
     if rise is None:
-        return (Criterion.FLAT_TAIL, None, k, None, None), first_rise
+        return (Criterion.FLAT_TAIL, None, k, None, None), rises
     isolated = [e for e in equal if lo < e < hi and rises[e - 1] and rises[e + 1]]
     if isolated:
-        return (Criterion.FLAT_PAIR, isolated[0], k, None, isolated[0]), first_rise
-    return (Criterion.FLAT_TAIL_VIOLATION, rise + 1, k, None, None), first_rise
+        return (Criterion.FLAT_PAIR, isolated[0], k, None, isolated[0]), rises
+    return (Criterion.FLAT_TAIL_VIOLATION, rise + 1, k, None, None), rises
 
 
 class TestRulesReadThePairPattern:
-    """Plateau-rich specs: each rule's outcome and ``first_rise`` agree
-    with a brute-force scan of the moduli."""
+    """Plateau-rich specs: each rule's outcome and the runs of equal pairs
+    agree with a brute-force scan of the moduli."""
 
     @staticmethod
     def _against_brute_force(spec: WeightSpec) -> Certificate:
-        expected, first_rise = brute_force_rules(spec)
+        expected, rises = brute_force_rules(spec)
         cert = classify(spec).certificate
         got = (
             cert.criterion,
@@ -265,9 +265,12 @@ class TestRulesReadThePairPattern:
             cert.flat_pair_index,
         )
         assert got == expected, spec
-        check = check_hyponormal(spec)
+        runs = check_hyponormal(spec).equal_runs
+        # Maximal: a rise lies between any two runs.
+        assert all(b is not None and b + 1 < a for (_, b), (a, _) in zip(runs, runs[1:])), spec
         for pair in range(spec.window_start - 6, spec.window_end + 6):
-            assert check.first_rise(pair) == first_rise(pair), (spec, pair)
+            equal = any((a is None or a <= pair) and (b is None or pair <= b) for a, b in runs)
+            assert equal != rises[pair], (spec, pair)
         return cert
 
     def test_plateau_specs_against_brute_force(self):

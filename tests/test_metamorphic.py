@@ -83,6 +83,7 @@ def _translated(cert: Certificate, t: int) -> Certificate:
         right = profile.right_equalities
         profile = profile._replace(
             left_equalities=tuple(n + t for n in profile.left_equalities),
+            window_relations=tuple((r, a + t, b + t) for r, a, b in profile.window_relations),
             right_equalities=None if right is None else tuple(n + t for n in right),
             first_equality=_move(profile.first_equality, t),
         )

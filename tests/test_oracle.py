@@ -387,6 +387,20 @@ class TestReportAndConcordance:
             found += 1
         assert found >= 2
 
+    def test_a_hyponormal_label_on_a_psd_failure_disagrees(self):
+        # |beta_{-1}| = 2 > |beta_0| = 1: not hyponormal. The right tail is
+        # (-2 - 2n - 2n^2) / (-2 - 2n - 2n^2), which is 1.
+        tail = RationalTail(RationalFunction.of([-2, -2, -2], [-2, -2, -2]))
+        spec = WeightSpec(0, (Fraction(1), Fraction(2)), ConstantTail(Fraction(2)), tail)
+        verdict = classify(spec)
+        assert verdict.klass == VerdictClass.NOT_HYPONORMAL
+        report = truncation_report(spec, verdict, 30)
+        assert report.psd_failure_index is not None and report.invariance_violations
+        relabelled = verdict._replace(klass=VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL)
+        agreement, notes = concordance(relabelled, report)
+        assert agreement == "disagrees"
+        assert notes[0] == f"unexpected negative commutator diagonal at index {report.psd_failure_index}"
+
     def test_insufficient_interior_flagged(self, ex2):
         verdict = classify(ex2)
         report = truncation_report(ex2, verdict, 2)

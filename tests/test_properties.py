@@ -385,7 +385,8 @@ class TestTransformLimitIsSquaredWeightLimit:
                 else:
                     assert limit == limit_at_infinity(form)
             # A negative seam entry certifies a spec that is not hyponormal.
-            not_hyponormal += min(commutator_diagonal(spec).seam_values) < 0
+            # The smallest pair has the smallest numerator, whose sign it has.
+            not_hyponormal += min(commutator_diagonal(spec).seam_values)[0] < 0
         assert 100 < not_hyponormal < 1900
 
 

@@ -47,7 +47,7 @@ class TestCommutatorDiagonal:
         for spec in fixture_specs.values():
             diag = commutator_diagonal(spec)
             for i, value in enumerate(diag.seam_values):
-                assert value == diag.entry(spec.window_start + i)
+                assert Fraction(*value) == diag.entry(spec.window_start + i)
 
     def test_tail_forms_match_pointwise(self, fixture_specs):
         """On each tail's d-form ray the first difference is the difference

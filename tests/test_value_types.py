@@ -127,7 +127,7 @@ CASES = {
     CommutatorDiagonal: (
         lambda: commutator_diagonal(example_two()),
         lambda: commutator_diagonal(example_one()),
-        ("spec", "seam_values", "seam_moduli_sq"),
+        ("spec", "seam_values", "seam_moduli"),
     ),
     TransformedWeights: (
         lambda: _tw(example_two()),
@@ -166,7 +166,7 @@ CASES = {
     HyponormalityCheck: (
         lambda: check_hyponormal(example_two()),
         lambda: check_hyponormal(example_one()),
-        ("hyponormal", "witness", "profile", "diag", "equal_pairs"),
+        ("hyponormal", "witness", "profile", "diag", "seam_runs", "equal_runs"),
     ),
     ReplayResult: (
         lambda: ReplayResult(True),
@@ -421,7 +421,7 @@ class TestReplayDetails:
         recomputed = (
             "StructureProfile(left_shape=<Shape.STRICT_INCREASE: 'strict-increase'>, "
             "left_value=None, left_equalities=(), "
-            "window_relations=(<Relation.LT: '<'>, <Relation.EQ: '='>), "
+            "window_relations=((<Relation.LT: '<'>, -1, -1), (<Relation.EQ: '='>, 0, 0)), "
             "right_shape=<Shape.CONSTANT: 'constant'>, right_value=Fraction(2, 1), "
             "right_equalities=None, first_equality={})"
         )
