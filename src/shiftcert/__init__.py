@@ -11,7 +11,6 @@ from .classifier import (
     Criterion,
     InvalidSpec,
     ReplayResult,
-    StructureProfile,
     Verdict,
     VerdictClass,
     check_hyponormal,
@@ -66,7 +65,6 @@ __all__ = [
     "RaySign",
     "ReplayResult",
     "SpecFileError",
-    "StructureProfile",
     "TransformedWeights",
     "ValidationReport",
     "Verdict",

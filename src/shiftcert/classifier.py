@@ -31,9 +31,9 @@ Each varying tail is walked once per spec: the spec keeps its walk
 difference's zeros and negatives off. A tail is constant exactly when its
 walk has no first difference.
 
-Every verdict carries a :class:`Certificate` holding the certified
-structure, the witnesses, exact limits and bounds, and replayable spot
-checks. :func:`replay` is a checker apart from the decision code above: it
+Every verdict carries a :class:`Certificate` holding those equal runs,
+the witnesses, exact limits and bounds, and replayable spot checks.
+:func:`replay` is a checker apart from the decision code above: it
 verifies each claim of a certificate from a fresh copy of the spec, and
 shares with :func:`classify` the tail walk
 (:func:`~shiftcert.polycert.walk_ray`), exact evaluation and integer
@@ -93,16 +93,6 @@ class InvalidSpec(ValueError):
         self.report = report
 
 
-class Shape(Enum):
-    STRICT_INCREASE = "strict-increase"
-    CONSTANT = "constant"
-
-
-class Relation(Enum):
-    LT = "<"
-    EQ = "="
-
-
 class VerdictClass(Enum):
     NOT_HYPONORMAL = "not-hyponormal"
     NORMAL = "normal"
@@ -120,30 +110,6 @@ class Criterion(Enum):
     FLAT_PAIR = "isolated-flat-pair"
 
 
-class StructureProfile(NamedTuple):
-    """Certified shape of the modulus sequence.
-
-    Pair index n stands for the comparison |beta_n| vs |beta_{n+1}|.
-    ``left_equalities`` lists the equal pairs strictly inside the left tail
-    (pair n with n <= window_start - 2); for a constant tail they are not
-    enumerated (the shape carries that). ``window_relations`` covers the
-    seam pairs window_start - 1 to window_end, ascending, as maximal runs
-    (relation, first pair, last pair). ``right_equalities`` is None when
-    the right tail is constant (every deep pair is equal).
-    ``first_equality`` is the globally minimal equal pair, or None when no
-    equality exists or the left tail is constant (no minimal pair).
-    """
-
-    left_shape: Shape
-    left_value: Fraction | None
-    left_equalities: tuple[int, ...]
-    window_relations: tuple[tuple[Relation, int, int], ...]
-    right_shape: Shape
-    right_value: Fraction | None
-    right_equalities: tuple[int, ...] | None
-    first_equality: int | None
-
-
 class ReplayPoint(NamedTuple):
     kind: str  # "beta_sq" | "d" | "gamma_sq"
     index: int
@@ -151,9 +117,17 @@ class ReplayPoint(NamedTuple):
 
 
 class Certificate(NamedTuple):
+    """A verdict's claims, each checked by :func:`replay`.
+
+    ``equal_runs`` is the certified pattern: the maximal runs of equal
+    pairs |beta_n| = |beta_{n+1}| as :attr:`HyponormalityCheck.equal_runs`
+    lists them, every other pair a strict rise. It is None when the shift
+    is not hyponormal, and ``witness`` names a violating pair instead.
+    """
+
     verdict_class: VerdictClass
     criterion: Criterion | None
-    profile: StructureProfile | None
+    equal_runs: tuple[tuple[int | None, int | None], ...] | None
     witness: int | None
     first_equality: int | None
     flat_pair_index: int | None
@@ -184,13 +158,14 @@ class HyponormalityCheck(NamedTuple):
     hyponormality read. ``equal_runs`` lists, ascending, the maximal runs
     (first pair, last pair) of equal pairs; a constant left tail starts
     the first with None, every pair up to its last equal, and a constant
-    right tail ends the last with None. Every other pair rises. It is
+    right tail ends the last with None. Every other pair rises. So the
+    left tail is constant exactly when the first run starts with None,
+    and otherwise that run's first pair is the least equal pair k. It is
     empty when the shift is not hyponormal.
     """
 
     hyponormal: bool
     witness: int | None  # violating pair, smallest |n|, ties toward negative
-    profile: StructureProfile | None
     diag: CommutatorDiagonal
     seam_runs: tuple[tuple[int, int, int], ...]
     equal_runs: tuple[tuple[int | None, int | None], ...]
@@ -205,24 +180,19 @@ def _tail_violation(sgn: RaySign) -> int:
     return min((z - 1 for z in sgn.negatives), key=witness_key)
 
 
-def _tail_structure(
-    spec: WeightSpec, side: int
-) -> tuple[Shape, Fraction | None, tuple[int, ...] | None, int | None]:
-    """Shape, constant value, equal pairs and violating pair of one tail.
+def _tail_structure(spec: WeightSpec, side: int) -> tuple[tuple[int, ...] | None, int | None]:
+    """Equal pairs and violating pair of one tail.
 
     The tail's first difference, signed at each n with n and n - 1 in the
     tail, has the sign of d_n there. The equal pairs are None for a
-    constant tail (every deep pair is equal), whose value is the
-    :class:`~shiftcert.weights.ConstantTail`'s or its walk's supremum.
+    constant tail (every deep pair is equal).
     """
     sgn = spec.delta(side)
     if sgn is None:
-        tail = spec.tail(side)
-        const = tail.value if isinstance(tail, ConstantTail) else spec.walk(side).sup
-        return Shape.CONSTANT, const, None, None
+        return None, None
     if not sgn.negatives:
-        return Shape.STRICT_INCREASE, None, tuple(z - 1 for z in sgn.zeros), None
-    return Shape.STRICT_INCREASE, None, (), _tail_violation(sgn)
+        return tuple(z - 1 for z in sgn.zeros), None
+    return (), _tail_violation(sgn)
 
 
 def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
@@ -235,8 +205,8 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     violating pair of smallest |n| (ties toward negative).
     """
     diag = commutator_diagonal(spec)
-    left_shape, left_value, left_equalities, left_witness = _tail_structure(spec, 0)
-    right_shape, right_value, right_equalities, right_witness = _tail_structure(spec, 1)
+    left_equalities, left_witness = _tail_structure(spec, 0)
+    right_equalities, right_witness = _tail_structure(spec, 1)
     # Seam value i is d_n at n = window_start + i, the pair n - 1.
     runs, n = [], spec.window_start
     for sign, group in groupby([(a > 0) - (a < 0) for a, _ in diag.seam_values]):
@@ -248,7 +218,7 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
     violations += [max(first - 1, min(last - 1, 0)) for sign, first, last in runs if sign < 0]
     if violations:
         witness = min(violations, key=witness_key)
-        return HyponormalityCheck(False, witness, None, diag, tuple(runs), ())
+        return HyponormalityCheck(False, witness, diag, tuple(runs), ())
 
     # The equal pairs as maximal runs (first, last); a constant tail's run
     # has no first (left) or last (right) pair.
@@ -261,20 +231,7 @@ def check_hyponormal(spec: WeightSpec) -> HyponormalityCheck:
         if equal_runs and equal_runs[-1][1] == first - 1:
             first = equal_runs.pop()[0]
         equal_runs.append((first, last))
-    profile = StructureProfile(
-        left_shape=left_shape,
-        left_value=left_value,
-        left_equalities=left_equalities or (),
-        window_relations=tuple(
-            (Relation.LT if sign else Relation.EQ, a - 1, b - 1) for sign, a, b in runs
-        ),
-        right_shape=right_shape,
-        right_value=right_value,
-        right_equalities=right_equalities,
-        # None on a constant left tail, whose run has no first pair.
-        first_equality=equal_runs[0][0] if equal_runs else None,
-    )
-    return HyponormalityCheck(True, None, profile, diag, tuple(runs), tuple(equal_runs))
+    return HyponormalityCheck(True, None, diag, tuple(runs), tuple(equal_runs))
 
 
 def _replay_points(
@@ -338,7 +295,7 @@ def classify(spec: WeightSpec) -> Verdict:
         cert = Certificate(
             verdict_class=klass,
             criterion=criterion,
-            profile=check.profile,
+            equal_runs=check.equal_runs if check.hyponormal else None,
             witness=witness,
             first_equality=first_equality,
             flat_pair_index=flat_pair_index,
@@ -355,14 +312,12 @@ def classify(spec: WeightSpec) -> Verdict:
     if not check.hyponormal:
         return build(VerdictClass.NOT_HYPONORMAL, witness=check.witness)
 
-    profile = check.profile
-    assert profile is not None
-    # The first rise past the first run of equal pairs; None where that run
-    # never ends or no run exists.
-    end = check.equal_runs[0][1] if check.equal_runs else None
+    # The least equal pair k and the first rise past its run; None where
+    # no run exists, the left tail is constant (k) or the run never ends.
+    k, end = check.equal_runs[0] if check.equal_runs else (None, None)
     rise = None if end is None else end + 1
 
-    if profile.left_shape == Shape.CONSTANT:
+    if check.equal_runs and k is None:
         # Constant left ray: near subnormal would force normality, so the
         # first strict rise, if any, obstructs it.
         if rise is None:
@@ -376,7 +331,6 @@ def classify(spec: WeightSpec) -> Verdict:
 
     tw = transformed_weights(spec, diag)
 
-    k = profile.first_equality
     if k is None:
         return build(
             VerdictClass.NEAR_SUBNORMAL,
@@ -506,7 +460,6 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         raise ValueError(f"invalid spec: window value at n = {n} is not positive")
     sups = list(spec.window_values)  # the candidates for sup_modulus, and their pairs
     sup_pairs = list(window)
-    values = []
     deltas: list[RaySign | None] = []  # a tail's first difference; None if constant
     for side, name in enumerate(("left", "right")):
         tail = spec.tail(side)
@@ -532,15 +485,14 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         sups.append(sup)
         sup_pairs.append((sup.numerator, sup.denominator))
         deltas.append(delta)
-        values.append(sup if delta is None else None)
     left, right = deltas
 
     # The moduli from base = first - 1 - pad to last + 1 + pad: the seams
     # need first - 1 to last + 1, and the transformed weights of a varying
-    # left tail two more on each side.
+    # left tail two more on each side. The window's pairs are those above.
     pad = 0 if left is None else 2
     base = first - 1 - pad
-    moduli = spec.value_pairs(base, last + 2 + pad)
+    moduli = spec.value_pairs(base, first) + window + spec.value_pairs(last + 1, last + 2 + pad)
 
     def squares(n: int, stop: int) -> list[Pair]:
         """|beta_m|^2 for n <= m < stop, as int pairs."""
@@ -588,29 +540,18 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
     # The pattern: the maximal runs of equal pairs, ascending, as (first,
     # last); a constant tail's run has no first (left) or last (right) pair,
     # None. Every other pair rises.
-    left_eq = () if left is None else tuple([z - 1 for z in left.zeros])
-    right_eq = None if right is None else tuple([z - 1 for z in right.zeros])
     equal: list[tuple[int | None, int | None]] = []
     for a, b in [
-        *([(None, first - 2)] if left is None else ((e, e) for e in left_eq)),
+        *([(None, first - 2)] if left is None else ((z - 1, z - 1) for z in left.zeros)),
         *((a - 1, b - 1) for sign, a, b in runs if not sign),
-        *([(last + 1, None)] if right is None else ((e, e) for e in right_eq)),
+        *([(last + 1, None)] if right is None else ((z - 1, z - 1) for z in right.zeros)),
     ]:
         if equal and equal[-1][1] == a - 1:
             a = equal.pop()[0]
         equal.append((a, b))
     k, end = equal[0] if equal else (None, None)
     rise = None if end is None else end + 1  # the first rise past the first run
-    profile = StructureProfile(
-        Shape.CONSTANT if left is None else Shape.STRICT_INCREASE,
-        values[0],
-        left_eq,
-        tuple((Relation.LT if sign else Relation.EQ, a - 1, b - 1) for sign, a, b in runs),
-        Shape.CONSTANT if right is None else Shape.STRICT_INCREASE,
-        values[1],
-        right_eq,
-        k,
-    )
+    equal_runs = tuple(equal)
     klass = VerdictClass.HYPONORMAL_NOT_NEAR_SUBNORMAL
     criterion = witness = first_equality = flat_pair_index = left_run_end = None
     left_sup = flat_from = None
@@ -622,7 +563,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         else:
             criterion, witness = Criterion.CONSTANT_LEFT, left_run_end + 1
         return Certificate(
-            klass, criterion, profile, witness, None, None, left_run_end, None, None, None,
+            klass, criterion, equal_runs, witness, None, None, left_run_end, None, None, None,
             None, sup, tuple(points),
         )
 
@@ -675,7 +616,7 @@ def _expected_certificate(spec: WeightSpec) -> Certificate:
         if g is not None:
             points.append(("gamma_sq", n, *g))
     return Certificate(
-        klass, criterion, profile, witness, first_equality, flat_pair_index, None,
+        klass, criterion, equal_runs, witness, first_equality, flat_pair_index, None,
         left_limit, right_limit, left_sup, flat_from, sup, tuple(points),
     )
 
@@ -689,7 +630,7 @@ def replay(cert: Certificate, spec: WeightSpec) -> ReplayResult:
     and evaluates the moduli once around the window and at the cited
     indices, as int pairs. From those it checks validity and
     ``sup_modulus``; the witness of a violation, smallest |n| first; the
-    profile, from the seam values and each tail's first difference; that
+    equal runs, from the seam values and each tail's first difference; that
     the class, criterion and cited indices are the ones the rules name on
     that pattern of equal pairs and rises; the limits, from the tails'
     leading coefficients; ``flat_from``; ``left_sup_sq``, by

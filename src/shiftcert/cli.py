@@ -29,7 +29,6 @@ from typing import Any, Sequence
 from .classifier import (
     Certificate,
     InvalidSpec,
-    StructureProfile,
     Verdict,
     classify,
     replay,
@@ -47,7 +46,7 @@ from .specfile import SpecFileError, dump_spec, format_rational, load_spec, spec
 # validate is unused here: perfbench/spans.py wraps it in this module.
 from .weights import WeightSpec, validate  # noqa: F401
 
-REPORT_FORMAT = "shiftcert-report/2"
+REPORT_FORMAT = "shiftcert-report/3"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -83,25 +82,6 @@ def _rational_or_none(value: Fraction | None) -> str | None:
     return None if value is None else format_rational(value)
 
 
-def _structure_to_dict(profile: StructureProfile | None) -> dict | None:
-    if profile is None:
-        return None
-    return {
-        "left_shape": profile.left_shape.value,
-        "left_value": _rational_or_none(profile.left_value),
-        "left_equalities": list(profile.left_equalities),
-        "window_relations": [f"{r.value} {a}..{b}" for r, a, b in profile.window_relations],
-        "right_shape": profile.right_shape.value,
-        "right_value": _rational_or_none(profile.right_value),
-        "right_equalities": (
-            None
-            if profile.right_equalities is None
-            else list(profile.right_equalities)
-        ),
-        "first_equality": profile.first_equality,
-    }
-
-
 def _certificate_to_dict(cert: Certificate) -> dict:
     return {
         "class": cert.verdict_class.value,
@@ -115,7 +95,10 @@ def _certificate_to_dict(cert: Certificate) -> dict:
         "left_sup_sq": _rational_or_none(cert.left_sup_sq),
         "flat_from": cert.flat_from,
         "sup_modulus": format_rational(cert.sup_modulus),
-        "structure": _structure_to_dict(cert.profile),
+        # Each run as "first..last", an open end left empty.
+        "equal_runs": None if cert.equal_runs is None else [
+            "..".join("" if n is None else str(n) for n in run) for run in cert.equal_runs
+        ],
         "replay_points": [
             {"kind": p.kind, "index": p.index, "value": format_rational(p.value)}
             for p in cert.replay_points

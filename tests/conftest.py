@@ -491,3 +491,19 @@ def small_scope_spec(i: int) -> WeightSpec:
     constant = ConstantTail(Fraction(_SCOPE_CONSTANTS[const]))
     tails = (constant, varying) if side else (varying, constant)
     return WeightSpec(0, tuple(map(Fraction, _SCOPE_WINDOWS[window])), *tails)
+
+
+# The both-tails scope: the window [1] from n = 0 between two tails p / q,
+# p and q of degree <= 1 with coefficients in -2..2 (q nonzero). Spec i is
+# the one at that place in the nested order left tail, right tail, each
+# tail ordered by numerator, then denominator.
+_PAIR_NUMS = list(product(range(-2, 3), repeat=2))
+_PAIR_TAILS = [(num, den) for num in _PAIR_NUMS for den in _PAIR_NUMS if any(den)]
+BOTH_TAILS_SIZE = len(_PAIR_TAILS) ** 2
+
+
+def both_tails_spec(i: int) -> WeightSpec:
+    """Spec i of the both-tails scope, 0 <= i < BOTH_TAILS_SIZE."""
+    left, right = divmod(i, len(_PAIR_TAILS))
+    tails = (RationalTail(RationalFunction.of(*_PAIR_TAILS[t])) for t in (left, right))
+    return WeightSpec(0, (Fraction(1),), *tails)

@@ -23,10 +23,7 @@ from shiftcert import classifier, classify, replay, weights
 from shiftcert.classifier import (
     Certificate,
     Criterion,
-    Relation,
     ReplayPoint,
-    Shape,
-    StructureProfile,
     VerdictClass,
 )
 from shiftcert.cli import build_report, render_json
@@ -52,21 +49,12 @@ def _rational_changes(value: Fraction | None) -> list[Fraction | None]:
     return [Fraction(1, 3)] if value is None else [value + 1, value - Fraction(1, 3), None]
 
 
-def _pairs_changes(pairs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Each pair dropped or moved by one, and one more pair added."""
-    changes = [(min(pairs, default=0) - 1, *pairs)]
-    for i, e in enumerate(pairs):
-        changes.append(pairs[:i] + pairs[i + 1 :])
-        changes.append(pairs[:i] + (e + 1,) + pairs[i + 1 :])
-    return changes
-
-
 def _enum_changes(value, members) -> list:
     return [m for m in members if m is not value]
 
 
 def _field_changes(cert: Certificate) -> list[tuple[str, object]]:
-    """(field, changed value) for every top-level field but the profile
+    """(field, changed value) for every top-level field but the equal runs
     and the replay points."""
     changes = [("verdict_class", v) for v in _enum_changes(cert.verdict_class, VerdictClass)]
     changes += [("criterion", v) for v in _enum_changes(cert.criterion, [*Criterion, None])]
@@ -81,50 +69,44 @@ def _field_changes(cert: Certificate) -> list[tuple[str, object]]:
     return changes
 
 
-def _profile_changes(profile: StructureProfile | None) -> list[StructureProfile | None]:
-    if profile is None:
-        constant = Shape.CONSTANT
-        relations = ((Relation.LT, 0, 0),)
-        return [StructureProfile(constant, Fraction(1), (), relations, constant, Fraction(2), None, None)]
-    changes: list[StructureProfile | None] = [None]
-    for name in ("left_shape", "right_shape"):
-        changes += [profile._replace(**{name: v}) for v in _enum_changes(getattr(profile, name), Shape)]
-    for name in ("left_value", "right_value"):
-        changes += [profile._replace(**{name: v}) for v in _rational_changes(getattr(profile, name))]
-    changes += [profile._replace(left_equalities=v) for v in _pairs_changes(profile.left_equalities)]
-    right = profile.right_equalities
-    if right is None:
-        changes.append(profile._replace(right_equalities=()))
+Run = tuple[int | None, int | None]
+
+
+def _end_changes(a: int | None, b: int | None) -> list[Run]:
+    """The run (a, b) with one end moved by one pair, opened, or closed
+    one pair past the other end (at 0 when both are open)."""
+    changes: list[Run] = []
+    if a is None:
+        changes.append((0 if b is None else b - 1, b))
     else:
-        changes.append(profile._replace(right_equalities=None))
-        changes += [profile._replace(right_equalities=v) for v in _pairs_changes(right)]
-    changes += [profile._replace(window_relations=v) for v in _run_changes(profile.window_relations)]
-    changes += [profile._replace(first_equality=v) for v in _index_changes(profile.first_equality)]
+        changes += [(a - 1, b), (a + 1, b), (None, b)]
+    if b is None:
+        changes.append((a, 0 if a is None else a + 1))
+    else:
+        changes += [(a, b - 1), (a, b + 1), (a, None)]
     return changes
 
 
-def _run_changes(runs: tuple) -> list[tuple]:
-    """Each run's relation flipped, each boundary moved by one pair, each
-    run of two or more pairs split, each two neighbouring runs merged, each
-    run dropped, and one run of either relation appended."""
-    flip = {Relation.LT: Relation.EQ, Relation.EQ: Relation.LT}
-    changes = []
-    for i, (r, a, b) in enumerate(runs):
+def _equal_run_changes(runs: tuple[Run, ...] | None) -> list[tuple[Run, ...] | None]:
+    """None, or runs where there are none; else each run's ends moved by one
+    pair, opened or closed, each rise between two runs moved by one pair,
+    each run of two or more pairs split, each two neighbouring runs merged,
+    each run dropped, and one run appended past the last end."""
+    if runs is None:
+        return [(), ((0, 0),)]
+    changes: list[tuple[Run, ...] | None] = [None]
+    for i, (a, b) in enumerate(runs):
         before, after = runs[:i], runs[i + 1 :]
-        changes.append(before + ((flip[r], a, b),) + after)
         changes.append(before + after)
-        if a < b:
-            changes.append(before + ((r, a, a), (r, a + 1, b)) + after)
-        if i == 0:
-            changes += [((r, a + step, b),) + after for step in (-1, 1)]
-        if i == len(runs) - 1:
-            changes += [before + ((r, a, b + step),) for step in (-1, 1)]
+        changes += [before + (run,) + after for run in _end_changes(a, b)]
+        if a is not None and b is not None and a < b:
+            changes.append(before + ((a, a), (a + 1, b)) + after)
         if after:
-            (s, c, e), rest = after[0], after[1:]
-            changes.append(before + ((r, a, e),) + rest)
-            changes += [before + ((r, a, b + step), (s, c + step, e)) + rest for step in (-1, 1)]
-    _, _, last = runs[-1]
-    changes += [runs + ((r, last + 1, last + 1),) for r in Relation]
+            (c, e), rest = after[0], after[1:]
+            changes.append(before + ((a, e),) + rest)
+            changes += [before + ((a, b + step), (c + step, e)) + rest for step in (-1, 1)]
+    top = max((n for run in runs for n in run if n is not None), default=0) + 2
+    changes.append(runs + ((top, top),))
     return changes
 
 
@@ -151,10 +133,10 @@ def test_every_single_field_change_is_rejected_by_name(name):
         result = replay(cert._replace(**{field: value}), spec)
         assert not result.consistent, (field, value)
         assert field.replace("_", " ") in result.detail, (field, value, result.detail)
-    for profile in _profile_changes(cert.profile):
-        result = replay(cert._replace(profile=profile), spec)
-        assert not result.consistent, profile
-        assert "profile" in result.detail, (profile, result.detail)
+    for runs in _equal_run_changes(cert.equal_runs):
+        result = replay(cert._replace(equal_runs=runs), spec)
+        assert not result.consistent, runs
+        assert "equal runs" in result.detail, (runs, result.detail)
     for point, points in _point_changes(cert.replay_points):
         result = replay(cert._replace(replay_points=points), spec)
         assert not result.consistent, points
@@ -192,7 +174,7 @@ MALFORMED = st.one_of(
     st.fractions(),
     st.floats(allow_nan=True),
     st.text(max_size=4),
-    st.sampled_from([*VerdictClass, *Criterion, *Shape, *Relation]),
+    st.sampled_from([*VerdictClass, *Criterion]),
     st.builds(Limit, st.fractions() | st.integers() | st.none()),
     st.lists(st.integers(-3, 3), max_size=3).map(tuple),
 )
@@ -221,17 +203,24 @@ def test_malformed_field_is_reported_not_raised(name, field, value):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     name=st.sampled_from(sorted(CERTIFICATES)),
-    subfield=st.sampled_from(StructureProfile._fields),
+    at=st.integers(min_value=0),
+    end=st.sampled_from([0, 1, None]),
     value=MALFORMED,
+    as_list=st.booleans(),
 )
-def test_malformed_profile_part_is_reported_not_raised(name, subfield, value):
+def test_malformed_profile_part_is_reported_not_raised(name, at, end, value, as_list):
+    # The profile is the certificate's equal runs: one end of a run, or a
+    # whole run (end None), is replaced; the runs may come as a list.
     cert = CERTIFICATES[name]
-    assume(cert.profile is not None)
-    assume(repr(value) != repr(getattr(cert.profile, subfield)))
-    profile = cert.profile._replace(**{subfield: value})
-    result = replay(cert._replace(profile=profile), GOLDEN[name])
+    assume(cert.equal_runs)
+    runs = list(cert.equal_runs)
+    i = at % len(runs)
+    part = value if end is None else tuple(value if j == end else n for j, n in enumerate(runs[i]))
+    assume(repr(part) != repr(runs[i]) or as_list)
+    runs[i] = part
+    result = replay(cert._replace(equal_runs=runs if as_list else tuple(runs)), GOLDEN[name])
     assert not result.consistent
-    assert "profile" in result.detail
+    assert "equal runs" in result.detail
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -251,12 +240,14 @@ def test_malformed_replay_point_is_reported_not_raised(name, at, point, as_list)
 
 
 def test_profile_on_a_not_hyponormal_verdict_is_rejected():
+    # A not-hyponormal certificate has no equal runs (the profile), not
+    # even none.
     not_hyponormal = VerdictClass.NOT_HYPONORMAL
     name, cert = next((n, c) for n, c in CERTIFICATES.items() if c.verdict_class == not_hyponormal)
-    other = next(c.profile for c in CERTIFICATES.values() if c.profile is not None)
-    result = replay(cert._replace(profile=other), GOLDEN[name])
-    assert not result.consistent
-    assert result.detail.startswith("profile mismatch: ")
+    for other in (next(c.equal_runs for c in CERTIFICATES.values() if c.equal_runs), ()):
+        result = replay(cert._replace(equal_runs=other), GOLDEN[name])
+        assert not result.consistent
+        assert result.detail.startswith("equal runs mismatch: ")
 
 
 @pytest.mark.parametrize("convert", [Fraction, float], ids=["fraction", "float"])

@@ -21,9 +21,7 @@ from shiftcert import (
 from shiftcert.classifier import (
     Certificate,
     Criterion,
-    Relation,
     ReplayPoint,
-    Shape,
     VerdictClass,
 )
 
@@ -34,17 +32,15 @@ class TestCheckHyponormal:
     def test_example_two_strictly_increases(self, ex2):
         check = check_hyponormal(ex2)
         assert check.hyponormal
-        assert check.profile.left_shape == Shape.STRICT_INCREASE
-        assert check.profile.right_shape == Shape.STRICT_INCREASE
-        assert check.profile.first_equality is None
+        # No equal pair at all: both tails vary, and nothing is flat.
+        assert check.equal_runs == ()
 
     def test_two_level_shapes(self, ex3):
         check = check_hyponormal(ex3)
         assert check.hyponormal
-        assert check.profile.left_shape == Shape.CONSTANT
-        assert check.profile.left_value == 1
-        assert check.profile.right_shape == Shape.CONSTANT
-        assert check.profile.right_value == 2
+        # Moduli 1 up to n = 0, then 2: two runs open toward the tails.
+        assert check.equal_runs == ((None, -1), (1, None))
+        assert ex3.value(-1) == ex3.value(0) == 1 and ex3.value(1) == ex3.value(2) == 2
 
     def test_decreasing_window_witness(self):
         spec = WeightSpec(
@@ -85,13 +81,10 @@ class TestCheckHyponormal:
 
     def test_window_relations_recorded(self, fixture_specs):
         check = check_hyponormal(fixture_specs["flatpair"])
-        # pairs -1..2: 1 < 2, 2 = 2, 2 < 3, 3 = 3
-        assert check.profile.window_relations == (
-            (Relation.LT, -1, -1),
-            (Relation.EQ, 0, 0),
-            (Relation.LT, 1, 1),
-            (Relation.EQ, 2, 2),
-        )
+        # pairs -1..2: 1 < 2, 2 = 2, 2 < 3, 3 = 3, as seams n = pair + 1
+        assert check.seam_runs == ((1, 0, 0), (0, 1, 1), (1, 2, 2), (0, 3, 3))
+        # the constant right tail 3 continues the last run
+        assert check.equal_runs == ((0, 0), (2, None))
 
 
 class TestClassifyFixtures:
@@ -310,8 +303,7 @@ class TestLeftTailEquality:
     def test_tail_equality_certified(self, spec):
         check = check_hyponormal(spec)
         assert check.hyponormal
-        assert check.profile.left_equalities == (-6,)
-        assert check.profile.first_equality == -6
+        assert check.equal_runs[0] == (-6, -6)
         assert spec.value(-6) == spec.value(-5) == Fraction(23, 11)
 
     def test_flat_pair_found_in_tail(self, spec):

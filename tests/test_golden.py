@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from shiftcert import (
@@ -51,6 +53,7 @@ from shiftcert.specfile import load_spec
 from conftest import degree_sixteen_spec
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 GOLDEN_SEED = 20260
 GOLDEN_RANDOM_SPECS = 20
 FIXTURE_NAMES = ("ex1", "ex2", "ex3", "flatpair")
@@ -170,6 +173,17 @@ def test_oracle_report_bytes_match(case, monkeypatch):
     assert code == 0
     expected = (GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8")
     assert out == expected
+
+
+# The schema declares draft-07; perfbench/run.py validates under 2020-12.
+@pytest.mark.parametrize("validator", ["Draft7Validator", "Draft202012Validator"])
+def test_every_golden_report_validates_against_the_schema(validator):
+    check = getattr(jsonschema, validator)(json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
+    reports = [p for p in sorted(GOLDEN_DIR.glob("*.json")) if not p.name.endswith(".spec.json")]
+    assert len(reports) == len(_golden_names()) + len(ORACLE_CASES)
+    for path in reports:
+        errors = list(check.iter_errors(json.loads(path.read_text(encoding="utf-8"))))
+        assert not errors, (path.name, errors[0].message)
 
 
 # Exact polynomial evaluations that classifying every golden spec takes:

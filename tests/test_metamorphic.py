@@ -78,17 +78,9 @@ def _move(n, t):
 
 def _translated(cert: Certificate, t: int) -> Certificate:
     """The certificate with every order-defined index moved by t."""
-    profile = cert.profile
-    if profile is not None:
-        right = profile.right_equalities
-        profile = profile._replace(
-            left_equalities=tuple(n + t for n in profile.left_equalities),
-            window_relations=tuple((r, a + t, b + t) for r, a, b in profile.window_relations),
-            right_equalities=None if right is None else tuple(n + t for n in right),
-            first_equality=_move(profile.first_equality, t),
-        )
+    runs = cert.equal_runs
     return cert._replace(
-        profile=profile,
+        equal_runs=None if runs is None else tuple((_move(a, t), _move(b, t)) for a, b in runs),
         witness=_move(cert.witness, t),
         first_equality=_move(cert.first_equality, t),
         flat_pair_index=_move(cert.flat_pair_index, t),

@@ -18,7 +18,6 @@ from shiftcert.classifier import (
     HyponormalityCheck,
     ReplayPoint,
     ReplayResult,
-    StructureProfile,
     Verdict,
     check_hyponormal,
     classify,
@@ -46,7 +45,7 @@ from shiftcert.weights import (
 CERTIFICATE_FIELDS = (
     "verdict_class",
     "criterion",
-    "profile",
+    "equal_runs",
     "witness",
     "first_equality",
     "flat_pair_index",
@@ -134,20 +133,6 @@ CASES = {
         lambda: _tw(example_one()),
         ("spec", "left_limit_sq", "right_limit_sq", "flat_from"),
     ),
-    StructureProfile: (
-        lambda: check_hyponormal(example_two()).profile,
-        lambda: check_hyponormal(example_one()).profile,
-        (
-            "left_shape",
-            "left_value",
-            "left_equalities",
-            "window_relations",
-            "right_shape",
-            "right_value",
-            "right_equalities",
-            "first_equality",
-        ),
-    ),
     ReplayPoint: (
         lambda: ReplayPoint("d", 0, Fraction(1, 3)),
         lambda: ReplayPoint("d", 1, Fraction(1, 3)),
@@ -166,11 +151,11 @@ CASES = {
     HyponormalityCheck: (
         lambda: check_hyponormal(example_two()),
         lambda: check_hyponormal(example_one()),
-        ("hyponormal", "witness", "profile", "diag", "seam_runs", "equal_runs"),
+        ("hyponormal", "witness", "diag", "seam_runs", "equal_runs"),
     ),
     ReplayResult: (
         lambda: ReplayResult(True),
-        lambda: ReplayResult(False, "profile mismatch"),
+        lambda: ReplayResult(False, "equal runs mismatch"),
         ("consistent", "detail"),
     ),
     # One subdiagonal array shared: an array compares elementwise, so the
@@ -413,20 +398,11 @@ class TestReplayDetails:
         )
 
     def test_tampered_profile(self):
+        # The profile of equal pairs and rises: example_one's one equal run,
+        # open to the right, moved to start one pair later.
         spec = example_one()
         cert = classify(spec).certificate
-        fields = [getattr(cert.profile, name) for name in CASES[StructureProfile][2]]
-        profile = StructureProfile(*fields[:-1], 1)
-        result = replay(self._tampered(cert, profile=profile), spec)
-        recomputed = (
-            "StructureProfile(left_shape=<Shape.STRICT_INCREASE: 'strict-increase'>, "
-            "left_value=None, left_equalities=(), "
-            "window_relations=((<Relation.LT: '<'>, -1, -1), (<Relation.EQ: '='>, 0, 0)), "
-            "right_shape=<Shape.CONSTANT: 'constant'>, right_value=Fraction(2, 1), "
-            "right_equalities=None, first_equality={})"
+        result = replay(self._tampered(cert, equal_runs=((1, None),)), spec)
+        assert result == ReplayResult(
+            False, "equal runs mismatch: recorded ((1, None),), recomputed ((0, None),)"
         )
-        assert result.detail == (
-            f"profile mismatch: recorded {recomputed.format(1)}, "
-            f"recomputed {recomputed.format(0)}"
-        )
-        assert not result.consistent
