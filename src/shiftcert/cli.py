@@ -12,6 +12,13 @@ truncation cannot tell from zero, or when small moduli fall under tol and
 the probe's sqrt(tol) cut, both absolute below modulus 1: ex3 scaled by
 1/100 (``examples --which ex3 --low 1/100 --high 1/50``) exits 3 at
 ``oracle --max-dim 401``. A smaller ``--tol`` (1e-15 there) shows both.
+
+A JSON report (``shiftcert-report/4``, ``schema/report.schema.json``)
+states each fact once. Every exact value, the transform limits included,
+is a rational string, so ``classify`` writes a squared limit of any size.
+Nothing that another field determines is written: the text report reads
+its annotation line from ``source.notes`` and the oracle's dimension
+from ``2 * half_width + 1``.
 """
 
 from __future__ import annotations
@@ -41,12 +48,11 @@ from .oracle import (  # noqa: F401
     default_tolerance,
     truncation_report,
 )
-from .polycert import Limit
 from .specfile import SpecFileError, dump_spec, format_rational, load_spec, spec_to_dict
 # validate is unused here: perfbench/spans.py wraps it in this module.
 from .weights import WeightSpec, validate  # noqa: F401
 
-REPORT_FORMAT = "shiftcert-report/3"
+REPORT_FORMAT = "shiftcert-report/4"
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -68,21 +74,8 @@ MAX_DIM = 5001
 MAX_SWEEP_DIM_SUM = 2 * MAX_DIM
 
 
-def _limit_to_dict(limit: Limit | None) -> dict | None:
-    if limit is None:
-        return None
-    return {
-        "kind": "finite",
-        "value": format_rational(limit.value),
-        "decimal": float(limit.value),
-    }
-
-
-def _rational_or_none(value: Fraction | None) -> str | None:
-    return None if value is None else format_rational(value)
-
-
 def _certificate_to_dict(cert: Certificate) -> dict:
+    left, right, sup = cert.left_limit_sq, cert.right_limit_sq, cert.left_sup_sq
     return {
         "class": cert.verdict_class.value,
         "criterion": cert.criterion.value if cert.criterion else None,
@@ -90,9 +83,9 @@ def _certificate_to_dict(cert: Certificate) -> dict:
         "first_equality": cert.first_equality,
         "flat_pair_index": cert.flat_pair_index,
         "left_run_end": cert.left_run_end,
-        "left_limit_sq": _limit_to_dict(cert.left_limit_sq),
-        "right_limit_sq": _limit_to_dict(cert.right_limit_sq),
-        "left_sup_sq": _rational_or_none(cert.left_sup_sq),
+        "left_limit_sq": None if left is None else format_rational(left.value),
+        "right_limit_sq": None if right is None else format_rational(right.value),
+        "left_sup_sq": None if sup is None else format_rational(sup),
         "flat_from": cert.flat_from,
         "sup_modulus": format_rational(cert.sup_modulus),
         # Each run as "first..last", an open end left empty.
@@ -109,7 +102,6 @@ def _certificate_to_dict(cert: Certificate) -> dict:
 def _oracle_to_dict(report: TruncationReport, agreement: str, notes: list[str]) -> dict:
     return {
         "half_width": report.half_width,
-        "dim": 2 * report.half_width + 1,
         "tol": report.tol,
         "q_diag_residual": report.q_diag_residual,
         "q_offdiag_residual": report.q_offdiag_residual,
@@ -129,18 +121,12 @@ def _oracle_to_dict(report: TruncationReport, agreement: str, notes: list[str]) 
     }
 
 
-def build_report(
-    verdict: Verdict,
-    source: dict[str, Any],
-    annotations: Sequence[str] = (),
-    oracle_part: dict | None = None,
-) -> dict:
+def build_report(verdict: Verdict, source: dict[str, Any], oracle_part: dict | None = None) -> dict:
     return {
         "format": REPORT_FORMAT,
         "source": source,
         "verdict": _certificate_to_dict(verdict.certificate),
         "oracle": oracle_part,
-        "annotations": list(annotations),
     }
 
 
@@ -231,23 +217,18 @@ def render_text(report: dict) -> str:
         ("flat_pair_index", "flat pair index"),
         ("left_run_end", "left run end"),
         ("flat_from", "transform flat from"),
+        ("left_limit_sq", "left transform limit (squared)"),
+        ("right_limit_sq", "right transform limit (squared)"),
+        ("left_sup_sq", "left-ray transform bound (squared)"),
     ):
         if v[key] is not None:
             lines.append(f"{label}: {v[key]}")
-    for key, label in (
-        ("left_limit_sq", "left transform limit (squared)"),
-        ("right_limit_sq", "right transform limit (squared)"),
-    ):
-        lim = v[key]
-        if lim is not None:
-            lines.append(f"{label}: {lim['value']} (~ {lim['decimal']:.6g})")
-    if v["left_sup_sq"] is not None:
-        lines.append(f"left-ray transform bound (squared): {v['left_sup_sq']}")
     lines.append(f"modulus bound: {v['sup_modulus']}")
     o = report["oracle"]
     if o is not None:
         lines.append(
-            f"oracle: dim {o['dim']}, commutator residual {o['q_diag_residual']:.3g}, "
+            f"oracle: dim {2 * o['half_width'] + 1}, "
+            f"commutator residual {o['q_diag_residual']:.3g}, "
             f"off-diagonal {o['q_offdiag_residual']:.3g}"
         )
         if o["gamma_residual"] is not None:
@@ -268,8 +249,8 @@ def render_text(report: dict) -> str:
         lines.append(f"oracle {o['concordance']} with symbolic verdict")
         for note in o["concordance_notes"]:
             lines.append(f"note: {note}")
-    for note in report["annotations"]:
-        lines.append(f"annotation: {note}")
+    if "notes" in report["source"]:
+        lines.append(f"annotation: {report['source']['notes']}")
     return "\n".join(lines) + "\n"
 
 
@@ -338,21 +319,11 @@ def cmd_classify(args, out, err) -> int:
     if isinstance(loaded, int):
         return loaded
     spec, verdict, meta = loaded
-    for side in ("left", "right"):
-        limit = getattr(verdict.certificate, f"{side}_limit_sq")
-        if limit is not None and _beyond_binary64(limit.value):
-            err.write(
-                f"error: the report's decimal field needs binary64: the {side} "
-                f"transform limit (squared) exceeds {sys.float_info.max!r}\n"
-            )
-            return EXIT_INPUT
     replayed = replay(verdict.certificate, spec)
     if not replayed.consistent:
         err.write(f"internal inconsistency: certificate replay failed: {replayed.detail}\n")
         return EXIT_INCONSISTENT
-    source = {"path": args.path, **meta}
-    annotations = [meta["notes"]] if "notes" in meta else []
-    report = build_report(verdict, source, annotations)
+    report = build_report(verdict, {"path": args.path, **meta})
     _emit(report, args.format, out)
     return EXIT_OK
 
@@ -413,9 +384,7 @@ def cmd_oracle(args, out, err) -> int:
     if where is not None:
         err.write(f"error: {where} in the report is not a finite binary64 number\n")
         return EXIT_INPUT
-    source = {"path": args.path, **meta}
-    annotations = [meta["notes"]] if "notes" in meta else []
-    payload = build_report(verdict, source, annotations, oracle_part)
+    payload = build_report(verdict, {"path": args.path, **meta}, oracle_part)
     _emit(payload, args.format, out)
     return EXIT_INCONSISTENT if agreement == "disagrees" else EXIT_OK
 

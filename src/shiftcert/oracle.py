@@ -17,7 +17,8 @@ public names are dense views of the same stages: each takes or returns
 dense 2-D arrays and converts once at its boundary.
 
 Exact values enter only the comparison, and an ``oracle`` call evaluates
-the spec once: :func:`build_truncation` evaluates each weight region once
+the spec once for its report and once more, at the widest half width, for
+a ``--sweep``: :func:`build_truncation` evaluates each weight region once
 (one pair for a constant tail, one evaluation per index of a rational
 tail) and keeps the exact moduli pairs beside their floats. The residuals
 read those pairs through :func:`~shiftcert.shiftcalc.sparse_range`, which
@@ -374,11 +375,20 @@ def norm_sweep(
     """Estimate ||root(Q) T pinv_root(Q)|| across truncation sizes.
 
     The trace is reported, not judged by :func:`concordance`; the symbolic
-    certificate, not the trace, is the proof.
+    certificate, not the trace, is the proof. The source is evaluated
+    once, at the widest half width; each narrower truncation is the middle
+    slice of that one.
     """
     trace: list[tuple[int, float]] = []
+    if not half_widths:
+        return trace
+    if min(half_widths) < 2:
+        raise ValueError("half width must be at least 2")
+    widest = build_truncation(source, max(half_widths), tol)
     for half_width in half_widths:
-        t = build_truncation(source, half_width, tol)
+        cut = slice(widest.half_width - half_width, widest.half_width + half_width)
+        moduli = None if widest.moduli is None else widest.moduli[cut]
+        t = Truncation(half_width, widest.subdiagonal[cut], tol, moduli)
         s = _conjugate(t, _commutator(t), tol)
         trace.append((half_width, _power_norm(s, t.dim)))
     return trace

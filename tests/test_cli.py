@@ -21,6 +21,7 @@ from shiftcert.classifier import Criterion, VerdictClass
 from shiftcert.cli import MAX_DIM, MAX_SWEEP_DIM_SUM, main, render_json
 
 from conftest import SLOW_PLATEAU_SPEC
+from test_golden import GOLDEN_DIR, ORACLE_CASES
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 
@@ -306,9 +307,9 @@ class TestClassifyCommand:
         points = {(p["kind"], p["index"]): p["value"] for p in payload["verdict"]["replay_points"]}
         assert points[("beta_sq", 1)] == f"1{'0' * 2997}14{'0' * 2997}49"
 
-    def test_squared_limit_past_binary64_is_named(self, tmp_path):
+    def test_squared_limit_past_binary64_is_written_exactly(self, tmp_path, schema):
         # Left tail 10^200 - 1/(n - 1): its squared limit 10^400 has no
-        # binary64 value for the report's decimal field.
+        # binary64 value, and both formats write it as the exact integer.
         big = 10**200
         spec = tmp_path / "big-limit.json"
         spec.write_text(
@@ -326,13 +327,15 @@ class TestClassifyCommand:
             ),
             encoding="utf-8",
         )
+        limit = "1" + "0" * 400
         result = run_cli("classify", str(spec), "--format", "json")
-        assert result.code == 2
-        assert result.err.startswith(
-            "error: the report's decimal field needs binary64: "
-            "the left transform limit (squared) exceeds"
-        )
-        assert result.out == ""
+        assert (result.code, result.err) == (0, "")
+        payload = json.loads(result.out)
+        jsonschema.validate(payload, schema)
+        assert payload["verdict"]["left_limit_sq"] == limit
+        text = run_cli("classify", str(spec))
+        assert (text.code, text.err) == (0, "")
+        assert f"left transform limit (squared): {limit}\n" in text.out
 
     def test_report_validates_against_schema(self, fixture_dir, schema):
         for name in ("ex1.json", "ex3.json"):
@@ -691,13 +694,35 @@ sys.exit(code)
             with pytest.raises(Reached):
                 run_cli("oracle", str(spec), "--tol", "1e-9")
 
-    def test_verdict_content_matches_between_formats(self, fixture_dir):
-        text = run_cli("classify", str(fixture_dir / "ex3.json")).out
-        payload = json.loads(
-            run_cli("classify", str(fixture_dir / "ex3.json"), "--format", "json").out
-        )
-        assert payload["verdict"]["class"] in text
-        assert payload["verdict"]["criterion"] in text
+    def test_verdict_content_matches_between_formats(self, monkeypatch):
+        # Each golden JSON report against the text report of the same call:
+        # the text states every non-null verdict value, the spec's notes
+        # and, for an oracle call, the truncation's dimension.
+        monkeypatch.chdir(GOLDEN_DIR)
+        calls = {
+            f"{p.name[: -len('.spec.json')]}.report": ("classify", p.name)
+            for p in GOLDEN_DIR.glob("*.spec.json")
+        }
+        for case, (name, *args) in ORACLE_CASES.items():
+            calls[case] = ("oracle", f"{name}.spec.json", *args)
+        for case, argv in sorted(calls.items()):
+            result = run_cli(*argv)
+            assert (result.code, result.err) == (0, ""), case
+            payload = json.loads((GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8"))
+            v = payload["verdict"]
+            assert result.out.startswith(f"class: {v['class']}\n"), case
+            if v["criterion"] is not None:
+                assert f"criterion: {v['criterion']}\n" in result.out, case
+            for key in (
+                "witness", "first_equality", "flat_pair_index", "left_run_end", "flat_from",
+                "left_limit_sq", "right_limit_sq", "left_sup_sq", "sup_modulus",
+            ):
+                if v[key] is not None:
+                    assert f": {v[key]}\n" in result.out, (case, key)
+            assert f"annotation: {payload['source']['notes']}\n" in result.out, case
+            if payload["oracle"] is not None:
+                dim = 2 * payload["oracle"]["half_width"] + 1
+                assert f"oracle: dim {dim}, " in result.out, case
 
     def test_disagreement_maps_to_exit_three(self, fixture_dir, monkeypatch):
         import shiftcert.cli as cli_module

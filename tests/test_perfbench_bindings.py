@@ -65,7 +65,7 @@ def test_traced_oracle_call_keeps_the_dense_result_contract(tmp_path):
     with tracer.active(), contextlib.redirect_stdout(out):
         code = main(argv)
     assert code == 0
-    assert tracer.counters.truncations_built == 3  # the report's plus one per width
+    assert tracer.counters.truncations_built == 2  # the report's plus one for the sweep
     err = _load("run").norm_rel_err(path, json.loads(out.getvalue())["oracle"])
     assert isinstance(err, float)
     assert err < 1e-6
