@@ -19,12 +19,13 @@ dense 2-D arrays and converts once at its boundary.
 Exact values enter only the comparison, and an ``oracle`` call evaluates
 the spec once for its report and once more, at the widest half width, for
 a ``--sweep``: :func:`build_truncation` evaluates each weight region once
-(one pair for a constant tail, one evaluation per index of a rational
-tail) and keeps the exact moduli pairs beside their floats. The residuals
-read those pairs through :func:`~shiftcert.shiftcalc.sparse_range`, which
-does exact arithmetic only where two neighbouring pairs differ (d_n = 0
-everywhere else); each value it holds becomes a float once, is scattered
-into zeros, and numpy reduces every residual.
+(one pair for a constant tail, running sums over a long range of a
+rational tail) and keeps the exact moduli pairs beside their floats. The
+residuals read those pairs through :func:`~shiftcert.shiftcalc.sparse_range`,
+which does exact arithmetic only where two neighbouring pairs differ
+(d_n = 0 everywhere else); each run of values it holds becomes floats at
+once, by C-level maps of correctly rounded int / int divisions (and square
+roots for g_n), is scattered into zeros, and numpy reduces every residual.
 
 :class:`Truncation` and :class:`TruncationReport` are immutable
 NamedTuples.
@@ -45,7 +46,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 from .classifier import Certificate, Verdict, VerdictClass
 from .polycert import Pair
@@ -166,10 +167,11 @@ def build_truncation(source: WeightSource, half_width: int, tol: float) -> Trunc
     """The truncation of half width N >= 2 of a spec or of a raw rule.
 
     A ``WeightSpec`` is evaluated region by region
-    (:meth:`~shiftcert.weights.WeightSpec.value_pairs`), and each |beta_n|
-    is the nearest binary64 to its exact pair: one correctly rounded
-    int / int division. The truncation keeps those pairs. A raw
-    index -> float rule is called once per index.
+    (:meth:`~shiftcert.weights.WeightSpec.value_pairs`; a long range of a
+    rational tail by running sums), and each |beta_n| is the nearest
+    binary64 to its exact pair: one correctly rounded int / int division.
+    The truncation keeps those pairs. A raw index -> float rule is called
+    once per index.
     """
     import numpy as np
 
@@ -447,14 +449,41 @@ def _gamma_float(g_sq: tuple[int, int] | None) -> float:
     return math.nan if g_sq is None else _root_of_pair(*g_sq)
 
 
-def _scatter(runs: list[Run], start: int, size: int, convert: Callable[[Any], float]) -> np.ndarray:
-    """A float array of ``size`` zeros from index ``start`` on, with
-    convert(v) at each index a run holds: one conversion per held value."""
+def _quotients(run: list[Pair]) -> np.ndarray:
+    """p / q for each pair of the run: one correctly rounded int / int
+    division each."""
+    import numpy as np
+
+    return np.fromiter(itertools.starmap(operator.truediv, run), float, len(run))
+
+
+def _gammas(run: list[Pair | None]) -> np.ndarray | list[float]:
+    """g_n for each exact square g_n^2 of the run. The root of a correctly
+    rounded quotient is correctly rounded, and that is what
+    :func:`_root_of_pair` gives wherever the quotient is finite; a run
+    holding an undefined g_n or a g_n^2 past binary64 goes pair by pair
+    through :func:`_gamma_float`."""
+    import numpy as np
+
+    if None not in run:
+        try:
+            return np.sqrt(_quotients(run))
+        except OverflowError:
+            pass
+    return list(map(_gamma_float, run))
+
+
+def _scatter(
+    runs: list[Run], start: int, size: int, convert: Callable[[list], Sequence[float]]
+) -> np.ndarray:
+    """A float array of ``size`` zeros from index ``start`` on, holding
+    convert(values) at the indices of each run: one conversion per run
+    (:func:`_quotients` for d_n, :func:`_gammas` for g_n)."""
     import numpy as np
 
     out = np.zeros(size)
     for first, values in runs:
-        out[first - start : first - start + len(values)] = list(map(convert, values))
+        out[first - start : first - start + len(values)] = convert(values)
     return out
 
 
@@ -510,7 +539,7 @@ def truncation_report(
         entries = s[-1][lo:hi]  # s[n+1, n]
         # np.fmax skips a NaN residual, as max(acc, x) keeps acc for a NaN x,
         # so an undefined g_n, made NaN, is skipped.
-        exact_gamma = _scatter(exact_gamma_sq, interior.start, entries.size, _gamma_float)
+        exact_gamma = _scatter(exact_gamma_sq, interior.start, entries.size, _gammas)
         with np.errstate(over="ignore", invalid="ignore"):
             gamma_residual = float(np.fmax.reduce(np.abs(entries - exact_gamma), initial=0.0))
         if tw.flat_from is not None:
@@ -518,7 +547,7 @@ def truncation_report(
             if flat.size:
                 flat_zero_max = float(np.fmax.reduce(np.abs(flat)))
 
-    exact_d = _scatter(exact.diag, interior.start, q_interior.size, lambda d: d[0] / d[1])
+    exact_d = _scatter(exact.diag, interior.start, q_interior.size, _quotients)
     with np.errstate(over="ignore", invalid="ignore"):
         q_diag_max = float(np.fmax.reduce(np.abs(q_interior), initial=0.0))
         q_diag_residual = float(np.fmax.reduce(np.abs(q_interior - exact_d), initial=0.0))

@@ -13,6 +13,13 @@ parsing calls, reduces to it by the GCD, and Gauss's lemma keeps each
 quotient integral. The forms the engine derives from a tail are unreduced.
 A ``Fraction`` is built only where a value leaves this module.
 
+Over a range of consecutive integers, :meth:`Polynomial.values` takes
+Horner at the first deg + 1 of them and running sums of their forward
+differences after that, exact int additions (TAOCP Vol. 2, 4.6.4).
+:meth:`RationalFunction.pairs` evaluates a range of at least
+``RUNNING_SUMS_FROM * (deg + 1)`` indices that way, and a shorter one
+index by index, where Horner is cheaper.
+
 Both are immutable ``__slots__`` classes compared and hashed by their
 fields, not tuples, and define no ``+``, ``-`` or ``*``: the engine combines
 polynomials as integer coefficient lists. The records (:class:`Ray`,
@@ -36,13 +43,18 @@ f(n) - f(n-1), read off consecutive walked values.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 # An exact rational as (numerator, positive denominator), not reduced.
 Pair = tuple[int, int]
+# RationalFunction.pairs evaluates a range of at least this many indices per
+# degree + 1 by running sums, and a shorter one index by index.
+RUNNING_SUMS_FROM = 8
 
 
 class PoleOnRay(ValueError):
@@ -192,6 +204,25 @@ class Polynomial(_Immutable):
         for c in reversed(self.ints):
             acc = acc * x + c
         return acc
+
+    def values(self, start: int, count: int) -> list[int]:
+        """p(start), ..., p(start + count - 1): Horner at the first
+        deg + 1 indices, then running sums of their forward-difference
+        table, deg nested int accumulations (the deg-th difference is
+        constant)."""
+        if not self.ints:
+            return [0] * count
+        seeds = list(map(self, range(start, start + min(count, len(self.ints)))))
+        if count <= len(seeds):
+            return seeds
+        heads = []  # heads[j]: the j-th forward difference at start
+        while seeds:
+            heads.append(seeds[0])
+            seeds = list(map(operator.sub, seeds[1:], seeds))
+        run = itertools.repeat(heads.pop())
+        for head in reversed(heads):
+            run = itertools.accumulate(run, initial=head)
+        return list(itertools.islice(run, count))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -379,6 +410,21 @@ class RationalFunction(_Immutable):
             raise ZeroDivisionError(f"pole at n = {n}")
         v = self.num(n)
         return (v, d) if d > 0 else (-v, -d)
+
+    def pairs(self, start: int, stop: int) -> list[Pair]:
+        """``[self.pair(n) for n in range(start, stop)]``, the lowest pole
+        raising: per index below the crossover, else both polynomials over
+        the whole range by :meth:`Polynomial.values`, denominator first."""
+        count = stop - start
+        if count < RUNNING_SUMS_FROM * (1 + max(self.num.degree, self.den.degree)):
+            return list(map(self.pair, range(start, stop)))
+        dens = self.den.values(start, count)
+        if 0 in dens:
+            raise ZeroDivisionError(f"pole at n = {start + dens.index(0)}")
+        nums = self.num.values(start, count)
+        if min(dens) > 0:
+            return list(zip(nums, dens))
+        return [(v, d) if d > 0 else (-v, -d) for v, d in zip(nums, dens)]
 
     def __call__(self, n: int) -> Fraction:
         return Fraction(*self.pair(n))

@@ -67,9 +67,9 @@ class WeightSpec(_WeightSpecFields):
     def value_pairs(self, start: int, stop: int) -> list[Pair]:
         """The exact moduli |beta_n| for start <= n < stop as unreduced
         (numerator, positive denominator) int pairs, region by region: a
-        slice of the window, one pair repeated over a constant tail, and one
-        evaluation per index of a rational tail, ascending, so a pole raises
-        at the first index that hits one."""
+        slice of the window, one pair repeated over a constant tail, and a
+        rational tail's :meth:`~shiftcert.polycert.RationalFunction.pairs`,
+        so a pole raises at the first index that hits one."""
         ws, we = self.window_start, self.window_end + 1
         out: list[Pair] = []
         if start < ws:
@@ -117,7 +117,7 @@ def _tail_pairs(tail: TailSpec, start: int, stop: int) -> list[Pair]:
     """The tail's modulus pairs for start <= n < stop."""
     if isinstance(tail, ConstantTail):
         return [(tail.value.numerator, tail.value.denominator)] * (stop - start)
-    return list(map(tail.fn.pair, range(start, stop)))
+    return tail.fn.pairs(start, stop)
 
 
 class Violation(NamedTuple):

@@ -46,6 +46,36 @@ def fixture_specs() -> dict[str, WeightSpec]:
     }
 
 
+class RequestedIndices:
+    """The number of indices requested from rational tails: one per
+    ``RationalFunction.pair`` call, plus stop - start of each
+    ``RationalFunction.pairs`` call that runs sums instead of calling
+    ``pair``."""
+
+    count = 0
+
+
+@pytest.fixture
+def requested_indices(monkeypatch) -> RequestedIndices:
+    counter = RequestedIndices()
+    pair, pairs = RationalFunction.pair, RationalFunction.pairs
+
+    def counted_pair(fn, n):
+        counter.count += 1
+        return pair(fn, n)
+
+    def counted_pairs(fn, start, stop):
+        before = counter.count
+        out = pairs(fn, start, stop)
+        if counter.count == before:  # no pair call: running sums
+            counter.count += stop - start
+        return out
+
+    monkeypatch.setattr(RationalFunction, "pair", counted_pair)
+    monkeypatch.setattr(RationalFunction, "pairs", counted_pairs)
+    return counter
+
+
 def rand_fraction(rng: random.Random, lo: int = 1, hi: int = 8) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, hi))
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcert import (
     ConstantTail,
@@ -25,11 +27,16 @@ from shiftcert import (
     transformed_weights,
 )
 from shiftcert.classifier import VerdictClass
+from shiftcert.shiftcalc import sparse_range
 from shiftcert.fixtures import flat_pair, two_level
 from shiftcert.oracle import (
     NotPSDError,
     _band_product,
+    _gamma_float,
+    _gammas,
+    _quotients,
     _root_of_pair,
+    _scatter,
     build_truncation,
     commutator,
     concordance,
@@ -562,6 +569,21 @@ class TestResidualsAgainstPerIndexReference:
             spec = fixture_specs.get(name) or hand_specs()[name][0]
         self._check(spec, half_width, tol)
 
+    def test_flat_pair_before_a_rational_right_tail(self):
+        # Moduli 1, 2, 2, then 3 - 1/n from n = 3: d_2 = 0 < d_3, so the
+        # tail's long g_n run starts with an undefined g_2 and is converted
+        # pair by pair.
+        spec = WeightSpec(
+            0,
+            (Fraction(1), Fraction(2), Fraction(2)),
+            ConstantTail(Fraction(1)),
+            RationalTail(RationalFunction.of([-1, 3], [0, 1])),
+        )
+        t = build_truncation(spec, 40, 1e-9)
+        runs = sparse_range(t.moduli[1:-1], t.interior().start).gamma_sq()
+        assert runs[-1][0] == 2 and runs[-1][1][0] is None and len(runs[-1][1]) > 30
+        assert self._check(spec, 40)["gamma_residual"] is not None
+
     def test_seam_tie_is_an_exact_zero(self):
         for side, n in (("right", 2), ("left", -1)):
             spec = _seam_tie(side)
@@ -579,23 +601,14 @@ class TestOneEvaluation:
     """``truncation_report`` evaluates the spec once, in ``build_truncation``:
     the residuals read the truncation's own moduli pairs."""
 
-    def test_one_pair_per_extra_rational_tail_index(self, monkeypatch, ex2):
+    def test_one_pair_per_extra_rational_tail_index(self, requested_indices, ex2):
         verdict = classify(ex2)
-        pair = RationalFunction.pair
-        calls = 0
-
-        def counted(fn, n):
-            nonlocal calls
-            calls += 1
-            return pair(fn, n)
-
-        monkeypatch.setattr(RationalFunction, "pair", counted)
         counts = []
         for half_width in (20, 120):
-            calls = 0
+            requested_indices.count = 0
             truncation_report(ex2, verdict, half_width)
-            counts.append(calls)
-        # Both tails of ex2 are rational; the window holds n = 1, 2.
+            counts.append(requested_indices.count)
+        # Both tails of ex2 are rational; the window holds n = 0.
         extra = sum(
             not ex2.window_start <= n <= ex2.window_end
             for n in [*range(-120, -20), *range(20, 120)]
@@ -606,6 +619,84 @@ class TestOneEvaluation:
         t = build_truncation(ex2, 10, 1e-9)
         assert t.moduli == ex2.value_pairs(-10, 10)
         assert build_truncation(lambda n: 1.0, 10, 1e-9).moduli is None
+
+
+def _per_pair(runs, start: int, size: int, convert) -> np.ndarray:
+    """_scatter's reference: one float at a time."""
+    out = np.zeros(size)
+    for first, values in runs:
+        for k, value in enumerate(values):
+            out[first - start + k] = convert(value)
+    return out
+
+
+def _ratio(value: tuple[int, int]) -> float:
+    return value[0] / value[1]
+
+
+# Pairs whose quotient is anywhere from 0 through subnormal and normal
+# doubles to past the largest one: a 60-bit ratio scaled by 2^e.
+quotient_pairs = st.builds(
+    lambda p, q, e: (p << e, q) if e >= 0 else (p, q << -e),
+    st.integers(0, 2**60),
+    st.integers(1, 2**60),
+    st.integers(-1140, 1080),
+)
+MAX_DOUBLE = 2**1024 - 2**971  # (2 - 2^-52) 2^1023
+
+
+class TestConversions:
+    """_scatter's run-at-a-time conversions equal the per-pair ones bit for
+    bit: d_n = p / q, and g_n the correctly rounded root of the correctly
+    rounded quotient, NaN where g_n is undefined."""
+
+    RUNS = {
+        "none-first": [(-3, [None, (4, 1), (9, 4)])],
+        "none-inside": [(-3, [(4, 1), None, (9, 4)]), (2, [None])],
+        "near-max": [(0, [(2**1020, 1), (2**1023 * 3, 2), (MAX_DOUBLE, 1), (MAX_DOUBLE * 3, 3)])],
+        # 2^1024 - 2^970 lies halfway between the largest double and 2^1024.
+        "past-max": [(0, [(4, 1), (2**1024 - 2**970, 1), (2**1030 + 1, 3)])],
+        "subnormal": [(-4, [(1, 2**1074), (3, 2**1075), (1, 2**1080), (5, 2**1030), (0, 1)])],
+        "two-runs": [(-4, [(1, 3)]), (1, [(2, 7), (0, 1), (10**30, 3**60)])],
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_gamma_runs(self, name):
+        runs = self.RUNS[name]
+        got = _scatter(runs, -4, 10, _gammas)
+        assert np.array_equal(got, _per_pair(runs, -4, 10, _gamma_float), equal_nan=True)
+        if name == "past-max":
+            assert np.isfinite(got).all() and got[5] == 2.0**512
+        if name == "near-max":
+            assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("name", sorted(set(RUNS) - {"none-first", "none-inside", "past-max"}))
+    def test_diagonal_runs(self, name):
+        runs = self.RUNS[name]
+        got = _scatter(runs, -4, 10, _quotients)
+        assert np.array_equal(got, _per_pair(runs, -4, 10, _ratio))
+
+    def test_diagonal_past_binary64_raises_as_one_division_does(self):
+        with pytest.raises(OverflowError):
+            _scatter(self.RUNS["past-max"], -4, 10, _quotients)
+        with pytest.raises(OverflowError):
+            _ratio((2**1024, 1))
+
+    @given(st.lists(st.one_of(st.none(), quotient_pairs), min_size=0, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_runs(self, values):
+        runs = [(1, values)]
+        expected = _per_pair(runs, 0, 14, _gamma_float)
+        assert np.array_equal(_scatter(runs, 0, 14, _gammas), expected, equal_nan=True)
+        if None in values:
+            return
+        try:
+            expected = _per_pair(runs, 0, 14, _ratio)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _scatter(runs, 0, 14, _quotients)
+        else:
+            assert np.array_equal(_scatter(runs, 0, 14, _quotients), expected)
 
 
 class TestSparsePipeline:

@@ -71,12 +71,15 @@ def test_traced_oracle_call_keeps_the_dense_result_contract(tmp_path):
     assert err < 1e-6
 
 
-def test_traced_exact_evaluations_cover_every_rational_tail_index(tmp_path):
-    """``polycert.exact_evals`` counts calls of ``Polynomial.__call__``, so
-    each exact consumer of a truncation must evaluate through it: at least
-    once per index that lies on a rational tail."""
-    spec = example_two()  # rational tails on both sides
+def test_traced_exact_evaluations_seed_each_long_tail_range(tmp_path, requested_indices):
+    """``polycert.exact_evals`` counts calls of ``Polynomial.__call__``: a
+    long rational-tail range is evaluated by running sums seeded by Horner
+    at deg + 1 indices per polynomial, whatever its length. Every index
+    that lies on a rational tail is still requested once."""
+    spec = example_two()  # rational tails on both sides, each range long
     half_width = 30
+    tails = (spec.left_tail, spec.right_tail)
+    horner = sum(len(tail.fn.num.ints) + len(tail.fn.den.ints) for tail in tails)
 
     def rational_indices(start: int, stop: int) -> int:
         return sum(
@@ -89,24 +92,30 @@ def test_traced_exact_evaluations_cover_every_rational_tail_index(tmp_path):
     tracer = spans.Tracer()
     with tracer.active():
         build_truncation(spec, half_width, 1e-9)
-    assert tracer.counters.exact_evals >= rational_indices(-half_width, half_width)
+    assert tracer.counters.exact_evals == horner
+    assert requested_indices.count == rational_indices(-half_width, half_width)
 
     tw = transformed_weights(spec, commutator_diagonal(spec))
     tracer = spans.Tracer()
+    requested_indices.count = 0
     with tracer.active():
         tw.pairs_sq(-half_width, half_width)
-    assert tracer.counters.exact_evals >= rational_indices(-half_width, half_width)
+    assert tracer.counters.exact_evals == horner
+    # pairs_sq reads one modulus past each end of its range.
+    assert requested_indices.count == rational_indices(-half_width - 1, half_width + 1)
 
-    # Through the CLI: a wider truncation costs one pair per extra
+    # Through the CLI: a wider truncation requests one pair per extra
     # rational-tail index, evaluated once for the matrix and read again by
-    # the residuals; a pair is two Polynomial.__call__s.
+    # the residuals, and adds no Horner evaluation.
     path = tmp_path / "ex2.json"
     dump_spec(spec, path)
-    counts = []
+    counts, requested = [], []
     for dim in (41, 241):
         tracer = spans.Tracer()
+        requested_indices.count = 0
         with tracer.active(), contextlib.redirect_stdout(io.StringIO()):
             assert main(["oracle", str(path), "--max-dim", str(dim)]) == 0
         counts.append(tracer.counters.exact_evals)
-    extra = rational_indices(-120, 120) - rational_indices(-20, 20)
-    assert counts[1] - counts[0] >= 2 * extra
+        requested.append(requested_indices.count)
+    assert counts[1] == counts[0]
+    assert requested[1] - requested[0] == rational_indices(-120, 120) - rational_indices(-20, 20)

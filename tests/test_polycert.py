@@ -159,6 +159,85 @@ class TestIntegerCore:
         assert monic == euclid_gcd(as_fractions(a.ints), as_fractions(b.ints))
 
 
+def crossover(f: Polynomial | RationalFunction) -> int:
+    """The shortest range RationalFunction.pairs evaluates by running sums."""
+    polys = (f.num, f.den) if isinstance(f, RationalFunction) else (f,)
+    return polycert.RUNNING_SUMS_FROM * (1 + max(0, *(p.degree for p in polys)))
+
+
+def int_polys(max_degree: int) -> st.SearchStrategy[Polynomial]:
+    """Integer polynomials of degree 0 to max_degree, coefficients up to 200 bits."""
+    coeffs = st.one_of(st.integers(-6, 6), st.integers(-(2**200), 2**200))
+    cs = st.lists(coeffs, min_size=1, max_size=max_degree + 1).filter(lambda cs: cs[-1] != 0)
+    return cs.map(lambda cs: Polynomial(tuple(cs)))
+
+
+starts = st.integers(-(10**6), 10**6)
+
+
+def counts(data, crossover: int, side: str, least: int = 0) -> int:
+    """A range length below the crossover ("short") or from it up to three
+    times it ("long")."""
+    if side == "short":
+        return data.draw(st.integers(least, crossover - 1))
+    return data.draw(st.integers(crossover, 3 * crossover))
+
+
+def outcome(pairs):
+    """The pairs of a thunk, or the message of the ZeroDivisionError it raised."""
+    try:
+        return pairs()
+    except ZeroDivisionError as exc:
+        return f"ZeroDivisionError: {exc}"
+
+
+class TestBulkEvaluation:
+    """Polynomial.values and RationalFunction.pairs equal Horner and pair
+    index by index, on both sides of the running-sums crossover."""
+
+    @pytest.mark.parametrize("side", ["short", "long"])
+    @given(st.data(), st.one_of(st.just(Polynomial(())), int_polys(16)), starts)
+    @settings(max_examples=150, deadline=None)
+    def test_values_equal_horner(self, side, data, p, start):
+        count = counts(data, crossover(p), side)
+        assert p.values(start, count) == [p(n) for n in range(start, start + count)]
+
+    @pytest.mark.parametrize("side", ["short", "long"])
+    @pytest.mark.parametrize("case", ["negative", "sign-change", "zero-numerator", "pole"])
+    @given(st.data(), int_polys(16), int_polys(7), starts)
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_equal_pair_per_index(self, side, case, data, num, q, start):
+        # 1 + q^2 is positive everywhere: its product with a linear factor
+        # changes sign, or vanishes, only at that factor's root.
+        positive = int_product(q.ints, q.ints)
+        positive[0] += 1
+        if case == "zero-numerator":
+            num = Polynomial(())
+        if case in ("negative", "zero-numerator"):
+            den = Polynomial(tuple(-c for c in positive))
+            f = RationalFunction(num, den)
+            count = counts(data, crossover(f), side)
+        else:
+            # A placeholder of the final degree fixes the crossover first.
+            extra = 2 if case == "pole" else 1
+            count = counts(data, crossover(RationalFunction(num, Polynomial((1,) * (len(positive) + extra)))), side, 2)
+            r = data.draw(st.integers(start, start + count - 2))
+            if case == "sign-change":  # 2n - (2r + 1): the sign flips between r and r + 1
+                den = int_product(positive, [-(2 * r + 1), 2])
+            else:  # poles at r and at a later or the same index
+                r2 = data.draw(st.integers(r, start + count - 1))
+                den = int_product(int_product(positive, [-r, 1]), [-r2, 1])
+            f = RationalFunction(num, Polynomial(tuple(den)))
+        got = outcome(lambda: f.pairs(start, start + count))
+        assert got == outcome(lambda: list(map(f.pair, range(start, start + count))))
+        if case == "pole":
+            assert got == f"ZeroDivisionError: pole at n = {r}"
+        elif case == "negative":
+            assert count == 0 or all(d > 0 for _, d in got)
+        elif case == "zero-numerator":
+            assert all(v == 0 for v, _ in got)
+
+
 int_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=5)
 
 
